@@ -44,6 +44,8 @@ KIND_FIELDS: dict[str, tuple[str, ...]] = {
     "access_checked": ("sid", "oid", "op", "decision", "reason"),
 }
 
+_OPS = {op.value for op in Op}
+
 
 class AuditFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
@@ -130,6 +132,13 @@ def parse_trace(text: str) -> list[AuditRecord]:
             payload[key] = value
         if tuple(payload) != fields:
             raise AuditFormatError(line_no, f"payload keys {tuple(payload)} != {fields}")
+        if "op" in payload and payload["op"] not in _OPS:
+            raise AuditFormatError(line_no, f"bad op {payload['op']!r}")
+        if "td" in payload:
+            try:
+                _parse_td(payload["td"])
+            except (ValueError, ZeroDivisionError):
+                raise AuditFormatError(line_no, f"bad td {payload['td']!r}") from None
         if seq != len(records) + 1:
             raise AuditFormatError(line_no, f"sequence {seq} out of order")
         if records and ts < records[-1].ts:
@@ -166,14 +175,17 @@ def replay_store(initial: PolicyStore, records: list[AuditRecord]) -> PolicyStor
             store.asrt[sid] = set(_parse_list(p["restored"]))
             store.srt.get(sid, set()).discard(erole)
             store.ort.pop(sid, None)
-        elif r.kind == "permission_granted":
+        elif r.kind in ("permission_granted", "permission_rescinded"):
+            # A record naming an object the store lacks changes nothing; the
+            # grant checkers and replay fidelity report what it unbalances.
+            obj = store.objects.get(p["oid"])
+            if obj is None:
+                continue
             entry = AclEntry(p["erole"], Op(p["op"]), _parse_td(p["td"]))
-            store.objects[p["oid"]].acl.append(entry)
-        elif r.kind == "permission_rescinded":
-            entry = AclEntry(p["erole"], Op(p["op"]), _parse_td(p["td"]))
-            acl = store.objects[p["oid"]].acl
-            if entry in acl:
-                acl.remove(entry)
+            if r.kind == "permission_granted":
+                obj.acl.append(entry)
+            elif entry in obj.acl:
+                obj.acl.remove(entry)
         elif r.kind == "ft_substitution":
             target = p["to"]
             for chunk in _parse_list(p["acl"]):

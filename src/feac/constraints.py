@@ -141,20 +141,6 @@ def evaluate(expr: ConstraintExpr, subject, store, _seen: frozenset[str] = froze
     return False
 
 
-def referenced_properties(expr: ConstraintExpr) -> set[str]:
-    """Property names the expression reads (for store validation)."""
-    if isinstance(expr, (Cmp, DistCmp)):
-        return {expr.prop}
-    if isinstance(expr, Not):
-        return referenced_properties(expr.item)
-    if isinstance(expr, (And, Or)):
-        names: set[str] = set()
-        for item in expr.items:
-            names |= referenced_properties(item)
-        return names
-    return set()
-
-
 def constraint_to_text(expr: ConstraintExpr) -> str:
     """Canonical source form; reparsing it yields an equal expression."""
     return _to_text(expr, 0)

@@ -75,7 +75,6 @@ class ScenarioEvent:
 @dataclass
 class ActiveEmergency:
     emergency: Emergency
-    raised_at: Fraction
     deadline: Fraction
     executing: bool = False
 
@@ -92,10 +91,7 @@ class Assignment:
 
 @dataclass
 class GroupPlan:
-    entity: str
     steps: list[PlanStep]
-    pv: Fraction
-    strategy: str
     epoch: Fraction
     gate_abs: Fraction
     cursor: int = 0
@@ -106,7 +102,6 @@ class Execution:
     eid: str
     tsid: str
     sid: str
-    start: Fraction
     end: Fraction
     td: Fraction
     p: Fraction
@@ -140,7 +135,6 @@ class SystemState:
         self.locks: dict[str, str] = {}
         self.audit = AuditLog()
         self.rng = random.Random(seed)
-        self.mailbox: dict[str, list[tuple[Fraction, str, str]]] = {}
         self.forces: dict[tuple[str, str], tuple[Fraction, str]] = {}
         self.outcomes: dict[str, str] = {}
         self.dirty: set[str] = set()
@@ -230,7 +224,6 @@ def enable_response_actions(
         )
 
     world.audit.append("subject_notified", now, sid=sid, eid=eid, erole=erole)
-    world.mailbox.setdefault(sid, []).append((now, eid, erole))
 
     assignment = Assignment(eid=eid, sid=sid, erole=erole, td=td, grants=grants, saved=saved)
     world.assignments[eid] = assignment
@@ -300,8 +293,6 @@ def _run_fault_tolerance(
             roles=report.roles_copied,
             notified=report.notified,
         )
-        for sid in report.notified:
-            world.mailbox.setdefault(sid, []).append((now, entity, "substitution"))
         if escalated:
             world.audit.append("state_transition", now, from_=world.mode, to=MODE_EMERGENCY)
             world.mode = MODE_EMERGENCY
@@ -440,7 +431,6 @@ def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
         eid=step.eid,
         tsid=step.ts.tsid,
         sid=assignment.sid,
-        start=now,
         end=now + step.t,
         td=assignment.td,
         p=step.p,
@@ -512,7 +502,7 @@ def _dispatch_event(world: SystemState, ev: ScenarioEvent) -> None:
             "emergency_raised", now, eid=eid, entity=em.entity, prio=em.prio, ed=em.ed
         )
         if eid not in world.active:
-            world.active[eid] = ActiveEmergency(em, raised_at=now, deadline=now + em.ed)
+            world.active[eid] = ActiveEmergency(em, deadline=now + em.ed)
             world.outcomes[eid] = "unprocessed"
             world.dirty.add(em.entity)
     elif ev.kind == "fail":
@@ -647,10 +637,7 @@ def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: Fractio
             path = prob_first_select(graph)
         strategy = cfg.fallback_strategy
     world.plans[entity] = GroupPlan(
-        entity=entity,
         steps=list(path.steps),
-        pv=pv,
-        strategy=strategy,
         epoch=now,
         gate_abs=now + gate_release,
         cursor=0,

@@ -26,7 +26,6 @@ class HealthStatus(Enum):
 class EntityHealth:
     entity: str
     status: HealthStatus = HealthStatus.HEALTHY
-    substitute_for: str | None = None
 
 
 @dataclass(frozen=True)
@@ -100,6 +99,6 @@ def apply_fault_tolerance(
             store.asrt.setdefault(substitute, set()).update(held)
             roles_copied = tuple(held)
 
-    health[substitute] = EntityHealth(substitute, HealthStatus.SUBSTITUTING, substitute_for=entity)
+    health[substitute] = EntityHealth(substitute, HealthStatus.SUBSTITUTING)
     notified = (substitute,) if substitute in store.subjects else ()
     return FtReport("substituted", entity, substitute, tuple(acl_copied), roles_copied, notified, "")

@@ -222,19 +222,6 @@ def acl_check(store: PolicyStore, sid: str, oid: str, op: Op, now: Fraction) -> 
     return Decision(False, "no_active_role_entry")
 
 
-def group_by_entity(emergencies: list[Emergency]) -> dict[str, list[Emergency]]:
-    """Partition emergencies by owning entity, each group sorted by eid.
-
-    Environment emergencies land under the reserved entity name 'env'.
-    """
-    groups: dict[str, list[Emergency]] = {}
-    for em in emergencies:
-        groups.setdefault(em.entity, []).append(em)
-    for members in groups.values():
-        members.sort(key=lambda em: em.eid)
-    return groups
-
-
 def validate_store(store: PolicyStore, emergencies: list[Emergency]) -> list[Violation]:
     """Check every cross-table rule; returns all violations, never raises."""
     out: list[Violation] = []

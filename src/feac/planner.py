@@ -18,15 +18,22 @@ Admissible orders are determined by two relations:
 Equal-priority freedom can explode combinatorially, so when the number of
 admissible orders exceeds the configured cap K, exactly K distinct orders
 are drawn from a generator seeded from (seed, entity, gate, member ids).
-The graph is a prefix trie over the chosen orders: paths sharing a prefix
-share nodes, and the number of root-to-terminal paths always equals the
-number of orders inserted.
+
+When every admissible order is inserted, a node stands for one state
+(remaining set, elapsed clock) and orders reaching equal states share it:
+an edge's metrics and validity depend only on that state, and which
+emergencies may follow depends only on the set already processed. A
+sampled graph instead stays a prefix trie over the K drawn orders, since
+merging its states would admit orders that were never drawn. Either way
+the number of root-to-terminal paths equals the number of orders inserted.
 
 The success value of the graph follows a max-product recursion: a
 terminal is worth 1, an edge processing e is worth p'(e) times its child,
 except that an edge whose completion would overshoot its own adjusted
 deadline, or the currently adjusted deadline of any other pending
 emergency, is worth 0. The value of a node is the best of its edges.
+Valuation, path selection and path counting each visit the nodes once,
+children first.
 """
 
 from __future__ import annotations
@@ -97,29 +104,28 @@ class GraphEdge:
     eid: str
     metrics: AdjustedMetrics
     valid: bool
-    child: tuple[str, ...]
+    # Shared nodes would make a recursive repr print every path below.
+    child: GraphNode = field(repr=False)
 
 
-@dataclass
+# Compared and hashed by identity: valuation keys its tables on nodes.
+@dataclass(eq=False)
 class GraphNode:
-    key: tuple[str, ...]
     remaining: frozenset[str]
     elapsed: Fraction
     edges: dict[str, GraphEdge] = field(default_factory=dict)
-    pvalue: Fraction | None = None
 
 
 @dataclass
 class ResponseGraph:
     entity: str
     gate_release: Fraction
-    nodes: dict[tuple[str, ...], GraphNode]
+    root: GraphNode
+    # Keyed on (remaining, elapsed) when every order is inserted, on the
+    # order prefix when the orders are sampled.
+    nodes: dict[tuple, GraphNode]
     order_count: int
     sampled: bool
-
-    @property
-    def root(self) -> GraphNode:
-        return self.nodes[()]
 
 
 @dataclass(frozen=True)
@@ -320,7 +326,7 @@ def build_transition_graph(
     gate_release: Fraction = ZERO,
     available_resources: frozenset[str] | None = None,
 ) -> ResponseGraph:
-    """Prefix trie of the group's admissible orders with adjusted edge metrics.
+    """Graph of the group's admissible orders with adjusted edge metrics.
 
     `gate_release` is time already committed to environment gates before the
     group may start; it loads the root's elapsed clock. Branches where an
@@ -346,89 +352,62 @@ def build_transition_graph(
         orders = sample_admissible_orders(group, pairs, cfg.k_cap, random.Random(key))
         sampled = True
 
-    root = GraphNode(key=(), remaining=frozenset(by_eid), elapsed=gate_release)
-    nodes: dict[tuple[str, ...], GraphNode] = {(): root}
+    task_sets = {eid: select_task_set(em, available_resources) for eid, em in by_eid.items()}
+    root = GraphNode(remaining=frozenset(by_eid), elapsed=gate_release)
+    nodes: dict[tuple, GraphNode] = {() if sampled else (root.remaining, root.elapsed): root}
     for order in orders:
         node = root
-        for eid in order:
+        for depth, eid in enumerate(order, start=1):
             edge = node.edges.get(eid)
             if edge is None:
-                edge = _make_edge(node, by_eid[eid], by_eid, infl, cfg, available_resources)
-                if edge is None:
+                ts = task_sets[eid]
+                if ts is None:
                     break
-                node.edges[eid] = edge
-                child_key = node.key + (eid,)
-                nodes[child_key] = GraphNode(
-                    key=child_key,
-                    remaining=node.remaining - {eid},
-                    elapsed=node.elapsed + edge.metrics.t,
-                )
-            node = nodes[edge.child]
+                metrics, valid = _price_step(node, by_eid[eid], ts, by_eid, infl, cfg)
+                remaining = node.remaining - {eid}
+                elapsed = node.elapsed + metrics.t
+                child_key = order[:depth] if sampled else (remaining, elapsed)
+                child = nodes.get(child_key)
+                if child is None:
+                    child = nodes[child_key] = GraphNode(remaining=remaining, elapsed=elapsed)
+                edge = node.edges[eid] = GraphEdge(eid, metrics, valid, child)
+            node = edge.child
     return ResponseGraph(
         entity=group[0].entity,
         gate_release=gate_release,
+        root=root,
         nodes=nodes,
         order_count=total,
         sampled=sampled,
     )
 
 
-def _make_edge(
+def _price_step(
     node: GraphNode,
     em: Emergency,
+    ts: TaskSet,
     by_eid: dict[str, Emergency],
     infl: InfluenceSpec,
     cfg: PlannerConfig,
-    available_resources: frozenset[str] | None,
-) -> GraphEdge | None:
-    ts = select_task_set(em, available_resources)
-    if ts is None:
-        return None
+) -> tuple[AdjustedMetrics, bool]:
+    """Adjusted metrics of processing `em` next from `node`, and whether the
+    step keeps every deadline."""
     others = node.remaining - {em.eid}
     metrics = adjust_metrics(em, ts, others, infl, cfg)
     finish = node.elapsed + metrics.t
-    valid = finish <= metrics.ed
-    if valid:
-        # A step is also dead if taking it would run any other pending
-        # emergency past its currently adjusted deadline.
-        for other in others:
-            pending = by_eid[other]
-            if finish > adjusted_deadline(pending, node.remaining - {other}, infl, cfg):
-                valid = False
-                break
-    return GraphEdge(eid=em.eid, metrics=metrics, valid=valid, child=node.key + (em.eid,))
+    if finish > metrics.ed:
+        return metrics, False
+    # A step is also dead if taking it would run any other pending
+    # emergency past its currently adjusted deadline.
+    for other in others:
+        if finish > adjusted_deadline(by_eid[other], node.remaining - {other}, infl, cfg):
+            return metrics, False
+    return metrics, True
 
 
 # ---------------------------------------------------------------------------
 # Valuation and path selection
 # ---------------------------------------------------------------------------
-
-
-def compute_p_value(graph: ResponseGraph) -> Fraction:
-    """Annotate every node with its success value and return the root's."""
-
-    def value(node: GraphNode) -> Fraction:
-        if node.pvalue is not None:
-            return node.pvalue
-        if not node.remaining:
-            node.pvalue = ONE
-            return node.pvalue
-        best = ZERO
-        for eid in sorted(node.edges):
-            edge = node.edges[eid]
-            if not edge.valid:
-                continue
-            contribution = edge.metrics.p * value(graph.nodes[edge.child])
-            if contribution > best:
-                best = contribution
-        node.pvalue = best
-        return best
-
-    # Children have longer keys than parents, so valuing longest-first
-    # keeps the recursion depth at one.
-    for key in sorted(graph.nodes, key=len, reverse=True):
-        value(graph.nodes[key])
-    return graph.root.pvalue
 
 
 @dataclass(frozen=True)
@@ -438,20 +417,24 @@ class _Suffix:
     eids: tuple[str, ...]
 
 
-def _best_suffixes(graph: ResponseGraph, require_valid: bool, better) -> dict[tuple, _Suffix | None]:
-    best: dict[tuple, _Suffix | None] = {}
-    for key in sorted(graph.nodes, key=len, reverse=True):
-        node = graph.nodes[key]
+def _children_first(graph: ResponseGraph) -> list[GraphNode]:
+    # Every edge processes one emergency, so a child always has fewer left.
+    return sorted(graph.nodes.values(), key=lambda node: len(node.remaining))
+
+
+def _best_suffix(graph: ResponseGraph, require_valid: bool, better) -> _Suffix | None:
+    """Best root-to-terminal path under `better`, skipping dead edges when
+    `require_valid`; None when no such path completes."""
+    best: dict[GraphNode, _Suffix | None] = {}
+    for node in _children_first(graph):
         if not node.remaining:
-            best[key] = _Suffix(ONE, ZERO, ())
+            best[node] = _Suffix(ONE, ZERO, ())
             continue
         chosen: _Suffix | None = None
         for eid in sorted(node.edges):
             edge = node.edges[eid]
-            if require_valid and not edge.valid:
-                continue
-            child = best.get(edge.child)
-            if child is None:
+            child = best[edge.child]
+            if child is None or (require_valid and not edge.valid):
                 continue
             candidate = _Suffix(
                 product=edge.metrics.p * child.product,
@@ -460,8 +443,8 @@ def _best_suffixes(graph: ResponseGraph, require_valid: bool, better) -> dict[tu
             )
             if chosen is None or better(candidate, chosen):
                 chosen = candidate
-        best[key] = chosen
-    return best
+        best[node] = chosen
+    return best[graph.root]
 
 
 def _prob_better(a: _Suffix, b: _Suffix) -> bool:
@@ -480,11 +463,12 @@ def _time_better(a: _Suffix, b: _Suffix) -> bool:
     return a.eids < b.eids
 
 
-def _path_from(graph: ResponseGraph, eids: tuple[str, ...]) -> PlanPath:
+def _path_from(graph: ResponseGraph, best: _Suffix | None) -> PlanPath:
+    if best is None:
+        return PlanPath(steps=(), product=ZERO, total_time=ZERO)
     steps: list[PlanStep] = []
     node = graph.root
-    product = ONE
-    for eid in eids:
+    for eid in best.eids:
         edge = node.edges[eid]
         m = edge.metrics
         steps.append(
@@ -498,62 +482,42 @@ def _path_from(graph: ResponseGraph, eids: tuple[str, ...]) -> PlanPath:
                 end_elapsed=node.elapsed + m.t,
             )
         )
-        product *= m.p
-        node = graph.nodes[edge.child]
-    total = sum((s.t for s in steps), ZERO)
-    return PlanPath(steps=tuple(steps), product=product, total_time=total)
+        node = edge.child
+    return PlanPath(steps=tuple(steps), product=best.product, total_time=best.time)
+
+
+def compute_p_value(graph: ResponseGraph) -> Fraction:
+    """The graph's success value: best product over all-valid paths, else 0."""
+    best = _best_suffix(graph, require_valid=True, better=_prob_better)
+    return ZERO if best is None else best.product
 
 
 def select_optimal_path(graph: ResponseGraph) -> PlanPath | None:
     """Best all-valid root-to-terminal path: max product of p', then least
     total t', then lexicographically smallest eid sequence. None when the
     graph's value is 0 (callers fall back to a heuristic selection)."""
-    if graph.root.pvalue is None:
-        compute_p_value(graph)
-    if graph.root.pvalue == ZERO:
+    best = _best_suffix(graph, require_valid=True, better=_prob_better)
+    if best is None or best.product == ZERO:
         return None
-    best = _best_suffixes(graph, require_valid=True, better=_prob_better)[()]
-    return _path_from(graph, best.eids)
+    return _path_from(graph, best)
 
 
 def prob_first_select(graph: ResponseGraph) -> PlanPath:
     """Fallback: ignore deadlines, maximize success probability."""
-    best = _best_suffixes(graph, require_valid=False, better=_prob_better)[()]
-    if best is None:
-        return PlanPath(steps=(), product=ZERO, total_time=ZERO)
-    return _path_from(graph, best.eids)
+    return _path_from(graph, _best_suffix(graph, require_valid=False, better=_prob_better))
 
 
 def time_first_select(graph: ResponseGraph) -> PlanPath:
     """Fallback: ignore deadlines, minimize total adjusted time."""
-    best = _best_suffixes(graph, require_valid=False, better=_time_better)[()]
-    if best is None:
-        return PlanPath(steps=(), product=ZERO, total_time=ZERO)
-    return _path_from(graph, best.eids)
-
-
-def iter_paths(graph: ResponseGraph):
-    """Yield the eid sequence of every root-to-terminal path."""
-
-    def walk(node: GraphNode, prefix: tuple[str, ...]):
-        if not node.remaining:
-            yield prefix
-            return
-        for eid in sorted(node.edges):
-            yield from walk(graph.nodes[node.edges[eid].child], prefix + (eid,))
-
-    yield from walk(graph.root, ())
+    return _path_from(graph, _best_suffix(graph, require_valid=False, better=_time_better))
 
 
 def path_count(graph: ResponseGraph) -> int:
-    counts: dict[tuple, int] = {}
-    for key in sorted(graph.nodes, key=len, reverse=True):
-        node = graph.nodes[key]
-        if not node.remaining:
-            counts[key] = 1
-        else:
-            counts[key] = sum(counts[e.child] for e in node.edges.values())
-    return counts[()]
+    """Number of root-to-terminal paths."""
+    counts: dict[GraphNode, int] = {}
+    for node in _children_first(graph):
+        counts[node] = sum(counts[e.child] for e in node.edges.values()) if node.remaining else 1
+    return counts[graph.root]
 
 
 def plan_to_text(graph_pv: Fraction, path: PlanPath, strategy: str) -> str:

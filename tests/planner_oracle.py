@@ -10,7 +10,9 @@ admissibility predicate stated directly over the ordering rules:
 
 Each admissible order is then priced by a straight-line walk that redoes
 the influence and deadline arithmetic from scratch. Nothing here calls
-into feac.planner except for the shared data types.
+into feac.planner except for the shared data types; `iter_paths` only
+walks a graph the planner built, so its paths can be compared with these
+orders.
 """
 
 from __future__ import annotations
@@ -173,3 +175,16 @@ def oracle_best(
             best_key = key
             best_order = order
     return pv, (best_order if pv > ZERO else None)
+
+
+def iter_paths(graph):
+    """Yield the eid sequence of every root-to-terminal path of a built graph."""
+
+    def walk(node, prefix):
+        if not node.remaining:
+            yield prefix
+            return
+        for eid in sorted(node.edges):
+            yield from walk(node.edges[eid].child, prefix + (eid,))
+
+    yield from walk(graph.root, ())

@@ -19,7 +19,6 @@ from feac.planner import (
     PlannerConfig,
     build_transition_graph,
     compute_p_value,
-    iter_paths,
     path_count,
     select_optimal_path,
 )
@@ -28,7 +27,7 @@ from feac.sim import run_simulation
 
 from conftest import acceptance_verdicts
 from mutations import MUTANTS, apply
-from planner_oracle import oracle_best
+from planner_oracle import iter_paths, oracle_best
 from scenario_gen import generate_scenario_text, random_group
 
 F = Fraction
@@ -71,14 +70,14 @@ def test_criterion_1(hospital):
     assert sorted(orders) == [("E3", "E4", "E5"), ("E3", "E5", "E4")]
 
     def walk(order):
-        product, tail_segment, key = F(1), F(0), ()
+        product, tail_segment, node = F(1), F(0), graph.root
         for eid in order:
-            edge = graph.nodes[key].edges[eid]
+            edge = node.edges[eid]
             assert edge.valid
             product *= edge.metrics.p
             if eid in ("E4", "E5"):
                 tail_segment += edge.metrics.t
-            key += (eid,)
+            node = edge.child
         return product, tail_segment
 
     walked = {order: walk(order) for order in orders}
@@ -235,6 +234,7 @@ def test_criterion_7():
     full = build_transition_graph(group, set(), InfluenceSpec(), PlannerConfig(k_cap=40320))
     assert not full.sampled
     assert path_count(full) == 40320
+    assert len(full.nodes) == 256
     assert time.perf_counter() - started < 60.0
 
 

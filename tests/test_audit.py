@@ -66,7 +66,9 @@ class TestAppend:
     def test_every_kind_has_a_field_list(self):
         log = AuditLog()
         for kind, fields in KIND_FIELDS.items():
-            log.append(kind, F(0), **{(f + "_" if f == "from" else f): "1" for f in fields})
+            # Every field holds "1" except op, which must name an Op.
+            payload = {(f + "_" if f == "from" else f): ("use" if f == "op" else "1") for f in fields}
+            log.append(kind, F(0), **payload)
         text = log.to_text()
         assert len(text.splitlines()) == len(KIND_FIELDS)
         assert parse_trace(text) == log.records

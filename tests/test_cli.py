@@ -204,6 +204,43 @@ class TestAudit:
         assert code == 1
         assert out == "determinism at #0: trace differs from deterministic re-run\n"
 
+    def audit_tampered_grant(self, tmp_path, hospital_path, field, value):
+        """Audit exit codes, without and with --scenario, after rewriting one
+        field of the first permission_granted record."""
+        trace_file = self.write_trace(tmp_path, hospital_path)
+        lines = trace_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines) if "|permission_granted|" in line)
+        head, payload = lines[index].rsplit("|", 1)
+        chunks = [
+            f"{field}={value}" if chunk.startswith(f"{field}=") else chunk
+            for chunk in payload.rstrip("\n").split(",")
+        ]
+        lines[index] = f"{head}|{','.join(chunks)}\n"
+        trace_file.write_text("".join(lines), encoding="utf-8")
+        codes = []
+        for extra in ((), ("--scenario", hospital_path)):
+            code, out, err = run_cli("audit", str(trace_file), *extra)
+            assert "Traceback" not in out + err
+            codes.append((code, out, err))
+        return codes
+
+    def test_unknown_op_is_a_usage_error(self, hospital_path, tmp_path):
+        for code, _, err in self.audit_tampered_grant(tmp_path, hospital_path, "op", "bogus"):
+            assert code == 2
+            assert "bad op 'bogus'" in err
+
+    def test_non_decimal_td_is_a_usage_error(self, hospital_path, tmp_path):
+        for code, _, err in self.audit_tampered_grant(tmp_path, hospital_path, "td", "S1"):
+            assert code == 2
+            assert "bad td 'S1'" in err
+
+    def test_grant_on_unknown_object_fails_checks(self, hospital_path, tmp_path):
+        codes = self.audit_tampered_grant(tmp_path, hospital_path, "oid", "NoSuchObj")
+        for code, out, _ in codes:
+            assert code == 1
+            assert "grant_security" in out
+        assert "determinism" in codes[1][1]
+
     def test_malformed_trace_is_a_usage_error(self, tmp_path):
         bad = tmp_path / "bad.trace"
         bad.write_text("1|0|not_a_kind|x=1\n", encoding="utf-8")

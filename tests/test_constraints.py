@@ -11,7 +11,6 @@ from feac.constraints import (
     Ref,
     constraint_to_text,
     evaluate,
-    referenced_properties,
 )
 from feac.model import PolicyStore, Subject
 
@@ -113,11 +112,6 @@ class TestRef:
         st = store_with(constraints={"a": Or((Ref("a"), Lit(True)))})
         # The inner self-reference is false; the disjunction still succeeds.
         assert evaluate(Ref("a"), subject(), st)
-
-
-def test_referenced_properties():
-    expr = And((Cmp("age", ">", F(1)), Or((DistCmp("location", (F(0), F(0)), "<", F(9)), Lit(True)))))
-    assert referenced_properties(expr) == {"age", "location"}
 
 
 class TestToText:

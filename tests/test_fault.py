@@ -58,7 +58,6 @@ class TestApplyFaultTolerance:
         assert store.objects["P2"].acl == store.objects["P1"].acl
         assert health["P1"].status is HealthStatus.FAILED
         assert health["P2"].status is HealthStatus.SUBSTITUTING
-        assert health["P2"].substitute_for == "P1"
 
     def test_copy_deduplicates_existing_rows(self):
         store = pool_store()

@@ -11,7 +11,6 @@ from feac.model import (
     SystemObject,
     TaskSet,
     acl_check,
-    group_by_entity,
     serialize_store,
     validate_store,
 )
@@ -96,13 +95,6 @@ class TestAclCheck:
         assert acl_check(store, "S2", "O1", Op.USE, Fraction(10)).permit
         late = acl_check(store, "S2", "O1", Op.USE, Fraction(21, 2))
         assert not late.permit and late.reason == "expired"
-
-
-def test_group_by_entity_sorts_members():
-    ems = [make_emergency("E3"), make_emergency("E1"), make_emergency("E2", entity="env")]
-    groups = group_by_entity(ems)
-    assert [em.eid for em in groups["P1"]] == ["E1", "E3"]
-    assert [em.eid for em in groups["env"]] == ["E2"]
 
 
 class TestValidateStore:

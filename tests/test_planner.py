@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from planner_oracle import oracle_admissible, oracle_best, oracle_orders
+from planner_oracle import iter_paths, oracle_admissible, oracle_best, oracle_orders
 from scenario_gen import random_group
 
 from feac.model import Emergency, Op, TaskSet
@@ -23,7 +23,6 @@ from feac.planner import (
     compute_p_value,
     count_admissible_orders,
     iter_admissible_orders,
-    iter_paths,
     path_count,
     plan_to_text,
     prob_first_select,
@@ -305,13 +304,6 @@ class TestGraphShape:
         with pytest.raises(ValueError):
             build_transition_graph(group, set(), InfluenceSpec(), PlannerConfig())
 
-    def test_value_is_memoized(self):
-        group, infl = patient_group()
-        graph = build_transition_graph(group, set(), infl, PlannerConfig())
-        first = compute_p_value(graph)
-        assert graph.root.pvalue == first
-        assert compute_p_value(graph) == first
-
 
 def test_matches_oracle_on_random_groups():
     for case in range(120):
@@ -329,3 +321,22 @@ def test_matches_oracle_on_random_groups():
         assert pv == want_pv
         path = select_optimal_path(graph)
         assert (None if path is None else path.eids) == want_order
+
+
+def test_merged_graphs_match_oracle():
+    # Every order inserted, so equal (remaining, elapsed) states merge.
+    shared = 0
+    for case in range(100):
+        rng = random.Random(90_000 + case)
+        group, tdt, infl = random_group(rng, max_size=7)
+        orders = count_admissible_orders(group, tdt)
+        graph = build_transition_graph(group, tdt, infl, PlannerConfig(k_cap=orders))
+        assert not graph.sampled
+        want_pv, want_order = oracle_best(group, tdt, infl.pairs)
+        assert compute_p_value(graph) == want_pv, case
+        path = select_optimal_path(graph)
+        assert (None if path is None else path.eids) == want_order, case
+        assert path_count(graph) == orders, case
+        children = [e.child for node in graph.nodes.values() for e in node.edges.values()]
+        shared += len({id(child) for child in children}) < len(children)
+    assert shared
