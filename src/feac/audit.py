@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import format_number
-from .model import AclEntry, Op, PolicyStore
+from .model import AclEntry, Op, PolicyStore, SystemObject
 
 # Fixed payload layout per kind. Appending with any other keys is an error.
 KIND_FIELDS: dict[str, tuple[str, ...]] = {
@@ -44,7 +44,31 @@ KIND_FIELDS: dict[str, tuple[str, ...]] = {
     "access_checked": ("sid", "oid", "op", "decision", "reason"),
 }
 
-_OPS = {op.value for op in Op}
+
+def _parse_list(text: str) -> list[str]:
+    return [] if text == "-" else text.split(";")
+
+
+def _parse_acl(text: str) -> list[AclEntry]:
+    entries = []
+    for chunk in _parse_list(text):
+        role, op, td = chunk.split(":")
+        entries.append(AclEntry(role, Op(op), None if td == "-" else Fraction(td)))
+    return entries
+
+
+# The payload fields some consumer converts, by name, with the conversion it
+# applies. parse_trace runs each one, so checkers and replay only ever meet
+# values they can convert.
+FIELD_PARSERS = {
+    "td": Fraction,
+    "pv": Fraction,
+    "tp": Fraction,
+    "horizon": Fraction,
+    "seed": int,
+    "op": Op,
+    "acl": _parse_acl,
+}
 
 
 class AuditFormatError(ValueError):
@@ -132,13 +156,14 @@ def parse_trace(text: str) -> list[AuditRecord]:
             payload[key] = value
         if tuple(payload) != fields:
             raise AuditFormatError(line_no, f"payload keys {tuple(payload)} != {fields}")
-        if "op" in payload and payload["op"] not in _OPS:
-            raise AuditFormatError(line_no, f"bad op {payload['op']!r}")
-        if "td" in payload:
+        for key, value in payload.items():
+            parse = FIELD_PARSERS.get(key)
+            if parse is None:
+                continue
             try:
-                _parse_td(payload["td"])
+                parse(value)
             except (ValueError, ZeroDivisionError):
-                raise AuditFormatError(line_no, f"bad td {payload['td']!r}") from None
+                raise AuditFormatError(line_no, f"bad {key} {value!r}") from None
         if seq != len(records) + 1:
             raise AuditFormatError(line_no, f"sequence {seq} out of order")
         if records and ts < records[-1].ts:
@@ -150,14 +175,6 @@ def parse_trace(text: str) -> list[AuditRecord]:
 # ---------------------------------------------------------------------------
 # Replay
 # ---------------------------------------------------------------------------
-
-
-def _parse_td(text: str) -> Fraction | None:
-    return None if text == "-" else Fraction(text)
-
-
-def _parse_list(text: str) -> list[str]:
-    return [] if text == "-" else text.split(";")
 
 
 def replay_store(initial: PolicyStore, records: list[AuditRecord]) -> PolicyStore:
@@ -181,22 +198,16 @@ def replay_store(initial: PolicyStore, records: list[AuditRecord]) -> PolicyStor
             obj = store.objects.get(p["oid"])
             if obj is None:
                 continue
-            entry = AclEntry(p["erole"], Op(p["op"]), _parse_td(p["td"]))
+            entry = AclEntry(p["erole"], Op(p["op"]), Fraction(p["td"]))
             if r.kind == "permission_granted":
                 obj.acl.append(entry)
             elif entry in obj.acl:
                 obj.acl.remove(entry)
         elif r.kind == "ft_substitution":
             target = p["to"]
-            for chunk in _parse_list(p["acl"]):
-                role, op, td = chunk.split(":")
-                obj = store.objects.get(target)
-                if obj is None:
-                    from .model import SystemObject
-
-                    obj = SystemObject(target)
-                    store.objects[target] = obj
-                obj.acl.append(AclEntry(role, Op(op), _parse_td(td)))
+            entries = _parse_acl(p["acl"])
+            if entries:
+                store.objects.setdefault(target, SystemObject(target)).acl.extend(entries)
             roles = _parse_list(p["roles"])
             if roles:
                 store.srt.setdefault(target, set()).update(roles)

@@ -162,36 +162,27 @@ def _group_order(entities) -> list[str]:
 def select_subject(store: PolicyStore, erole: str) -> str | None:
     """Walk the role-mapping hierarchy top-down, then the fallback constraint.
 
-    A candidate must hold the level's normal role among its assignable
-    roles, hold no emergency-role right now, and satisfy the mapping's
-    constraint. Ties break on the smallest subject id.
+    Each RMT role is one level, checked against the mapping's constraint;
+    the RCT constraint is a last level open to every subject. A candidate
+    must hold the level's normal role among its assignable roles (if the
+    level names one), hold no emergency-role right now, and satisfy the
+    level's constraint. Subjects are tried in id order and the first
+    eligible one is returned, so each level is staffed by its smallest
+    eligible subject id.
     """
-    emergency_roles = {r for r, kind in store.roles.items() if kind is RoleKind.EMERGENCY}
-
-    def idle(sid: str) -> bool:
-        return not (store.asrt.get(sid, set()) & emergency_roles)
-
     mapping = store.rmt.get(erole)
-    if mapping is not None:
-        for role in mapping.roles:
-            candidates = sorted(
-                sid
-                for sid, subject in store.subjects.items()
-                if role in store.srt.get(sid, set())
-                and idle(sid)
-                and (mapping.constraint is None or evaluate(mapping.constraint, subject, store))
-            )
-            if candidates:
-                return candidates[0]
-    fallback = store.rct.get(erole)
-    if fallback is not None:
-        candidates = sorted(
-            sid
-            for sid, subject in store.subjects.items()
-            if idle(sid) and evaluate(fallback, subject, store)
-        )
-        if candidates:
-            return candidates[0]
+    levels = [] if mapping is None else [(role, mapping.constraint) for role in mapping.roles]
+    if erole in store.rct:
+        levels.append((None, store.rct[erole]))
+    sids = sorted(store.subjects)
+    for role, constraint in levels:
+        for sid in sids:
+            if role is not None and role not in store.srt.get(sid, ()):
+                continue
+            if any(store.roles.get(r) is RoleKind.EMERGENCY for r in store.asrt.get(sid, ())):
+                continue
+            if constraint is None or evaluate(constraint, store.subjects[sid], store):
+                return sid
     return None
 
 

@@ -27,13 +27,17 @@ sampled graph instead stays a prefix trie over the K drawn orders, since
 merging its states would admit orders that were never drawn. Either way
 the number of root-to-terminal paths equals the number of orders inserted.
 
+Each node holds one deadline bound: the least adjusted deadline Ed'(e)
+over its remaining emergencies, each adjusted for the influence of the
+others still pending. An edge is valid when its completion clock stays
+within its node's bound, which is exactly "no overshoot of its own
+adjusted deadline, nor of any other pending emergency's".
+
 The success value of the graph follows a max-product recursion: a
-terminal is worth 1, an edge processing e is worth p'(e) times its child,
-except that an edge whose completion would overshoot its own adjusted
-deadline, or the currently adjusted deadline of any other pending
-emergency, is worth 0. The value of a node is the best of its edges.
-Valuation, path selection and path counting each visit the nodes once,
-children first.
+terminal is worth 1, a valid edge processing e is worth p'(e) times its
+child, and an invalid edge is worth 0. The value of a node is the best of
+its edges. Valuation, path selection and path counting each visit the
+nodes once, children first.
 """
 
 from __future__ import annotations
@@ -114,6 +118,8 @@ class GraphNode:
     remaining: frozenset[str]
     elapsed: Fraction
     edges: dict[str, GraphEdge] = field(default_factory=dict)
+    # Least adjusted deadline over `remaining`, set when the first edge is added.
+    bound: Fraction | None = None
 
 
 @dataclass
@@ -363,14 +369,19 @@ def build_transition_graph(
                 ts = task_sets[eid]
                 if ts is None:
                     break
-                metrics, valid = _price_step(node, by_eid[eid], ts, by_eid, infl, cfg)
+                if not node.edges:
+                    node.bound = min(
+                        adjusted_deadline(by_eid[e], node.remaining - {e}, infl, cfg)
+                        for e in node.remaining
+                    )
                 remaining = node.remaining - {eid}
+                metrics = adjust_metrics(by_eid[eid], ts, remaining, infl, cfg)
                 elapsed = node.elapsed + metrics.t
                 child_key = order[:depth] if sampled else (remaining, elapsed)
                 child = nodes.get(child_key)
                 if child is None:
                     child = nodes[child_key] = GraphNode(remaining=remaining, elapsed=elapsed)
-                edge = node.edges[eid] = GraphEdge(eid, metrics, valid, child)
+                edge = node.edges[eid] = GraphEdge(eid, metrics, elapsed <= node.bound, child)
             node = edge.child
     return ResponseGraph(
         entity=group[0].entity,
@@ -380,29 +391,6 @@ def build_transition_graph(
         order_count=total,
         sampled=sampled,
     )
-
-
-def _price_step(
-    node: GraphNode,
-    em: Emergency,
-    ts: TaskSet,
-    by_eid: dict[str, Emergency],
-    infl: InfluenceSpec,
-    cfg: PlannerConfig,
-) -> tuple[AdjustedMetrics, bool]:
-    """Adjusted metrics of processing `em` next from `node`, and whether the
-    step keeps every deadline."""
-    others = node.remaining - {em.eid}
-    metrics = adjust_metrics(em, ts, others, infl, cfg)
-    finish = node.elapsed + metrics.t
-    if finish > metrics.ed:
-        return metrics, False
-    # A step is also dead if taking it would run any other pending
-    # emergency past its currently adjusted deadline.
-    for other in others:
-        if finish > adjusted_deadline(by_eid[other], node.remaining - {other}, infl, cfg):
-            return metrics, False
-    return metrics, True
 
 
 # ---------------------------------------------------------------------------

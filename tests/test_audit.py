@@ -66,8 +66,10 @@ class TestAppend:
     def test_every_kind_has_a_field_list(self):
         log = AuditLog()
         for kind, fields in KIND_FIELDS.items():
-            # Every field holds "1" except op, which must name an Op.
-            payload = {(f + "_" if f == "from" else f): ("use" if f == "op" else "1") for f in fields}
+            # Every field holds "1" except op, which must name an Op, and
+            # acl, whose chunks are role:op:td.
+            special = {"op": "use", "acl": "R1:use:1"}
+            payload = {(f + "_" if f == "from" else f): special.get(f, "1") for f in fields}
             log.append(kind, F(0), **payload)
         text = log.to_text()
         assert len(text.splitlines()) == len(KIND_FIELDS)

@@ -31,6 +31,47 @@ at 1 fail P1
 """
 
 
+SUBSTITUTION_SCENARIO = """\
+scenario swap
+config tp = 0.5
+config seed = 1
+config horizon = 20
+entity P1
+entity P2
+role R1
+subject A1 { roles = [R1] }
+subject A2 { roles = [R1] }
+object O1 { acl R1 use }
+object P1 { acl R1 read }
+emergency E1 {
+  entity P1
+  prio 2
+  ed 10
+  ft true
+  ts TS1 { actions = [O1 use], time = 2, prob = 0.9 }
+}
+map E1 -> [R1]
+fgroup P1 = g
+fgroup P2 = g
+at 0 raise E1
+at 0 force E1 TS1 success
+at 1 fail P1
+"""
+
+# One field of the first record of a kind, rewritten to a value its consumer
+# cannot convert: (scenario fixture, record kind, field, value).
+UNCONVERTIBLE_FIELDS = [
+    ("hospital_path", "plan_selected", "pv", "S1"),
+    ("hospital_path", "run_started", "tp", "x"),
+    ("hospital_path", "run_started", "seed", "x"),
+    ("hospital_path", "run_started", "horizon", "x"),
+    ("hospital_path", "permission_granted", "td", "-"),
+    ("substitution_path", "ft_substitution", "acl", "a:b"),
+    ("substitution_path", "ft_substitution", "acl", "R:bogus:1"),
+    ("substitution_path", "ft_substitution", "acl", "R:read:x"),
+]
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), out, err)
@@ -48,6 +89,13 @@ def broken_path(tmp_path):
 def disaster_path(tmp_path):
     path = tmp_path / "lone.feac"
     path.write_text(DISASTER_SCENARIO, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def substitution_path(tmp_path):
+    path = tmp_path / "swap.feac"
+    path.write_text(SUBSTITUTION_SCENARIO, encoding="utf-8")
     return str(path)
 
 
@@ -204,12 +252,12 @@ class TestAudit:
         assert code == 1
         assert out == "determinism at #0: trace differs from deterministic re-run\n"
 
-    def audit_tampered_grant(self, tmp_path, hospital_path, field, value):
+    def audit_tampered(self, tmp_path, scenario_path, kind, field, value):
         """Audit exit codes, without and with --scenario, after rewriting one
-        field of the first permission_granted record."""
-        trace_file = self.write_trace(tmp_path, hospital_path)
+        field of the first `kind` record in the scenario's simulated trace."""
+        trace_file = self.write_trace(tmp_path, scenario_path)
         lines = trace_file.read_text(encoding="utf-8").splitlines(keepends=True)
-        index = next(i for i, line in enumerate(lines) if "|permission_granted|" in line)
+        index = next(i for i, line in enumerate(lines) if f"|{kind}|" in line)
         head, payload = lines[index].rsplit("|", 1)
         chunks = [
             f"{field}={value}" if chunk.startswith(f"{field}=") else chunk
@@ -218,28 +266,53 @@ class TestAudit:
         lines[index] = f"{head}|{','.join(chunks)}\n"
         trace_file.write_text("".join(lines), encoding="utf-8")
         codes = []
-        for extra in ((), ("--scenario", hospital_path)):
+        for extra in ((), ("--scenario", scenario_path)):
             code, out, err = run_cli("audit", str(trace_file), *extra)
             assert "Traceback" not in out + err
             codes.append((code, out, err))
         return codes
 
     def test_unknown_op_is_a_usage_error(self, hospital_path, tmp_path):
-        for code, _, err in self.audit_tampered_grant(tmp_path, hospital_path, "op", "bogus"):
+        for code, _, err in self.audit_tampered(
+            tmp_path, hospital_path, "permission_granted", "op", "bogus"
+        ):
             assert code == 2
             assert "bad op 'bogus'" in err
 
     def test_non_decimal_td_is_a_usage_error(self, hospital_path, tmp_path):
-        for code, _, err in self.audit_tampered_grant(tmp_path, hospital_path, "td", "S1"):
+        for code, _, err in self.audit_tampered(
+            tmp_path, hospital_path, "permission_granted", "td", "S1"
+        ):
             assert code == 2
             assert "bad td 'S1'" in err
 
     def test_grant_on_unknown_object_fails_checks(self, hospital_path, tmp_path):
-        codes = self.audit_tampered_grant(tmp_path, hospital_path, "oid", "NoSuchObj")
+        codes = self.audit_tampered(
+            tmp_path, hospital_path, "permission_granted", "oid", "NoSuchObj"
+        )
         for code, out, _ in codes:
             assert code == 1
             assert "grant_security" in out
         assert "determinism" in codes[1][1]
+
+    def test_substitution_trace_passes(self, substitution_path, tmp_path):
+        trace_file = self.write_trace(tmp_path, substitution_path)
+        assert "|ft_substitution|from=P1,to=P2,acl=R1:read:-," in trace_file.read_text()
+        for extra in ((), ("--scenario", substitution_path)):
+            code, out, _ = run_cli("audit", str(trace_file), *extra)
+            assert code == 0, out
+
+    @pytest.mark.parametrize("scenario, kind, field, value", UNCONVERTIBLE_FIELDS)
+    def test_unconvertible_field_is_a_usage_error(
+        self, request, tmp_path, scenario, kind, field, value
+    ):
+        scenario_path = request.getfixturevalue(scenario)
+        codes = self.audit_tampered(tmp_path, scenario_path, kind, field, value)
+        lines = (tmp_path / "run.trace").read_text(encoding="utf-8").splitlines()
+        line_no = next(n for n, line in enumerate(lines, start=1) if f"|{kind}|" in line)
+        for code, _, err in codes:
+            assert code == 2
+            assert f"line {line_no}: bad {field} '{value}'" in err
 
     def test_malformed_trace_is_a_usage_error(self, tmp_path):
         bad = tmp_path / "bad.trace"

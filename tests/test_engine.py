@@ -5,11 +5,15 @@ failed draw, resource serialization, entity substitution, zero-value
 fallback, expiry. Assertions read the audit records the run produced.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from feac.engine import EngineError, MODE_DISASTER, SystemState, engine_tick
+from feac.constraints import And, Cmp, CountCmp, DistCmp, Lit, Not, Or, Ref, evaluate
+from feac.engine import EngineError, MODE_DISASTER, SystemState, engine_tick, select_subject
+from feac.model import PolicyStore, RoleKind, RoleMapping, Subject
 from feac.scenario import parse_scenario
 from feac.sim import run_simulation
 
@@ -167,6 +171,115 @@ at 0 force E1 TS1 success
         # A1 does not hold R1; the constraint-based fallback admits it.
         assert assigned.payload == {"sid": "A1", "erole": "E1", "eid": "E1", "saved": "R2"}
         assert trace.outcomes == {"E1": "eliminated"}
+
+
+NORMAL_ROLES = ("N1", "N2", "N3", "N4")
+EMERGENCY_ROLES = ("X1", "X2", "X3")
+
+
+def random_constraint(rng: random.Random, depth: int = 0):
+    roll = rng.random()
+    if depth < 2 and roll < 0.3:
+        items = tuple(random_constraint(rng, depth + 1) for _ in range(rng.randint(2, 3)))
+        return rng.choice((And, Or))(items)
+    if depth < 2 and roll < 0.4:
+        return Not(random_constraint(rng, depth + 1))
+    pick = rng.randrange(6)
+    if pick == 0:
+        return Cmp("experience", rng.choice((">=", "<", "=", "!=")), Fraction(rng.randint(0, 5)))
+    if pick == 1:
+        return Cmp("ward", rng.choice(("=", "!=")), rng.choice(("icu", "er")))
+    if pick == 2:
+        point = (Fraction(rng.randint(0, 4)), Fraction(rng.randint(0, 4)))
+        return DistCmp("location", point, rng.choice(("<=", ">")), Fraction(rng.randint(1, 4)))
+    if pick == 3:
+        role = rng.choice(NORMAL_ROLES + EMERGENCY_ROLES)
+        return CountCmp(role, rng.choice(("<", ">=")), rng.randint(0, 3))
+    if pick == 4:
+        return Ref(rng.choice(("near", "senior", "missing")))
+    return Lit(rng.random() < 0.7)
+
+
+def random_staffing_store(rng: random.Random) -> PolicyStore:
+    store = PolicyStore()
+    store.roles = {r: RoleKind.NORMAL for r in NORMAL_ROLES}
+    store.roles.update({r: RoleKind.EMERGENCY for r in EMERGENCY_ROLES})
+    store.constraints = {
+        "near": DistCmp("location", (Fraction(0), Fraction(0)), "<=", Fraction(3)),
+        "senior": Cmp("experience", ">=", Fraction(3)),
+    }
+    for index in range(1, rng.randint(1, 14) + 1):
+        sid = f"S{index}"
+        props = {}
+        if rng.random() < 0.8:
+            props["experience"] = Fraction(rng.randint(0, 5))
+        if rng.random() < 0.8:
+            props["ward"] = rng.choice(("icu", "er"))
+        if rng.random() < 0.8:
+            props["location"] = (Fraction(rng.randint(0, 5)), Fraction(rng.randint(0, 5)))
+        store.subjects[sid] = Subject(sid, props)
+        held = {r for r in NORMAL_ROLES if rng.random() < 0.4}
+        store.srt[sid] = held
+        store.asrt[sid] = {r for r in held if rng.random() < 0.5}
+        if rng.random() < 0.25:
+            # Already staffed: an emergency-role is active on this subject.
+            erole = rng.choice(EMERGENCY_ROLES)
+            store.srt[sid].add(erole)
+            store.asrt[sid] = {erole}
+    for erole in EMERGENCY_ROLES:
+        if rng.random() < 0.7:
+            levels = tuple(rng.sample(NORMAL_ROLES, rng.randint(1, 3)))
+            constraint = random_constraint(rng) if rng.random() < 0.7 else None
+            store.rmt[erole] = RoleMapping(levels, constraint)
+        if rng.random() < 0.5:
+            store.rct[erole] = random_constraint(rng)
+    return store
+
+
+def reference_select(store: PolicyStore, erole: str):
+    """Every eligible subject per level, sorted, first one."""
+    emergency_roles = {r for r, kind in store.roles.items() if kind is RoleKind.EMERGENCY}
+
+    def idle(sid):
+        return not (store.asrt.get(sid, set()) & emergency_roles)
+
+    levels = []
+    mapping = store.rmt.get(erole)
+    if mapping is not None:
+        levels += [(role, mapping.constraint) for role in mapping.roles]
+    if erole in store.rct:
+        levels.append((None, store.rct[erole]))
+    for role, constraint in levels:
+        eligible = sorted(
+            sid
+            for sid, subject in store.subjects.items()
+            if (role is None or role in store.srt.get(sid, set()))
+            and idle(sid)
+            and (constraint is None or evaluate(constraint, subject, store))
+        )
+        if eligible:
+            return eligible[0]
+    return None
+
+
+def test_select_subject_matches_reference_on_random_stores():
+    seen = Counter()
+    for case in range(300):
+        rng = random.Random(70_000 + case)
+        store = random_staffing_store(rng)
+        for erole in EMERGENCY_ROLES:
+            want = reference_select(store, erole)
+            assert select_subject(store, erole) == want, (case, erole)
+            mapping = store.rmt.get(erole)
+            if mapping is None:
+                seen["rct only" if erole in store.rct else "no mapping"] += 1
+            else:
+                seen[f"{len(mapping.roles)} levels"] += 1
+            seen["staffed" if want is not None else "unstaffed"] += 1
+            busy = [sid for sid, roles in store.asrt.items() if roles & set(EMERGENCY_ROLES)]
+            if want is not None and busy and min(busy) < want:
+                seen["passed over a busy subject"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 class TestRetry:

@@ -6,10 +6,17 @@ planner cannot silently re-derive them.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from planner_oracle import iter_paths, oracle_admissible, oracle_best, oracle_orders
+from planner_oracle import (
+    iter_paths,
+    oracle_admissible,
+    oracle_best,
+    oracle_orders,
+    oracle_walk,
+)
 from scenario_gen import random_group
 
 from feac.model import Emergency, Op, TaskSet
@@ -340,3 +347,39 @@ def test_merged_graphs_match_oracle():
         children = [e.child for node in graph.nodes.values() for e in node.edges.values()]
         shared += len({id(child) for child in children}) < len(children)
     assert shared
+
+
+def test_every_path_is_priced_like_the_oracle():
+    # Sampled tries and merged graphs alike: a path's edges are all valid
+    # exactly when the oracle's straight-line walk survives its order, and
+    # then both price it the same.
+    seen = Counter()
+    for case in range(200):
+        rng = random.Random(120_000 + case)
+        group, tdt, infl = random_group(rng, max_size=6)
+        alpha = rng.choice([F(1, 2), F(1), F(2)])
+        beta = rng.choice([F(1, 2), F(1)])
+        gate = F(rng.randint(0, 8), 2)
+        available = rng.choice([None, frozenset({"R1"}), frozenset({"R1", "R2"})])
+        orders = count_admissible_orders(group, tdt)
+        k_cap = rng.randint(1, orders - 1) if orders > 1 and rng.random() < 0.5 else orders
+        cfg = PlannerConfig(alpha=alpha, beta=beta, k_cap=k_cap, seed=case)
+        graph = build_transition_graph(
+            group, tdt, infl, cfg, gate_release=gate, available_resources=available
+        )
+        assert graph.sampled == (k_cap < orders)
+        seen["sampled" if graph.sampled else "exhaustive"] += 1
+        for order in iter_paths(graph):
+            node, valid, product, total = graph.root, True, F(1), F(0)
+            for eid in order:
+                edge = node.edges[eid]
+                valid = valid and edge.valid
+                product *= edge.metrics.p
+                total += edge.metrics.t
+                node = edge.child
+            priced = oracle_walk(order, group, infl.pairs, alpha, beta, gate, available)
+            assert valid == (priced is not None), (case, order)
+            if valid:
+                assert (product, total) == priced, (case, order)
+            seen["valid path" if valid else "dead path"] += 1
+    assert min(seen.values()) >= 40, seen
