@@ -68,6 +68,9 @@ def cmd_validate(args, out, err) -> int:
 
 
 def cmd_plan(args, out, err) -> int:
+    if args.at < ZERO:
+        print("error: --at must not be negative", file=err)
+        return 2
     scenario = _load_clean(args.scenario, out, err)
     if scenario is None:
         return 2
@@ -100,7 +103,7 @@ def cmd_plan(args, out, err) -> int:
     print(
         f"group={args.group} orders={graph.order_count} paths={path_count(graph)} "
         f"sampled={'yes' if graph.sampled else 'no'} "
-        f"gate={format_number(graph.gate_release)}",
+        f"gate={format_number(graph.root.elapsed)}",
         file=out,
     )
     out.write(plan_to_text(pv, path, strategy))
@@ -108,11 +111,13 @@ def cmd_plan(args, out, err) -> int:
 
 
 def cmd_simulate(args, out, err) -> int:
+    if args.until is not None and args.until <= ZERO:
+        print("error: --until must be positive", file=err)
+        return 2
     scenario = _load_clean(args.scenario, out, err)
     if scenario is None:
         return 2
-    horizon = parse_number(args.until) if args.until is not None else None
-    trace = run_simulation(scenario, seed=args.seed, horizon=horizon)
+    trace = run_simulation(scenario, seed=args.seed, horizon=args.until)
     # With no --trace the trace goes to stdout; the summary then moves to
     # stderr so the trace stream stays parseable as-is.
     summary_stream = out if args.trace else err
@@ -213,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a scenario and emit its audit trace")
     p_sim.add_argument("scenario")
     p_sim.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    p_sim.add_argument("--until", default=None, help="override the configured horizon")
+    p_sim.add_argument(
+        "--until", type=parse_number, default=None, help="override the configured horizon"
+    )
     p_sim.add_argument("--trace", help="write the trace to this file instead of stdout")
     p_sim.set_defaults(func=cmd_simulate)
 

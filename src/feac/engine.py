@@ -31,7 +31,7 @@ from fractions import Fraction
 from .audit import AuditLog, encode_acl_entries
 from .constraints import evaluate
 from .exact import ZERO
-from .fault import EntityHealth, HealthStatus, apply_fault_tolerance
+from .fault import apply_fault_tolerance
 from .model import AclEntry, ENV_ENTITY, Emergency, Op, PolicyStore, RoleKind, acl_check
 from .planner import (
     InfluenceSpec,
@@ -76,7 +76,6 @@ class ScenarioEvent:
 class ActiveEmergency:
     emergency: Emergency
     deadline: Fraction
-    executing: bool = False
 
 
 @dataclass
@@ -127,7 +126,8 @@ class SystemState:
         self.infl = infl
         self.clock: Fraction = ZERO
         self.mode = MODE_NORMAL
-        self.health: dict[str, EntityHealth] = {}
+        # Entities that failed or substitute for one (see `fault`).
+        self.engaged: set[str] = set()
         self.active: dict[str, ActiveEmergency] = {}
         self.plans: dict[str, GroupPlan] = {}
         self.assignments: dict[str, Assignment] = {}
@@ -143,10 +143,12 @@ class SystemState:
         self.unavailable_logged: set[str] = set()
 
     def group_members(self, entity: str, include_executing: bool = True) -> list[Emergency]:
+        execution = None if include_executing else self.executions.get(entity)
+        running = None if execution is None else execution.eid
         return [
             ae.emergency
             for eid, ae in sorted(self.active.items())
-            if ae.emergency.entity == entity and (include_executing or not ae.executing)
+            if ae.emergency.entity == entity and eid != running
         ]
 
 
@@ -273,7 +275,7 @@ def _run_fault_tolerance(
         world.mode = MODE_FAULT_TOLERANT
     world.ft_attempted.add(entity)
     members = world.group_members(entity)
-    report = apply_fault_tolerance(world.store, world.health, entity, members)
+    report = apply_fault_tolerance(world.store, world.engaged, entity, members)
     if report.outcome == "substituted":
         world.audit.append(
             "ft_substitution",
@@ -339,7 +341,6 @@ def _finish_execution(world: SystemState, execution: Execution, now: Fraction) -
             "action_failed", now, eid=eid, tsid=execution.tsid, sid=execution.sid,
             reason="draw_failed",
         )
-        ae.executing = False
         if now >= ae.deadline:
             _expire(world, eid, now, "deadline")
         else:
@@ -428,7 +429,6 @@ def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
         resources=step.ts.resources,
     )
     world.executions[entity] = execution
-    world.active[step.eid].executing = True
     plan.cursor += 1
     world.audit.append(
         "action_started",
@@ -448,22 +448,23 @@ def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
 
 
 def _next_occurrence(world: SystemState) -> tuple[Fraction, int, str] | None:
+    # An emergency is running iff an execution carries its eid.
+    running = {execution.eid: execution for execution in world.executions.values()}
+    assignments = world.assignments
     best: tuple[Fraction, int, str] | None = None
-    for execution in world.executions.values():
-        if execution.end <= execution.td:
-            candidate = (execution.end, 0, execution.eid)
-        else:
-            candidate = (execution.td, 1, execution.eid)
-        if best is None or candidate < best:
-            best = candidate
     for eid, ae in world.active.items():
-        if ae.executing:
-            continue
-        assignment = world.assignments.get(eid)
-        if assignment is not None and assignment.td < ae.deadline:
-            candidate = (assignment.td, 1, eid)
+        execution = running.get(eid)
+        if execution is not None:
+            if execution.end <= execution.td:
+                candidate = (execution.end, 0, eid)
+            else:
+                candidate = (execution.td, 1, eid)
         else:
-            candidate = (ae.deadline, 2, eid)
+            assignment = assignments.get(eid)
+            if assignment is not None and assignment.td < ae.deadline:
+                candidate = (assignment.td, 1, eid)
+            else:
+                candidate = (ae.deadline, 2, eid)
         if best is None or candidate < best:
             best = candidate
     return best
@@ -474,8 +475,8 @@ def _dispatch_occurrence(world: SystemState, occ: tuple[Fraction, int, str]) -> 
     ae = world.active.get(eid)
     if ae is None:
         return
-    if ae.executing:
-        execution = world.executions[ae.emergency.entity]
+    execution = world.executions.get(ae.emergency.entity)
+    if execution is not None and execution.eid == eid:
         if klass == 0:
             _finish_execution(world, execution, when)
         else:
@@ -499,8 +500,7 @@ def _dispatch_event(world: SystemState, ev: ScenarioEvent) -> None:
     elif ev.kind == "fail":
         entity = ev.args[0]
         world.audit.append("entity_failed", now, entity=entity)
-        status = world.health.get(entity)
-        if status is None or status.status is HealthStatus.HEALTHY:
+        if entity not in world.engaged:
             _run_fault_tolerance(world, entity, now, escalated=False)
     elif ev.kind == "force":
         eid, tsid, outcome = ev.args
@@ -569,10 +569,9 @@ def _gate_release(world: SystemState, entity: str, now: Fraction) -> Fraction:
         if ae is None:
             continue
         scheduled = None
-        if ae.executing:
-            execution = world.executions.get(ae.emergency.entity)
-            if execution is not None and execution.eid == gate_eid:
-                scheduled = execution.end
+        execution = world.executions.get(ae.emergency.entity)
+        if execution is not None and execution.eid == gate_eid:
+            scheduled = execution.end
         if scheduled is None:
             env_plan = world.plans.get(ENV_ENTITY)
             if env_plan is not None:

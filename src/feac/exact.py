@@ -16,8 +16,14 @@ ONE = Fraction(1)
 
 
 def parse_number(text: str) -> Fraction:
-    """Parse a decimal literal ('3', '0.25', '-1.5') into an exact Fraction."""
-    return Fraction(text)
+    """Parse a decimal literal ('3', '0.25', '-1.5') or 'p/q' into an exact Fraction.
+
+    Raises ValueError for anything else, a zero denominator included.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_number(value: Fraction) -> str:

@@ -3,35 +3,25 @@
 Substitution is proactive and copy-based: ACL entries naming the entity as
 an object are copied (not moved) onto the substitute, and roles the entity
 holds as a subject are added to the substitute's assignable and active
-sets. Candidates come from the entity's function group; an entity that is
-failed or already substituting is never chosen. No candidate, or a group
-whose active emergencies do not allow substitution, means disaster.
+sets. Candidates come from the entity's function group.
+
+Fault tolerance keeps one set of engaged entities: each entity that has
+failed, and each that has taken over for a failed one. An engaged entity is
+never chosen as a substitute, and a failure reported for one starts no
+second substitution. No candidate, or a group whose active emergencies do
+not allow substitution, means disaster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .model import AclEntry, Emergency, PolicyStore, SystemObject
-
-
-class HealthStatus(Enum):
-    HEALTHY = "healthy"
-    FAILED = "failed"
-    SUBSTITUTING = "substituting"
-
-
-@dataclass
-class EntityHealth:
-    entity: str
-    status: HealthStatus = HealthStatus.HEALTHY
 
 
 @dataclass(frozen=True)
 class FtReport:
     outcome: str  # "substituted" | "disaster"
-    entity: str
     substitute: str | None
     acl_copied: tuple[AclEntry, ...]
     roles_copied: tuple[str, ...]
@@ -39,43 +29,37 @@ class FtReport:
     reason: str
 
 
-def _status(health: dict[str, EntityHealth], entity: str) -> HealthStatus:
-    record = health.get(entity)
-    return record.status if record else HealthStatus.HEALTHY
-
-
-def find_substitute(
-    store: PolicyStore, health: dict[str, EntityHealth], entity: str
-) -> str | None:
-    """Healthy same-function-group peer with the smallest id, or None."""
+def find_substitute(store: PolicyStore, engaged: set[str], entity: str) -> str | None:
+    """Unengaged same-function-group peer with the smallest id, or None."""
     fgroup = store.efgt.get(entity)
     if fgroup is None:
         return None
     candidates = sorted(
         peer
         for peer, group in store.efgt.items()
-        if group == fgroup and peer != entity and _status(health, peer) is HealthStatus.HEALTHY
+        if group == fgroup and peer != entity and peer not in engaged
     )
     return candidates[0] if candidates else None
 
 
 def apply_fault_tolerance(
     store: PolicyStore,
-    health: dict[str, EntityHealth],
+    engaged: set[str],
     entity: str,
     active_emergencies: list[Emergency],
 ) -> FtReport:
-    """Substitute for `entity` or report disaster. Mutates store and health.
+    """Substitute for `entity` or report disaster.
 
-    The caller is responsible for emitting audit records from the report;
-    this function only performs the transfer.
+    Mutates the store and marks `entity` engaged, and the substitute too
+    when one takes over. The caller is responsible for emitting audit
+    records from the report; this function only performs the transfer.
     """
-    health[entity] = EntityHealth(entity, HealthStatus.FAILED)
+    engaged.add(entity)
     if not all(em.ft_feasible for em in active_emergencies):
-        return FtReport("disaster", entity, None, (), (), (), "ft_infeasible")
-    substitute = find_substitute(store, health, entity)
+        return FtReport("disaster", None, (), (), (), "ft_infeasible")
+    substitute = find_substitute(store, engaged, entity)
     if substitute is None:
-        return FtReport("disaster", entity, None, (), (), (), "no_substitute")
+        return FtReport("disaster", None, (), (), (), "no_substitute")
 
     acl_copied: list[AclEntry] = []
     source = store.objects.get(entity)
@@ -99,6 +83,6 @@ def apply_fault_tolerance(
             store.asrt.setdefault(substitute, set()).update(held)
             roles_copied = tuple(held)
 
-    health[substitute] = EntityHealth(substitute, HealthStatus.SUBSTITUTING)
+    engaged.add(substitute)
     notified = (substitute,) if substitute in store.subjects else ()
-    return FtReport("substituted", entity, substitute, tuple(acl_copied), roles_copied, notified, "")
+    return FtReport("substituted", substitute, tuple(acl_copied), roles_copied, notified, "")

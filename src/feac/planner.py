@@ -27,11 +27,15 @@ sampled graph instead stays a prefix trie over the K drawn orders, since
 merging its states would admit orders that were never drawn. Either way
 the number of root-to-terminal paths equals the number of orders inserted.
 
-Each node holds one deadline bound: the least adjusted deadline Ed'(e)
-over its remaining emergencies, each adjusted for the influence of the
-others still pending. An edge is valid when its completion clock stays
-within its node's bound, which is exactly "no overshoot of its own
-adjusted deadline, nor of any other pending emergency's".
+Influence, and so every adjusted metric, depends only on which
+emergencies are still pending. Each remaining set is therefore priced once
+per build: p', t' and Ed' of every member under the others, and the set's
+deadline bound, the least of those Ed'. An edge out of a node takes its
+metrics from its remaining set's price and is valid when its completion
+clock stays within that set's bound, which is exactly "no overshoot of its
+own adjusted deadline, nor of any other pending emergency's". A group with
+an emergency that has no executable task set completes no order, so its
+graph is the bare root.
 
 The success value of the graph follows a max-product recursion: a
 terminal is worth 1, a valid edge processing e is worth p'(e) times its
@@ -118,14 +122,10 @@ class GraphNode:
     remaining: frozenset[str]
     elapsed: Fraction
     edges: dict[str, GraphEdge] = field(default_factory=dict)
-    # Least adjusted deadline over `remaining`, set when the first edge is added.
-    bound: Fraction | None = None
 
 
 @dataclass
 class ResponseGraph:
-    entity: str
-    gate_release: Fraction
     root: GraphNode
     # Keyed on (remaining, elapsed) when every order is inserted, on the
     # order prefix when the orders are sampled.
@@ -141,7 +141,6 @@ class PlanStep:
     p: Fraction
     t: Fraction
     ed: Fraction
-    start_elapsed: Fraction
     end_elapsed: Fraction
 
 
@@ -197,14 +196,6 @@ def adjust_metrics(
         t=(ONE + cfg.alpha * sigma_t) * ts.time,
         ed=(ONE - cfg.beta * sigma_ed) * em.ed,
     )
-
-
-def adjusted_deadline(
-    em: Emergency, active_others, infl: InfluenceSpec, cfg: PlannerConfig
-) -> Fraction:
-    """Ed' of a pending emergency under its current influencers."""
-    _, _, sigma_ed = infl.sigmas(em.eid, active_others)
-    return (ONE - cfg.beta * sigma_ed) * em.ed
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +326,7 @@ def build_transition_graph(
     """Graph of the group's admissible orders with adjusted edge metrics.
 
     `gate_release` is time already committed to environment gates before the
-    group may start; it loads the root's elapsed clock. Branches where an
-    emergency has no executable task set simply end early and are worth 0.
+    group may start; it loads the root's elapsed clock.
     """
     if not group:
         raise ValueError("cannot plan an empty group")
@@ -359,6 +349,11 @@ def build_transition_graph(
         sampled = True
 
     task_sets = {eid: select_task_set(em, available_resources) for eid, em in by_eid.items()}
+    if None in task_sets.values():
+        # An emergency no task set can serve lets no order complete.
+        orders = []
+    # Remaining set -> (adjusted metrics of each member, least member Ed').
+    prices: dict[frozenset[str], tuple[dict[str, AdjustedMetrics], Fraction]] = {}
     root = GraphNode(remaining=frozenset(by_eid), elapsed=gate_release)
     nodes: dict[tuple, GraphNode] = {() if sampled else (root.remaining, root.elapsed): root}
     for order in orders:
@@ -366,26 +361,24 @@ def build_transition_graph(
         for depth, eid in enumerate(order, start=1):
             edge = node.edges.get(eid)
             if edge is None:
-                ts = task_sets[eid]
-                if ts is None:
-                    break
-                if not node.edges:
-                    node.bound = min(
-                        adjusted_deadline(by_eid[e], node.remaining - {e}, infl, cfg)
+                price = prices.get(node.remaining)
+                if price is None:
+                    members = {
+                        e: adjust_metrics(by_eid[e], task_sets[e], node.remaining - {e}, infl, cfg)
                         for e in node.remaining
-                    )
+                    }
+                    price = prices[node.remaining] = (members, min(m.ed for m in members.values()))
+                members, bound = price
+                metrics = members[eid]
                 remaining = node.remaining - {eid}
-                metrics = adjust_metrics(by_eid[eid], ts, remaining, infl, cfg)
                 elapsed = node.elapsed + metrics.t
                 child_key = order[:depth] if sampled else (remaining, elapsed)
                 child = nodes.get(child_key)
                 if child is None:
                     child = nodes[child_key] = GraphNode(remaining=remaining, elapsed=elapsed)
-                edge = node.edges[eid] = GraphEdge(eid, metrics, elapsed <= node.bound, child)
+                edge = node.edges[eid] = GraphEdge(eid, metrics, elapsed <= bound, child)
             node = edge.child
     return ResponseGraph(
-        entity=group[0].entity,
-        gate_release=gate_release,
         root=root,
         nodes=nodes,
         order_count=total,
@@ -410,45 +403,35 @@ def _children_first(graph: ResponseGraph) -> list[GraphNode]:
     return sorted(graph.nodes.values(), key=lambda node: len(node.remaining))
 
 
-def _best_suffix(graph: ResponseGraph, require_valid: bool, better) -> _Suffix | None:
-    """Best root-to-terminal path under `better`, skipping dead edges when
+def _best_suffix(graph: ResponseGraph, require_valid: bool, rank) -> _Suffix | None:
+    """Root-to-terminal path of least `rank`, skipping dead edges when
     `require_valid`; None when no such path completes."""
     best: dict[GraphNode, _Suffix | None] = {}
     for node in _children_first(graph):
         if not node.remaining:
             best[node] = _Suffix(ONE, ZERO, ())
             continue
-        chosen: _Suffix | None = None
-        for eid in sorted(node.edges):
-            edge = node.edges[eid]
+        candidates = []
+        for eid, edge in node.edges.items():
             child = best[edge.child]
-            if child is None or (require_valid and not edge.valid):
-                continue
-            candidate = _Suffix(
-                product=edge.metrics.p * child.product,
-                time=edge.metrics.t + child.time,
-                eids=(eid,) + child.eids,
-            )
-            if chosen is None or better(candidate, chosen):
-                chosen = candidate
-        best[node] = chosen
+            if child is not None and (edge.valid or not require_valid):
+                candidates.append(
+                    _Suffix(
+                        product=edge.metrics.p * child.product,
+                        time=edge.metrics.t + child.time,
+                        eids=(eid,) + child.eids,
+                    )
+                )
+        best[node] = min(candidates, key=rank, default=None)
     return best[graph.root]
 
 
-def _prob_better(a: _Suffix, b: _Suffix) -> bool:
-    if a.product != b.product:
-        return a.product > b.product
-    if a.time != b.time:
-        return a.time < b.time
-    return a.eids < b.eids
+def _prob_rank(s: _Suffix):
+    return (-s.product, s.time, s.eids)
 
 
-def _time_better(a: _Suffix, b: _Suffix) -> bool:
-    if a.time != b.time:
-        return a.time < b.time
-    if a.product != b.product:
-        return a.product > b.product
-    return a.eids < b.eids
+def _time_rank(s: _Suffix):
+    return (s.time, -s.product, s.eids)
 
 
 def _path_from(graph: ResponseGraph, best: _Suffix | None) -> PlanPath:
@@ -466,7 +449,6 @@ def _path_from(graph: ResponseGraph, best: _Suffix | None) -> PlanPath:
                 p=m.p,
                 t=m.t,
                 ed=m.ed,
-                start_elapsed=node.elapsed,
                 end_elapsed=node.elapsed + m.t,
             )
         )
@@ -476,7 +458,7 @@ def _path_from(graph: ResponseGraph, best: _Suffix | None) -> PlanPath:
 
 def compute_p_value(graph: ResponseGraph) -> Fraction:
     """The graph's success value: best product over all-valid paths, else 0."""
-    best = _best_suffix(graph, require_valid=True, better=_prob_better)
+    best = _best_suffix(graph, require_valid=True, rank=_prob_rank)
     return ZERO if best is None else best.product
 
 
@@ -484,7 +466,7 @@ def select_optimal_path(graph: ResponseGraph) -> PlanPath | None:
     """Best all-valid root-to-terminal path: max product of p', then least
     total t', then lexicographically smallest eid sequence. None when the
     graph's value is 0 (callers fall back to a heuristic selection)."""
-    best = _best_suffix(graph, require_valid=True, better=_prob_better)
+    best = _best_suffix(graph, require_valid=True, rank=_prob_rank)
     if best is None or best.product == ZERO:
         return None
     return _path_from(graph, best)
@@ -492,12 +474,12 @@ def select_optimal_path(graph: ResponseGraph) -> PlanPath | None:
 
 def prob_first_select(graph: ResponseGraph) -> PlanPath:
     """Fallback: ignore deadlines, maximize success probability."""
-    return _path_from(graph, _best_suffix(graph, require_valid=False, better=_prob_better))
+    return _path_from(graph, _best_suffix(graph, require_valid=False, rank=_prob_rank))
 
 
 def time_first_select(graph: ResponseGraph) -> PlanPath:
     """Fallback: ignore deadlines, minimize total adjusted time."""
-    return _path_from(graph, _best_suffix(graph, require_valid=False, better=_time_better))
+    return _path_from(graph, _best_suffix(graph, require_valid=False, rank=_time_rank))
 
 
 def path_count(graph: ResponseGraph) -> int:

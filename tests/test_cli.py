@@ -72,6 +72,17 @@ UNCONVERTIBLE_FIELDS = [
 ]
 
 
+# Numeric options no command may accept: (command, option=value).
+BAD_NUMBERS = [
+    ("simulate", "--until=abc"),
+    ("simulate", "--until=1/0"),
+    ("simulate", "--until=0"),
+    ("simulate", "--until=-1"),
+    ("plan", "--at=1/0"),
+    ("plan", "--at=-1"),
+]
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), out, err)
@@ -116,6 +127,14 @@ class TestUsage:
         code, _, err = run_cli("validate", "/no/such/file.feac")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("command, option", BAD_NUMBERS)
+    def test_bad_number_is_a_usage_error(self, hospital_path, command, option, capsys):
+        extra = ("--group", "P1") if command == "plan" else ()
+        code, out, err = run_cli(command, hospital_path, *extra, option)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err + capsys.readouterr().err
 
 
 class TestValidate:

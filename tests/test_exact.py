@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from feac.exact import ONE, ZERO, format_number, parse_number
 
 
@@ -8,6 +10,11 @@ def test_parse_decimal_literals():
     assert parse_number("0.25") == Fraction(1, 4)
     assert parse_number("-1.5") == Fraction(-3, 2)
     assert parse_number("0.684") == Fraction(171, 250)
+
+
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError):
+        parse_number("1/0")
 
 
 def test_constants():
@@ -48,5 +55,6 @@ def test_round_trip():
         Fraction(-9, 16),
         Fraction(12345, 8),
         Fraction(1, 10**6),
+        Fraction(-22, 7),
     ):
         assert parse_number(format_number(value)) == value

@@ -25,7 +25,6 @@ from feac.planner import (
     InfluenceSpec,
     PlannerConfig,
     adjust_metrics,
-    adjusted_deadline,
     build_transition_graph,
     compute_p_value,
     count_admissible_orders,
@@ -124,7 +123,8 @@ class TestInfluenceArithmetic:
         e = em("E1", 1, 20, (1, "0.5", ()))
         infl = InfluenceSpec(pairs={("E2", "E1"): InfluencePair(sigma_ed=F(1, 4))})
         cfg = PlannerConfig(beta=F(2))
-        assert adjusted_deadline(e, {"E2"}, infl, cfg) == (1 - 2 * F(1, 4)) * 20 == 10
+        ed = adjust_metrics(e, e.task_sets[0], {"E2"}, infl, cfg).ed
+        assert ed == (1 - 2 * F(1, 4)) * 20 == 10
 
 
 class TestAdmissibleOrders:
@@ -299,6 +299,32 @@ class TestSampling:
         one = build_transition_graph(group, set(), InfluenceSpec(), PlannerConfig(k_cap=10, seed=3))
         two = build_transition_graph(group, set(), InfluenceSpec(), PlannerConfig(k_cap=10, seed=4))
         assert set(iter_paths(one)) != set(iter_paths(two))
+
+
+class CountingInfluence(InfluenceSpec):
+    """Influence that records every `sigmas` query."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.queries = []
+
+    def sigmas(self, influenced, active_others):
+        self.queries.append((influenced, frozenset(active_others)))
+        return super().sigmas(influenced, active_others)
+
+
+@pytest.mark.parametrize("k_cap, sampled", [(720, False), (100, True)])
+def test_each_remaining_set_is_priced_once(k_cap, sampled):
+    # Influence depends only on which emergencies are pending, so a build
+    # prices each member of each remaining set once: 6 * 2**5 queries for
+    # six emergencies, whether all 720 orders or 100 drawn ones reach them.
+    eids = [f"E{i}" for i in range(1, 7)]
+    pair = InfluencePair(sigma_p=F(1, 10), sigma_t=F(1, 10), sigma_ed=F(1, 10))
+    infl = CountingInfluence({(a, b): pair for a in eids for b in eids if a != b})
+    group = [em(eid, 5, 99, (1, "0.5", ())) for eid in eids]
+    graph = build_transition_graph(group, set(), infl, PlannerConfig(k_cap=k_cap))
+    assert graph.sampled is sampled
+    assert len(infl.queries) == len(set(infl.queries)) == 6 * 2**5
 
 
 class TestGraphShape:
