@@ -5,33 +5,27 @@ place and runs the CLI on the result. Examples are derandomized, so every
 run checks the same mutants.
 """
 
-import io
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feac.cli import main
 from feac.fixtures import hospital_text
 from feac.scenario import parse_scenario
 
-# Values no hospital record holds, aimed at the trace parser and checkers.
+from test_cli import run_cli
+
+# Replacement values beside those the trace holds, aimed at the trace parser and checkers.
 ODD_VALUES = [
     "", "-", "x", "0", "-1", "0.5", "1/0", "1e999", "nan", "inf",
     "S999", "E99", "NoSuchObj", "bogus", "R1:use:1", "a:b", "a;b;c", "|", ",", "=",
 ]
 
-# Words no hospital scenario holds in that place, aimed at the scenario parser.
+# Replacement words beside those the fixture holds, aimed at the scenario parser.
 ODD_WORDS = ["", "{", "}", "=", ",", "(", ")", "[", "]", "->", "0", "-1", "1/0", "99", "x", "#"]
 
 WORD = re.compile(r"[^\s{}\[\](),=]+")
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    code = main(list(argv), out, err)
-    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
