@@ -1,6 +1,10 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from feac.constraints import (
+    CMP_OPS,
     And,
     Cmp,
     CountCmp,
@@ -13,6 +17,7 @@ from feac.constraints import (
     evaluate,
 )
 from feac.model import PolicyStore, Subject
+from feac.scenario import parse_scenario
 
 F = Fraction
 
@@ -132,3 +137,45 @@ class TestToText:
         assert constraint_to_text(Or((And((a, b)), c))) == "x = 1 and y = 2 or z = 3"
         assert constraint_to_text(Not(Or((a, b)))) == "not (x = 1 or y = 2)"
         assert constraint_to_text(Not(a)) == "not x = 1"
+
+
+# Scenario numbers are decimal literals, so draw only terminating decimals.
+numbers = st.builds(lambda n, d: F(n, 10**d), st.integers(-(10**6), 10**6), st.integers(0, 3))
+strings = st.text(st.characters(blacklist_characters='"\n', blacklist_categories=("Cs",)), max_size=6)
+atoms = st.one_of(
+    st.builds(Lit, st.booleans()),
+    st.builds(
+        Cmp, st.sampled_from(["x", "ward"]), st.sampled_from(CMP_OPS),
+        st.one_of(st.booleans(), numbers, strings),
+    ),
+    st.builds(
+        DistCmp, st.sampled_from(["location"]), st.tuples(numbers, numbers),
+        st.sampled_from(CMP_OPS), numbers,
+    ),
+    st.builds(CountCmp, st.sampled_from(["R1", "R2"]), st.sampled_from(CMP_OPS), st.integers(-5, 50)),
+    st.builds(Ref, st.sampled_from(["a", "b"])),
+)
+
+
+def _compound(children):
+    # The printer flattens an `and` directly inside an `and`, and likewise `or`.
+    def joined(kind):
+        items = children.filter(lambda e: not isinstance(e, kind))
+        return st.lists(items, min_size=2, max_size=3).map(lambda xs: kind(tuple(xs)))
+
+    return st.one_of(st.builds(Not, children), joined(And), joined(Or))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.recursive(atoms, _compound, max_leaves=12))
+def test_printed_expression_parses_back_equal(expr):
+    text = constraint_to_text(expr)
+    sc, diags = parse_scenario(
+        "scenario t\nrole R1\nrole R2\nconstraint a = true\nconstraint b = false\n"
+        f"constraint c = {text}\n"
+    )
+    assert diags == []
+    parsed = sc.store.constraints["c"]
+    assert parsed == expr
+    # Equality alone would accept 1 for true: Fraction(1) == True.
+    assert constraint_to_text(parsed) == text
