@@ -5,6 +5,13 @@ test against a fixed point, a concurrent-assignee count test, boolean
 combinators, literals, and references to named constraints. Evaluation is
 total: a missing property, a type mismatch, or an unresolved reference
 makes the enclosing comparison false rather than raising.
+
+Nesting is bounded by MAX_DEPTH. The scenario parser rejects a constraint
+deeper than that (see `nesting_depth`), or with more than MAX_DEPTH
+parentheses and `not`s around any part of it. Evaluation treats a
+subexpression more than MAX_DEPTH levels down, references included, as
+false, like a reference cycle; so only references can take a constraint
+the parser accepts that deep.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from typing import Union
 from .exact import format_number
 
 CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -90,8 +98,12 @@ def _compare(op: str, left, right) -> bool:
     return left >= right
 
 
-def evaluate(expr: ConstraintExpr, subject, store, _seen: frozenset[str] = frozenset()) -> bool:
+def evaluate(
+    expr: ConstraintExpr, subject, store, _seen: frozenset[str] = frozenset(), _depth: int = 0
+) -> bool:
     """Evaluate `expr` for `subject` against `store`. Never raises."""
+    if _depth > MAX_DEPTH:
+        return False
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, Cmp):
@@ -126,19 +138,28 @@ def evaluate(expr: ConstraintExpr, subject, store, _seen: frozenset[str] = froze
         holders = sum(1 for roles in store.asrt.values() if expr.role in roles)
         return _compare(expr.op, holders, expr.limit)
     if isinstance(expr, Not):
-        return not evaluate(expr.item, subject, store, _seen)
+        return not evaluate(expr.item, subject, store, _seen, _depth + 1)
     if isinstance(expr, And):
-        return all(evaluate(item, subject, store, _seen) for item in expr.items)
+        return all(evaluate(item, subject, store, _seen, _depth + 1) for item in expr.items)
     if isinstance(expr, Or):
-        return any(evaluate(item, subject, store, _seen) for item in expr.items)
+        return any(evaluate(item, subject, store, _seen, _depth + 1) for item in expr.items)
     if isinstance(expr, Ref):
         if expr.name in _seen:
             return False
         target = store.constraints.get(expr.name)
         if target is None:
             return False
-        return evaluate(target, subject, store, _seen | {expr.name})
+        return evaluate(target, subject, store, _seen | {expr.name}, _depth + 1)
     return False
+
+
+def nesting_depth(expr: ConstraintExpr) -> int:
+    """Levels of `not`, `and` and `or` above the deepest atom of `expr`."""
+    if isinstance(expr, Not):
+        return 1 + nesting_depth(expr.item)
+    if isinstance(expr, (And, Or)):
+        return 1 + max(nesting_depth(item) for item in expr.items)
+    return 0
 
 
 def constraint_to_text(expr: ConstraintExpr) -> str:
@@ -149,12 +170,12 @@ def constraint_to_text(expr: ConstraintExpr) -> str:
 # Precedence levels: or=1, and=2, not=3, atoms=4.
 def _to_text(expr: ConstraintExpr, parent_level: int) -> str:
     if isinstance(expr, Lit):
-        return "true" if expr.value else "false"
+        return literal_text(expr.value)
     if isinstance(expr, Cmp):
-        return f"{expr.prop} {expr.op} {_literal_text(expr.value)}"
+        return f"{expr.prop} {expr.op} {literal_text(expr.value)}"
     if isinstance(expr, DistCmp):
-        px, py = format_number(expr.point[0]), format_number(expr.point[1])
-        return f"dist({expr.prop}, ({px}, {py})) {expr.op} {format_number(expr.radius)}"
+        point = literal_text(expr.point)
+        return f"dist({expr.prop}, {point}) {expr.op} {format_number(expr.radius)}"
     if isinstance(expr, CountCmp):
         return f"count({expr.role}) {expr.op} {expr.limit}"
     if isinstance(expr, Ref):
@@ -168,9 +189,12 @@ def _to_text(expr: ConstraintExpr, parent_level: int) -> str:
     return f"({body})" if parent_level > 1 else body
 
 
-def _literal_text(value) -> str:
+def literal_text(value) -> str:
+    """Source form of a subject property value or a comparison literal."""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, tuple):
+        return f"({format_number(value[0])}, {format_number(value[1])})"
     if isinstance(value, Fraction):
         return format_number(value)
     return f'"{value}"'

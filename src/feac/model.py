@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .constraints import ConstraintExpr, constraint_to_text
+from .constraints import ConstraintExpr, constraint_to_text, literal_text
 from .exact import format_number
 
 ENV_ENTITY = "env"
@@ -319,9 +319,7 @@ def serialize_store(store: PolicyStore) -> str:
     lines: list[str] = []
     for sid in sorted(store.subjects):
         sub = store.subjects[sid]
-        props = " ".join(
-            f"{k}={_prop_text(v)}" for k, v in sorted(sub.properties.items())
-        )
+        props = " ".join(f"{k}={literal_text(v)}" for k, v in sorted(sub.properties.items()))
         lines.append(f"subject {sid} {props}".rstrip())
         lines.append(f"  srt {','.join(sorted(store.srt.get(sid, set()))) or '-'}")
         lines.append(f"  asrt {','.join(sorted(store.asrt.get(sid, set()))) or '-'}")
@@ -348,13 +346,3 @@ def serialize_store(store: PolicyStore) -> str:
     for name in sorted(store.constraints):
         lines.append(f"constraint {name} {constraint_to_text(store.constraints[name])}")
     return "\n".join(lines) + "\n"
-
-
-def _prop_text(value: PropertyValue) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return f"({format_number(value[0])},{format_number(value[1])})"
-    if isinstance(value, Fraction):
-        return format_number(value)
-    return f'"{value}"'

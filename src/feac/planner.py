@@ -40,8 +40,10 @@ graph is the bare root.
 The success value of the graph follows a max-product recursion: a
 terminal is worth 1, a valid edge processing e is worth p'(e) times its
 child, and an invalid edge is worth 0. The value of a node is the best of
-its edges. Valuation, path selection and path counting each visit the
-nodes once, children first.
+its edges. The build ends with one children-first pass that finds the
+best all-valid path, and the graph keeps it: the value and the optimal
+path are both read from it. Fallback selection and path counting each
+visit the nodes once more, children first.
 """
 
 from __future__ import annotations
@@ -132,6 +134,8 @@ class ResponseGraph:
     nodes: dict[tuple, GraphNode]
     order_count: int
     sampled: bool
+    # Best all-valid path by probability; None when no such path completes.
+    optimal: _Suffix | None = None
 
 
 @dataclass(frozen=True)
@@ -378,12 +382,9 @@ def build_transition_graph(
                     child = nodes[child_key] = GraphNode(remaining=remaining, elapsed=elapsed)
                 edge = node.edges[eid] = GraphEdge(eid, metrics, elapsed <= bound, child)
             node = edge.child
-    return ResponseGraph(
-        root=root,
-        nodes=nodes,
-        order_count=total,
-        sampled=sampled,
-    )
+    graph = ResponseGraph(root=root, nodes=nodes, order_count=total, sampled=sampled)
+    graph.optimal = _best_suffix(graph, require_valid=True, rank=_prob_rank)
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +459,16 @@ def _path_from(graph: ResponseGraph, best: _Suffix | None) -> PlanPath:
 
 def compute_p_value(graph: ResponseGraph) -> Fraction:
     """The graph's success value: best product over all-valid paths, else 0."""
-    best = _best_suffix(graph, require_valid=True, rank=_prob_rank)
-    return ZERO if best is None else best.product
+    return ZERO if graph.optimal is None else graph.optimal.product
 
 
 def select_optimal_path(graph: ResponseGraph) -> PlanPath | None:
     """Best all-valid root-to-terminal path: max product of p', then least
     total t', then lexicographically smallest eid sequence. None when the
     graph's value is 0 (callers fall back to a heuristic selection)."""
-    best = _best_suffix(graph, require_valid=True, rank=_prob_rank)
-    if best is None or best.product == ZERO:
+    if graph.optimal is None or graph.optimal.product == ZERO:
         return None
-    return _path_from(graph, best)
+    return _path_from(graph, graph.optimal)
 
 
 def prob_first_select(graph: ResponseGraph) -> PlanPath:

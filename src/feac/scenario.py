@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .constraints import (
+    CMP_OPS,
+    MAX_DEPTH,
     And,
     Cmp,
     ConstraintExpr,
@@ -29,6 +31,8 @@ from .constraints import (
     Or,
     Ref,
     constraint_to_text,
+    literal_text,
+    nesting_depth,
 )
 from .engine import (
     EngineConfig,
@@ -68,7 +72,7 @@ TOPLEVEL = {
     "at",
 }
 
-CMP_TOKENS = {"=", "!=", "<", "<=", ">", ">="}
+CMP_TOKENS = frozenset(CMP_OPS)
 OP_NAMES = {op.value: op for op in Op}
 OUTCOMES = {"success", "failure"}
 STRATEGIES = {PROBABILITY_FIRST, TIME_FIRST}
@@ -193,8 +197,8 @@ class _RawEmergency:
 class _ExprInfo:
     """Names an expression uses, kept with positions for late checking."""
 
-    refs: list[tuple[str, Token]] = field(default_factory=list)
-    count_roles: list[tuple[str, Token]] = field(default_factory=list)
+    refs: list[Token] = field(default_factory=list)
+    count_roles: list[Token] = field(default_factory=list)
 
 
 class _Abort(Exception):
@@ -252,17 +256,19 @@ class Parser:
             self.abort(tok, f"expected {what}, found {_describe(tok)}")
         return self.advance()
 
-    def expect_keyword(self, word: str) -> Token:
+    # Keywords and punctuation are told apart by text alone: a string
+    # token's text keeps its quotes, and no keyword or symbol is a number.
+    def expect(self, text: str) -> Token:
         tok = self.peek()
-        if tok.kind != "name" or tok.value != word:
-            self.abort(tok, f"expected '{word}', found {_describe(tok)}")
+        if tok.value != text:
+            self.abort(tok, f"expected '{text}', found {_describe(tok)}")
         return self.advance()
 
-    def expect_punct(self, symbol: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != symbol:
-            self.abort(tok, f"expected '{symbol}', found {_describe(tok)}")
-        return self.advance()
+    def match(self, text: str) -> bool:
+        if self.peek().value == text:
+            self.advance()
+            return True
+        return False
 
     def expect_number(self, what: str) -> tuple[Token, Fraction]:
         tok = self.peek()
@@ -270,20 +276,6 @@ class Parser:
             self.abort(tok, f"expected {what}, found {_describe(tok)}")
         self.advance()
         return tok, parse_number(tok.value)
-
-    def match_punct(self, symbol: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == symbol:
-            self.advance()
-            return True
-        return False
-
-    def match_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "name" and tok.value == word:
-            self.advance()
-            return True
-        return False
 
     def resync(self) -> None:
         while True:
@@ -293,6 +285,49 @@ class Parser:
             if tok.kind == "name" and tok.first_on_line and tok.value in TOPLEVEL:
                 return
             self.advance()
+
+    # -- shared value forms --------------------------------------------------
+
+    def parse_literal(self, what: str) -> bool | str | Fraction:
+        """A number, string or boolean; on error the token stays unread."""
+        tok = self.peek()
+        if tok.kind == "number":
+            value = parse_number(tok.value)
+        elif tok.kind == "string":
+            value = tok.value[1:-1]
+        elif tok.kind == "name" and tok.value in ("true", "false"):
+            value = tok.value == "true"
+        else:
+            self.abort(tok, f"expected {what}, found {_describe(tok)}")
+        self.advance()
+        return value
+
+    def parse_point(self) -> tuple[Fraction, Fraction]:
+        self.expect("(")
+        _, x = self.expect_number("a coordinate")
+        self.expect(",")
+        _, y = self.expect_number("a coordinate")
+        self.expect(")")
+        return (x, y)
+
+    def expect_op(self) -> Op:
+        tok = self.expect_name("an operation")
+        op = OP_NAMES.get(tok.value)
+        if op is None:
+            self.abort(tok, f"unknown operation '{tok.value}'")
+        return op
+
+    def parse_list(self, item, brackets: str = "[]") -> list:
+        """`[a, b, ...]`, or the same between other `brackets`; `item()` reads each element."""
+        self.expect(brackets[0])
+        items: list = []
+        if self.match(brackets[1]):
+            return items
+        while True:
+            items.append(item())
+            if self.match(brackets[1]):
+                return items
+            self.expect(",")
 
     # -- top level ---------------------------------------------------------
 
@@ -338,7 +373,7 @@ class Parser:
     def parse_config(self) -> None:
         self.advance()
         key = self.expect_name("a config key")
-        self.expect_punct("=")
+        self.expect("=")
         value = self.peek()
         if value.kind not in ("name", "number"):
             self.abort(value, f"expected a config value, found {_describe(value)}")
@@ -356,7 +391,7 @@ class Parser:
     def parse_constraint(self) -> None:
         self.advance()
         name = self.expect_name("a constraint name")
-        self.expect_punct("=")
+        self.expect("=")
         info = _ExprInfo()
         expr = self.parse_expr(info)
         self.constraint_decls.append((name, expr, info))
@@ -364,65 +399,29 @@ class Parser:
     def parse_subject(self) -> None:
         self.advance()
         sid = self.expect_name("a subject name")
-        self.expect_punct("{")
-        pairs: list[tuple[Token, object]] = []
-        if not self.match_punct("}"):
-            while True:
-                key = self.expect_name("a property name")
-                self.expect_punct("=")
-                pairs.append((key, self.parse_subject_value(key)))
-                if self.match_punct("}"):
-                    break
-                self.expect_punct(",")
-        self.subject_decls.append((sid, pairs))
+        self.subject_decls.append((sid, self.parse_list(self.parse_property, "{}")))
 
-    def parse_subject_value(self, key: Token):
-        tok = self.peek()
+    def parse_property(self) -> tuple[Token, object]:
+        key = self.expect_name("a property name")
+        self.expect("=")
         if key.value in ("roles", "active"):
-            return self.parse_name_list(f"a role list for '{key.value}'")
-        if tok.kind == "punct" and tok.value == "(":
-            self.advance()
-            _, x = self.expect_number("a coordinate")
-            self.expect_punct(",")
-            _, y = self.expect_number("a coordinate")
-            self.expect_punct(")")
-            return (x, y)
-        if tok.kind == "number":
-            self.advance()
-            return parse_number(tok.value)
-        if tok.kind == "string":
-            self.advance()
-            return tok.value[1:-1]
-        if tok.kind == "name" and tok.value in ("true", "false"):
-            self.advance()
-            return tok.value == "true"
-        self.abort(tok, f"expected a property value, found {_describe(tok)}")
-
-    def parse_name_list(self, what: str) -> list[Token]:
-        self.expect_punct("[")
-        names: list[Token] = []
-        if self.match_punct("]"):
-            return names
-        while True:
-            names.append(self.expect_name(what))
-            if self.match_punct("]"):
-                return names
-            self.expect_punct(",")
+            what = f"a role list for '{key.value}'"
+            return key, self.parse_list(lambda: self.expect_name(what))
+        if self.peek().value == "(":
+            return key, self.parse_point()
+        return key, self.parse_literal("a property value")
 
     def parse_object(self) -> None:
         self.advance()
         oid = self.expect_name("an object name")
-        self.expect_punct("{")
+        self.expect("{")
         rows: list[tuple[Token, Op, Fraction | None]] = []
-        while not self.match_punct("}"):
-            self.expect_keyword("acl")
+        while not self.match("}"):
+            self.expect("acl")
             role = self.expect_name("a role name")
-            op_tok = self.expect_name("an operation")
-            op = OP_NAMES.get(op_tok.value)
-            if op is None:
-                self.abort(op_tok, f"unknown operation '{op_tok.value}'")
+            op = self.expect_op()
             td: Fraction | None = None
-            if self.match_keyword("td"):
+            if self.match("td"):
                 _, td = self.expect_number("an expiry time")
             rows.append((role, op, td))
         self.object_decls.append((oid, rows))
@@ -430,103 +429,78 @@ class Parser:
     def parse_emergency(self) -> None:
         self.advance()
         eid = self.expect_name("an emergency id")
-        self.expect_punct("{")
-        entity: Token | None = None
-        prio: tuple[Token, Fraction] | None = None
-        ed: tuple[Token, Fraction] | None = None
-        ft: bool | None = None
+        self.expect("{")
+        # Required fields in the order a missing one is reported.
+        readers = {
+            "entity": lambda: self.expect_name("an entity name"),
+            "prio": lambda: self.expect_number("a priority"),
+            "ed": lambda: self.expect_number("a deadline"),
+            "ft": self.parse_flag,
+        }
+        fields: dict[str, object] = {}
         task_sets: list[_RawTaskSet] = []
-        while not self.match_punct("}"):
+        while not self.match("}"):
             word = self.expect_name("an emergency field")
-            if word.value == "entity":
-                if entity is not None:
-                    self.error(word, "field 'entity' given twice")
-                entity = self.expect_name("an entity name")
-            elif word.value == "prio":
-                if prio is not None:
-                    self.error(word, "field 'prio' given twice")
-                prio = self.expect_number("a priority")
-            elif word.value == "ed":
-                if ed is not None:
-                    self.error(word, "field 'ed' given twice")
-                ed = self.expect_number("a deadline")
-            elif word.value == "ft":
-                if ft is not None:
-                    self.error(word, "field 'ft' given twice")
-                flag = self.expect_name("'true' or 'false'")
-                if flag.value not in ("true", "false"):
-                    self.abort(flag, f"expected 'true' or 'false', found {_describe(flag)}")
-                ft = flag.value == "true"
-            elif word.value == "ts":
+            if word.value == "ts":
                 task_sets.append(self.parse_task_set())
-            else:
+                continue
+            read = readers.get(word.value)
+            if read is None:
                 self.abort(word, f"unknown emergency field '{word.value}'")
-        missing = [
-            name
-            for name, value in (("entity", entity), ("prio", prio), ("ed", ed), ("ft", ft))
-            if value is None
-        ]
+            if word.value in fields:
+                self.error(word, f"field '{word.value}' given twice")
+            fields[word.value] = read()
+        missing = [name for name in readers if name not in fields]
         if missing:
             self.abort(eid, f"emergency {eid.value} is missing field '{missing[0]}'")
-        self.emergency_decls.append(_RawEmergency(eid, entity, prio, ed, ft, task_sets))
+        self.emergency_decls.append(_RawEmergency(eid, task_sets=task_sets, **fields))
+
+    def parse_flag(self) -> bool:
+        flag = self.expect_name("'true' or 'false'")
+        if flag.value not in ("true", "false"):
+            self.abort(flag, f"expected 'true' or 'false', found {_describe(flag)}")
+        return flag.value == "true"
 
     def parse_task_set(self) -> _RawTaskSet:
         tsid = self.expect_name("a task-set id")
-        self.expect_punct("{")
-        actions: list[tuple[Token, Op]] | None = None
-        time: tuple[Token, Fraction] | None = None
-        prob: tuple[Token, Fraction] | None = None
-        resources: list[Token] = []
-        while not self.match_punct("}"):
+        self.expect("{")
+        readers = {
+            "actions": lambda: self.parse_list(
+                lambda: (self.expect_name("an object name"), self.expect_op())
+            ),
+            "time": lambda: self.expect_number("a duration"),
+            "prob": lambda: self.expect_number("a probability"),
+            "resources": lambda: self.parse_list(lambda: self.expect_name("a resource name")),
+        }
+        fields: dict[str, object] = {"resources": []}
+        while not self.match("}"):
             key = self.expect_name("a task-set field")
-            self.expect_punct("=")
-            if key.value == "actions":
-                actions = []
-                self.expect_punct("[")
-                if not self.match_punct("]"):
-                    while True:
-                        oid = self.expect_name("an object name")
-                        op_tok = self.expect_name("an operation")
-                        op = OP_NAMES.get(op_tok.value)
-                        if op is None:
-                            self.abort(op_tok, f"unknown operation '{op_tok.value}'")
-                        actions.append((oid, op))
-                        if self.match_punct("]"):
-                            break
-                        self.expect_punct(",")
-            elif key.value == "time":
-                time = self.expect_number("a duration")
-            elif key.value == "prob":
-                prob = self.expect_number("a probability")
-            elif key.value == "resources":
-                resources = self.parse_name_list("a resource name")
-            else:
+            self.expect("=")
+            read = readers.get(key.value)
+            if read is None:
                 self.abort(key, f"unknown task-set field '{key.value}'")
-            self.match_punct(",")
-        missing = [
-            name
-            for name, value in (("actions", actions), ("time", time), ("prob", prob))
-            if value is None
-        ]
+            fields[key.value] = read()
+            self.match(",")
+        missing = [name for name in ("actions", "time", "prob") if name not in fields]
         if missing:
             self.abort(tsid, f"task set {tsid.value} is missing field '{missing[0]}'")
-        return _RawTaskSet(tsid, actions, time, prob, resources)
+        return _RawTaskSet(tsid, **fields)
 
     def parse_map(self) -> None:
         self.advance()
         erole = self.expect_name("an emergency id")
-        self.expect_punct("->")
-        roles = self.parse_name_list("a role name")
+        self.expect("->")
+        roles = self.parse_list(lambda: self.expect_name("a role name"))
         constraint = None
         info = _ExprInfo()
-        if self.match_keyword("where"):
+        if self.match("where"):
             constraint = self.parse_expr(info)
         self.map_decls.append((erole, roles, constraint, info))
 
     def parse_fallbackmap(self) -> None:
         self.advance()
         erole = self.expect_name("an emergency id")
-        self.expect_keyword("where")
+        self.expect("where")
         info = _ExprInfo()
         expr = self.parse_expr(info)
         self.fallback_decls.append((erole, expr, info))
@@ -536,12 +510,12 @@ class Parser:
         kind = self.expect_name("'env' or 'time'")
         if kind.value == "env":
             entity = self.expect_name("an entity name")
-            self.expect_keyword("on")
+            self.expect("on")
             eid = self.expect_name("an emergency id")
             self.depends_env.append((entity, eid))
         elif kind.value == "time":
             before = self.expect_name("an emergency id")
-            self.expect_punct("->")
+            self.expect("->")
             after = self.expect_name("an emergency id")
             self.depends_time.append((before, after))
         else:
@@ -550,26 +524,26 @@ class Parser:
     def parse_influence(self) -> None:
         self.advance()
         source = self.expect_name("an emergency id")
-        self.expect_punct("->")
+        self.expect("->")
         target = self.expect_name("an emergency id")
-        self.expect_punct("{")
+        self.expect("{")
         sigmas: dict[str, tuple[Token, Fraction]] = {}
-        while not self.match_punct("}"):
+        while not self.match("}"):
             key = self.expect_name("a sigma name")
             if key.value not in ("sigma_p", "sigma_t", "sigma_ed"):
                 self.abort(key, f"unknown influence field '{key.value}'")
             if key.value in sigmas:
                 self.error(key, f"field '{key.value}' given twice")
-            self.expect_punct("=")
+            self.expect("=")
             _, value = self.expect_number("a sigma value")
             sigmas[key.value] = (key, value)
-            self.match_punct(",")
+            self.match(",")
         self.influences.append((source, target, sigmas))
 
     def parse_fgroup(self) -> None:
         self.advance()
         entity = self.expect_name("an entity name")
-        self.expect_punct("=")
+        self.expect("=")
         group = self.expect_name("a failure-group name")
         self.fgroups.append((entity, group))
 
@@ -605,44 +579,57 @@ class Parser:
 
     # -- constraint expressions ---------------------------------------------
 
-    def parse_expr(self, info: _ExprInfo) -> ConstraintExpr:
-        return self.parse_or(info)
+    # Nesting is bounded twice over. `depth` counts the parentheses and
+    # `not`s around the current position, so no input can exhaust the
+    # parser's stack; and a parsed expression is at most MAX_DEPTH levels
+    # deep, so evaluating it alone never reaches the evaluator's cut-off.
 
-    def parse_or(self, info: _ExprInfo) -> ConstraintExpr:
-        items = [self.parse_and(info)]
-        while self.match_keyword("or"):
-            items.append(self.parse_and(info))
+    def parse_expr(self, info: _ExprInfo) -> ConstraintExpr:
+        start = self.peek()
+        expr = self.parse_or(info, 0)
+        if nesting_depth(expr) > MAX_DEPTH:
+            self.abort(start, f"constraint nested deeper than {MAX_DEPTH} levels")
+        return expr
+
+    def parse_or(self, info: _ExprInfo, depth: int) -> ConstraintExpr:
+        items = [self.parse_and(info, depth)]
+        while self.match("or"):
+            items.append(self.parse_and(info, depth))
         return items[0] if len(items) == 1 else Or(tuple(items))
 
-    def parse_and(self, info: _ExprInfo) -> ConstraintExpr:
-        items = [self.parse_not(info)]
-        while self.match_keyword("and"):
-            items.append(self.parse_not(info))
+    def parse_and(self, info: _ExprInfo, depth: int) -> ConstraintExpr:
+        items = [self.parse_not(info, depth)]
+        while self.match("and"):
+            items.append(self.parse_not(info, depth))
         return items[0] if len(items) == 1 else And(tuple(items))
 
-    def parse_not(self, info: _ExprInfo) -> ConstraintExpr:
-        if self.match_keyword("not"):
-            return Not(self.parse_not(info))
-        return self.parse_atom(info)
+    def parse_not(self, info: _ExprInfo, depth: int) -> ConstraintExpr:
+        tok = self.peek()
+        if self.match("not"):
+            return Not(self.parse_not(info, self.nested(tok, depth)))
+        return self.parse_atom(info, depth)
+
+    def nested(self, tok: Token, depth: int) -> int:
+        if depth == MAX_DEPTH:
+            self.abort(tok, f"constraint nested deeper than {MAX_DEPTH} levels")
+        return depth + 1
 
     def parse_cmp_op(self) -> str:
         tok = self.peek()
-        if tok.kind == "punct" and tok.value in CMP_TOKENS:
+        if tok.value in CMP_TOKENS:
             self.advance()
             return tok.value
         self.abort(tok, f"expected a comparison operator, found {_describe(tok)}")
 
-    def parse_atom(self, info: _ExprInfo) -> ConstraintExpr:
+    def parse_atom(self, info: _ExprInfo, depth: int) -> ConstraintExpr:
         tok = self.peek()
-        if tok.kind == "punct" and tok.value == "(":
-            self.advance()
-            inner = self.parse_or(info)
-            self.expect_punct(")")
+        if self.match("("):
+            inner = self.parse_or(info, self.nested(tok, depth))
+            self.expect(")")
             return inner
-        if tok.kind == "punct" and tok.value == "@":
-            self.advance()
+        if self.match("@"):
             name = self.expect_name("a constraint name")
-            info.refs.append((name.value, name))
+            info.refs.append(name)
             return Ref(name.value)
         if tok.kind != "name":
             self.abort(tok, f"expected a condition, found {_describe(tok)}")
@@ -651,42 +638,28 @@ class Parser:
             return Lit(tok.value == "true")
         if tok.value == "dist":
             self.advance()
-            self.expect_punct("(")
+            self.expect("(")
             prop = self.expect_name("a property name")
-            self.expect_punct(",")
-            self.expect_punct("(")
-            _, x = self.expect_number("a coordinate")
-            self.expect_punct(",")
-            _, y = self.expect_number("a coordinate")
-            self.expect_punct(")")
-            self.expect_punct(")")
+            self.expect(",")
+            point = self.parse_point()
+            self.expect(")")
             op = self.parse_cmp_op()
             _, radius = self.expect_number("a distance")
-            return DistCmp(prop.value, (x, y), op, radius)
+            return DistCmp(prop.value, point, op, radius)
         if tok.value == "count":
             self.advance()
-            self.expect_punct("(")
+            self.expect("(")
             role = self.expect_name("a role name")
-            self.expect_punct(")")
+            self.expect(")")
             op = self.parse_cmp_op()
             limit_tok, limit = self.expect_number("a count limit")
             if limit.denominator != 1:
                 self.abort(limit_tok, "count limit must be an integer")
-            info.count_roles.append((role.value, role))
+            info.count_roles.append(role)
             return CountCmp(role.value, op, int(limit))
         prop = self.advance()
         op = self.parse_cmp_op()
-        value_tok = self.peek()
-        if value_tok.kind == "number":
-            self.advance()
-            return Cmp(prop.value, op, parse_number(value_tok.value))
-        if value_tok.kind == "string":
-            self.advance()
-            return Cmp(prop.value, op, value_tok.value[1:-1])
-        if value_tok.kind == "name" and value_tok.value in ("true", "false"):
-            self.advance()
-            return Cmp(prop.value, op, value_tok.value == "true")
-        self.abort(value_tok, f"expected a literal, found {_describe(value_tok)}")
+        return Cmp(prop.value, op, self.parse_literal("a literal"))
 
 
 # ---------------------------------------------------------------------------
@@ -702,41 +675,51 @@ class _Resolver:
     def error(self, tok: Token, message: str) -> None:
         self.p.diags.append(Diagnostic(self.filename, tok.line, tok.col, message))
 
+    def known(self, tok: Token, table, what: str) -> bool:
+        """Whether `tok` names a key of `table`; reports an unknown name."""
+        if tok.value in table:
+            return True
+        self.error(tok, f"unknown {what} {tok.value}")
+        return False
+
+    def known_names(self, toks: list[Token], table, what: str) -> list[str]:
+        return [tok.value for tok in toks if self.known(tok, table, what)]
+
+    def fresh(self, tok: Token, table, what: str) -> bool:
+        """Whether `tok` names no key of `table` yet; reports a second declaration."""
+        if tok.value not in table:
+            return True
+        self.error(tok, f"{what} {tok.value} declared twice")
+        return False
+
     def resolve(self) -> Scenario:
         p = self.p
         store = PolicyStore()
         entities: set[str] = {ENV_ENTITY}
 
         for tok in p.entities:
-            if tok.value in entities:
-                if tok.value == ENV_ENTITY:
-                    self.error(tok, "'env' is predeclared")
-                else:
-                    self.error(tok, f"entity {tok.value} declared twice")
+            if tok.value == ENV_ENTITY:
+                self.error(tok, "'env' is predeclared")
+            else:
+                self.fresh(tok, entities, "entity")
             entities.add(tok.value)
 
         for tok in p.role_decls:
-            if tok.value in store.roles:
-                self.error(tok, f"role {tok.value} declared twice")
+            self.fresh(tok, store.roles, "role")
             store.roles[tok.value] = RoleKind.NORMAL
+        normal = set(store.roles)
 
-        constraint_names = set()
-        for name, _, _ in p.constraint_decls:
-            if name.value in constraint_names:
-                self.error(name, f"constraint {name.value} declared twice")
-            constraint_names.add(name.value)
         for name, expr, _ in p.constraint_decls:
-            store.constraints.setdefault(name.value, expr)
+            if self.fresh(name, store.constraints, "constraint"):
+                store.constraints[name.value] = expr
 
         for oid, rows in p.object_decls:
-            if oid.value in store.objects:
-                self.error(oid, f"object {oid.value} declared twice")
+            if not self.fresh(oid, store.objects, "object"):
                 continue
             acl: list[AclEntry] = []
             seen_rows: set[tuple[str, Op]] = set()
             for role, op, td in rows:
-                if store.roles.get(role.value) is not RoleKind.NORMAL:
-                    self.error(role, f"unknown role {role.value}")
+                self.known(role, normal, "role")
                 if (role.value, op) in seen_rows:
                     self.error(role, f"duplicate acl entry {role.value} {op.value}")
                     continue
@@ -745,53 +728,36 @@ class _Resolver:
             store.objects[oid.value] = SystemObject(oid.value, acl)
 
         for sid, pairs in p.subject_decls:
-            if sid.value in store.subjects:
-                self.error(sid, f"subject {sid.value} declared twice")
+            if not self.fresh(sid, store.subjects, "subject"):
                 continue
-            roles: list[str] = []
-            active: list[str] | None = None
-            properties: dict = {}
-            seen_keys: set[str] = set()
+            values: dict = {}
             for key, value in pairs:
-                if key.value in seen_keys:
+                if key.value in values:
                     self.error(key, f"property {key.value} given twice")
                     continue
-                seen_keys.add(key.value)
                 if key.value in ("roles", "active"):
-                    names = []
-                    for tok in value:
-                        if store.roles.get(tok.value) is not RoleKind.NORMAL:
-                            self.error(tok, f"unknown role {tok.value}")
-                        else:
-                            names.append(tok.value)
-                    if key.value == "roles":
-                        roles = names
-                    else:
-                        active = names
-                else:
-                    properties[key.value] = value
-            if active is None:
-                active = list(roles)
+                    value = self.known_names(value, normal, "role")
+                values[key.value] = value
+            roles = values.pop("roles", [])
+            active = values.pop("active", roles)
             for key, value in pairs:
                 if key.value == "active":
                     for tok in value:
-                        if tok.value not in roles and store.roles.get(tok.value) is RoleKind.NORMAL:
+                        if tok.value in normal and tok.value not in roles:
                             self.error(tok, f"active role {tok.value} not in roles")
-            store.subjects[sid.value] = Subject(sid.value, properties)
+            store.subjects[sid.value] = Subject(sid.value, values)
             store.srt[sid.value] = set(roles)
             store.asrt[sid.value] = {r for r in active if r in roles}
 
         emergencies: dict[str, Emergency] = {}
         for raw in p.emergency_decls:
             eid = raw.eid.value
-            if eid in emergencies:
-                self.error(raw.eid, f"emergency {eid} declared twice")
+            if not self.fresh(raw.eid, emergencies, "emergency"):
                 continue
             if eid in store.roles:
                 self.error(raw.eid, f"emergency id {eid} collides with a declared role")
                 continue
-            if raw.entity.value not in entities:
-                self.error(raw.entity, f"unknown entity {raw.entity.value}")
+            self.known(raw.entity, entities, "entity")
             prio_tok, prio_val = raw.prio
             if prio_val.denominator != 1 or prio_val < 1:
                 self.error(prio_tok, "prio must be a positive integer")
@@ -799,19 +765,13 @@ class _Resolver:
             ed_tok, ed_val = raw.ed
             if ed_val <= 0:
                 self.error(ed_tok, "ed must be positive")
-            task_sets: list[TaskSet] = []
-            seen_ts: set[str] = set()
+            task_sets: dict[str, TaskSet] = {}
             for ts in raw.task_sets:
-                if ts.tsid.value in seen_ts:
-                    self.error(ts.tsid, f"task set {ts.tsid.value} declared twice")
+                if not self.fresh(ts.tsid, task_sets, "task set"):
                     continue
-                seen_ts.add(ts.tsid.value)
-                actions = []
-                for oid, op in ts.actions:
-                    if oid.value not in store.objects:
-                        self.error(oid, f"unknown object {oid.value}")
-                    actions.append((oid.value, op))
-                if not actions:
+                for oid, _ in ts.actions:
+                    self.known(oid, store.objects, "object")
+                if not ts.actions:
                     self.error(ts.tsid, f"task set {ts.tsid.value} has no actions")
                 time_tok, time_val = ts.time
                 if time_val <= 0:
@@ -819,66 +779,56 @@ class _Resolver:
                 prob_tok, prob_val = ts.prob
                 if not (ZERO < prob_val <= ONE):
                     self.error(prob_tok, "prob must be in (0, 1]")
-                task_sets.append(
-                    TaskSet(
-                        tsid=ts.tsid.value,
-                        actions=tuple(actions),
-                        time=time_val,
-                        prob=prob_val,
-                        resources=frozenset(tok.value for tok in ts.resources),
-                    )
+                task_sets[ts.tsid.value] = TaskSet(
+                    tsid=ts.tsid.value,
+                    actions=tuple((oid.value, op) for oid, op in ts.actions),
+                    time=time_val,
+                    prob=prob_val,
+                    resources=frozenset(tok.value for tok in ts.resources),
                 )
             if not task_sets:
                 self.error(raw.eid, f"emergency {eid} declares no task sets")
-            task_sets.sort(key=lambda ts: ts.tsid)
             emergencies[eid] = Emergency(
                 eid=eid,
                 entity=raw.entity.value,
                 prio=int(prio_val),
                 ed=ed_val,
                 ft_feasible=raw.ft,
-                task_sets=tuple(task_sets),
+                task_sets=tuple(task_sets[tsid] for tsid in sorted(task_sets)),
             )
             store.roles[eid] = RoleKind.EMERGENCY
 
-        self.check_expr_names(store)
+        infos = [info for _, _, info in p.constraint_decls]
+        infos += [info for _, _, _, info in p.map_decls]
+        infos += [info for _, _, info in p.fallback_decls]
+        for info in infos:
+            for tok in info.refs:
+                self.known(tok, store.constraints, "constraint")
+            for tok in info.count_roles:
+                self.known(tok, normal, "role")
 
         for erole, roles, constraint, _ in p.map_decls:
-            if erole.value not in emergencies:
-                self.error(erole, f"unknown emergency {erole.value}")
-                continue
-            if erole.value in store.rmt:
-                self.error(erole, f"mapping for {erole.value} declared twice")
-                continue
-            names = []
-            for tok in roles:
-                if store.roles.get(tok.value) is not RoleKind.NORMAL:
-                    self.error(tok, f"unknown role {tok.value}")
-                else:
-                    names.append(tok.value)
-            store.rmt[erole.value] = RoleMapping(tuple(names), constraint)
+            if self.known(erole, emergencies, "emergency") and self.fresh(
+                erole, store.rmt, "mapping for"
+            ):
+                names = self.known_names(roles, normal, "role")
+                store.rmt[erole.value] = RoleMapping(tuple(names), constraint)
 
         for erole, expr, _ in p.fallback_decls:
-            if erole.value not in emergencies:
-                self.error(erole, f"unknown emergency {erole.value}")
-                continue
-            if erole.value in store.rct:
-                self.error(erole, f"fallback mapping for {erole.value} declared twice")
-                continue
-            store.rct[erole.value] = expr
+            if self.known(erole, emergencies, "emergency") and self.fresh(
+                erole, store.rct, "fallback mapping for"
+            ):
+                store.rct[erole.value] = expr
 
         for entity, eid in p.depends_env:
-            if entity.value not in entities:
-                self.error(entity, f"unknown entity {entity.value}")
+            if not self.known(entity, entities, "entity"):
                 continue
             if entity.value == ENV_ENTITY:
                 self.error(entity, "the environment group cannot be gated")
                 continue
-            gate = emergencies.get(eid.value)
-            if gate is None:
-                self.error(eid, f"unknown emergency {eid.value}")
+            if not self.known(eid, emergencies, "emergency"):
                 continue
-            if gate.entity != ENV_ENTITY:
+            if emergencies[eid.value].entity != ENV_ENTITY:
                 self.error(eid, f"{eid.value} is not an environment emergency")
                 continue
             if (entity.value, eid.value) in store.edt:
@@ -887,14 +837,12 @@ class _Resolver:
             store.edt.add((entity.value, eid.value))
 
         for before, after in p.depends_time:
-            a = emergencies.get(before.value)
-            b = emergencies.get(after.value)
-            if a is None:
-                self.error(before, f"unknown emergency {before.value}")
+            if not (
+                self.known(before, emergencies, "emergency")
+                and self.known(after, emergencies, "emergency")
+            ):
                 continue
-            if b is None:
-                self.error(after, f"unknown emergency {after.value}")
-                continue
+            a, b = emergencies[before.value], emergencies[after.value]
             if a.entity != b.entity:
                 self.error(before, "time dependency spans entities")
                 continue
@@ -908,14 +856,12 @@ class _Resolver:
 
         pairs: dict[tuple[str, str], InfluencePair] = {}
         for source, target, sigmas in p.influences:
-            a = emergencies.get(source.value)
-            b = emergencies.get(target.value)
-            if a is None:
-                self.error(source, f"unknown emergency {source.value}")
+            if not (
+                self.known(source, emergencies, "emergency")
+                and self.known(target, emergencies, "emergency")
+            ):
                 continue
-            if b is None:
-                self.error(target, f"unknown emergency {target.value}")
-                continue
+            a, b = emergencies[source.value], emergencies[target.value]
             if a.eid == b.eid:
                 self.error(source, "an emergency cannot influence itself")
                 continue
@@ -941,13 +887,10 @@ class _Resolver:
             )
 
         for entity, group in p.fgroups:
-            if entity.value not in entities:
-                self.error(entity, f"unknown entity {entity.value}")
-                continue
-            if entity.value in store.efgt:
-                self.error(entity, f"failure group for {entity.value} declared twice")
-                continue
-            store.efgt[entity.value] = group.value
+            if self.known(entity, entities, "entity") and self.fresh(
+                entity, store.efgt, "failure group for"
+            ):
+                store.efgt[entity.value] = group.value
 
         name = "unnamed" if p.scenario_name is None else p.scenario_name.value
         if p.scenario_name is None and p.tokens:
@@ -967,20 +910,6 @@ class _Resolver:
             horizon=horizon,
             events=events,
         )
-
-    def check_expr_names(self, store: PolicyStore) -> None:
-        p = self.p
-        known = {name.value for name, _, _ in p.constraint_decls}
-        infos = [info for _, _, info in p.constraint_decls]
-        infos += [info for _, _, _, info in p.map_decls]
-        infos += [info for _, _, info in p.fallback_decls]
-        for info in infos:
-            for name, tok in info.refs:
-                if name not in known:
-                    self.error(tok, f"unknown constraint {name}")
-            for role, tok in info.count_roles:
-                if store.roles.get(role) is not RoleKind.NORMAL:
-                    self.error(tok, f"unknown role {role}")
 
     def resolve_config(self) -> tuple[EngineConfig, int, Fraction]:
         values: dict[str, Fraction | str] = {}
@@ -1027,34 +956,20 @@ class _Resolver:
     def resolve_events(self, store, emergencies, entities) -> list[ScenarioEvent]:
         events: list[ScenarioEvent] = []
         for index, (_, when, kind, args) in enumerate(self.p.raw_events):
-            ok = True
             if kind == "raise":
-                if args[0].value not in emergencies:
-                    self.error(args[0], f"unknown emergency {args[0].value}")
-                    ok = False
+                ok = self.known(args[0], emergencies, "emergency")
             elif kind == "fail":
-                if args[0].value not in entities:
-                    self.error(args[0], f"unknown entity {args[0].value}")
-                    ok = False
+                ok = self.known(args[0], entities, "entity")
             elif kind == "force":
-                em = emergencies.get(args[0].value)
-                if em is None:
-                    self.error(args[0], f"unknown emergency {args[0].value}")
-                    ok = False
-                elif em.task_set(args[1].value) is None:
+                ok = self.known(args[0], emergencies, "emergency")
+                if ok and emergencies[args[0].value].task_set(args[1].value) is None:
                     self.error(args[1], f"{args[0].value} has no task set {args[1].value}")
                     ok = False
-                if args[2].value not in OUTCOMES:
-                    ok = False
-            elif kind == "request":
-                if args[0].value not in store.subjects:
-                    self.error(args[0], f"unknown subject {args[0].value}")
-                    ok = False
-                if args[1].value not in store.objects:
-                    self.error(args[1], f"unknown object {args[1].value}")
-                    ok = False
-                if args[2].value not in OP_NAMES:
-                    ok = False
+                ok = ok and args[2].value in OUTCOMES
+            else:
+                subject_ok = self.known(args[0], store.subjects, "subject")
+                object_ok = self.known(args[1], store.objects, "object")
+                ok = subject_ok and object_ok and args[2].value in OP_NAMES
             if ok:
                 events.append(
                     ScenarioEvent(when, index, kind, tuple(tok.value for tok in args))
@@ -1084,16 +999,6 @@ def load_scenario(path: str) -> tuple[Scenario, list[Diagnostic]]:
 # ---------------------------------------------------------------------------
 # Canonical printing
 # ---------------------------------------------------------------------------
-
-
-def _prop_value_text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return f"({format_number(value[0])}, {format_number(value[1])})"
-    if isinstance(value, Fraction):
-        return format_number(value)
-    return f'"{value}"'
 
 
 def print_scenario(sc: Scenario) -> str:
@@ -1130,7 +1035,7 @@ def print_scenario(sc: Scenario) -> str:
         parts.append(f"roles = [{', '.join(roles)}]")
         parts.append(f"active = [{', '.join(active)}]")
         for key in sorted(subject.properties):
-            parts.append(f"{key} = {_prop_value_text(subject.properties[key])}")
+            parts.append(f"{key} = {literal_text(subject.properties[key])}")
         out.append(f"subject {sid} {{ {', '.join(parts)} }}")
     out.append("")
 
@@ -1154,7 +1059,7 @@ def print_scenario(sc: Scenario) -> str:
         out.append(f"  entity {em.entity}")
         out.append(f"  prio {em.prio}")
         out.append(f"  ed {format_number(em.ed)}")
-        out.append(f"  ft {'true' if em.ft_feasible else 'false'}")
+        out.append(f"  ft {literal_text(em.ft_feasible)}")
         for ts in em.task_sets:
             actions = ", ".join(f"{oid} {op.value}" for oid, op in ts.actions)
             line = (

@@ -17,9 +17,6 @@ from .scenario import Scenario
 class SimTrace:
     """Everything a run produced: records, both store snapshots, outcomes."""
 
-    scenario: Scenario
-    seed: int
-    horizon: Fraction
     records: list[AuditRecord]
     trace_text: str
     initial_store: PolicyStore
@@ -76,9 +73,6 @@ def run_simulation(
             break
 
     return SimTrace(
-        scenario=sc,
-        seed=effective_seed,
-        horizon=effective_horizon,
         records=list(world.audit.records),
         trace_text=world.audit.to_text(),
         initial_store=world.initial_store,

@@ -344,3 +344,41 @@ class TestAudit:
         code, _, err = run_cli("audit", "/no/such/file.trace")
         assert code == 2
         assert "error:" in err
+
+
+class TestDeepConstraints:
+    """Constraint nesting is bounded, so no scenario can exhaust the stack."""
+
+    @pytest.mark.parametrize(
+        "body, col",
+        [("(" * 3000 + "true" + ")" * 3000, 119), ("not " * 3000 + "true", 419)],
+        ids=["parentheses", "not"],
+    )
+    def test_deep_nesting_is_a_diagnostic(self, hospital_path, tmp_path, body, col):
+        path = tmp_path / "deep.feac"
+        path.write_text(hospital_text() + f"constraint deep = {body}\n", encoding="utf-8")
+        line = hospital_text().count("\n") + 1
+        diagnostic = f"{path}:{line}:{col}: constraint nested deeper than 100 levels\n"
+        assert run_cli("validate", str(path)) == (1, diagnostic, "")
+        trace = tmp_path / "run.trace"
+        run_cli("simulate", hospital_path, "--trace", str(trace))
+        for argv in (
+            ("simulate", str(path)),
+            ("plan", str(path), "--group", "P1"),
+            ("audit", str(trace), "--scenario", str(path)),
+        ):
+            assert run_cli(*argv) == (2, diagnostic, "")
+
+    def test_long_reference_chain_is_false_not_a_crash(self, tmp_path):
+        chain = "".join(f"constraint c{i} = @c{i + 1}\n" for i in range(2000))
+        text = hospital_text().replace("map E3 -> [Doctor]\n", "map E3 -> [Doctor] where @c0\n")
+        path = tmp_path / "chain.feac"
+        path.write_text(text + chain + "constraint c2000 = true\n", encoding="utf-8")
+        trace = tmp_path / "chain.trace"
+        assert run_cli("validate", str(path))[0] == 0
+        code, out, err = run_cli("simulate", str(path), "--trace", str(trace))
+        assert code in (0, 3), out + err
+        # `true` is too deep to reach, so no Doctor qualifies and E3 expires.
+        assert "E3=expired" in out
+        code, out, err = run_cli("audit", str(trace), "--scenario", str(path))
+        assert code == 0, out + err

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from feac.constraints import (
     CMP_OPS,
+    MAX_DEPTH,
     And,
     Cmp,
     CountCmp,
@@ -113,6 +114,14 @@ class TestRef:
         st = store_with(constraints={"a": Ref("b"), "b": Ref("a")})
         assert not evaluate(Ref("a"), subject(), st)
 
+    def test_chain_deeper_than_max_depth_is_false(self):
+        def chain(length):
+            refs = {f"c{i}": Ref(f"c{i + 1}") for i in range(length)}
+            return store_with(constraints={**refs, f"c{length}": Lit(True)})
+
+        assert evaluate(Ref("c0"), subject(), chain(MAX_DEPTH - 1))
+        assert not evaluate(Ref("c0"), subject(), chain(MAX_DEPTH))
+
     def test_self_cycle(self):
         st = store_with(constraints={"a": Or((Ref("a"), Lit(True)))})
         # The inner self-reference is false; the disjunction still succeeds.
@@ -141,7 +150,9 @@ class TestToText:
 
 # Scenario numbers are decimal literals, so draw only terminating decimals.
 numbers = st.builds(lambda n, d: F(n, 10**d), st.integers(-(10**6), 10**6), st.integers(0, 3))
-strings = st.text(st.characters(blacklist_characters='"\n', blacklist_categories=("Cs",)), max_size=6)
+strings = st.text(
+    st.characters(blacklist_characters='"\n', blacklist_categories=("Cs",)), max_size=6
+)
 atoms = st.one_of(
     st.builds(Lit, st.booleans()),
     st.builds(
@@ -152,7 +163,9 @@ atoms = st.one_of(
         DistCmp, st.sampled_from(["location"]), st.tuples(numbers, numbers),
         st.sampled_from(CMP_OPS), numbers,
     ),
-    st.builds(CountCmp, st.sampled_from(["R1", "R2"]), st.sampled_from(CMP_OPS), st.integers(-5, 50)),
+    st.builds(
+        CountCmp, st.sampled_from(["R1", "R2"]), st.sampled_from(CMP_OPS), st.integers(-5, 50)
+    ),
     st.builds(Ref, st.sampled_from(["a", "b"])),
 )
 

@@ -83,6 +83,15 @@ CASES = [
     ("constraint c = count(R1) < 1.5", "1:28: count limit must be an integer"),
     ("constraint c = x = y", "1:20: expected a literal, found 'y'"),
     ("constraint c = dist(at, (1, 2)) < y", "1:35: expected a distance, found 'y'"),
+    (
+        "constraint c = " + "(" * 101 + "true" + ")" * 101,
+        "1:116: constraint nested deeper than 100 levels",
+    ),
+    ("constraint c = " + "not " * 101 + "true", "1:416: constraint nested deeper than 100 levels"),
+    (
+        "constraint c = " + "false or true and (" * 51 + "true" + ")" * 51,
+        "1:16: constraint nested deeper than 100 levels",
+    ),
     # Resolution: declarations.
     ("entity env", "1:8: 'env' is predeclared"),
     ("entity P1", "3:8: entity P1 declared twice"),
@@ -96,7 +105,10 @@ CASES = [
     ("subject S2 { roles = [R9] }", "1:23: unknown role R9"),
     ("subject S2 { roles = [R1], active = [R2] }", "1:38: active role R2 not in roles"),
     (f"emergency E1 {{ {EM} {TS} }}", "8:11: emergency E1 declared twice"),
-    (f"role E3\nemergency E3 {{ {EM} {TS} }}", "2:11: emergency id E3 collides with a declared role"),
+    (
+        f"role E3\nemergency E3 {{ {EM} {TS} }}",
+        "2:11: emergency id E3 collides with a declared role",
+    ),
     (f"emergency E3 {{ entity P9 prio 2 ed 10 ft false {TS} }}", "1:23: unknown entity P9"),
     (
         f"emergency E3 {{ entity P1 prio 0 ed 10 ft false {TS} }}",
@@ -172,9 +184,20 @@ def test_base_is_clean():
     assert diags == []
 
 
-@pytest.mark.parametrize(
-    "case, want", CASES, ids=[re.sub(r"\W+", "-", want.split(": ")[1]).strip("-") for _, want in CASES]
-)
+def test_nesting_up_to_the_limit_is_accepted():
+    parens = "(" * 100 + "true" + ")" * 100
+    nots = "not " * 100 + "true"
+    levels = "false or true and (" * 50 + "true" + ")" * 50
+    text = f"constraint c = {parens}\nconstraint d = {nots}\nconstraint e = {levels}\n"
+    _, diags = parse_scenario(text + BASE, "t.feac")
+    assert diags == []
+
+
+def message_id(want: str) -> str:
+    return re.sub(r"\W+", "-", want.split(": ")[1]).strip("-")
+
+
+@pytest.mark.parametrize("case, want", CASES, ids=[message_id(want) for _, want in CASES])
 def test_case_gives_exactly_its_diagnostic(case, want):
     _, diags = parse_scenario(case + "\n" + BASE, "t.feac")
     assert [str(d) for d in diags] == [f"t.feac:{want}"]
