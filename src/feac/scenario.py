@@ -682,9 +682,6 @@ class _Resolver:
         self.error(tok, f"unknown {what} {tok.value}")
         return False
 
-    def known_names(self, toks: list[Token], table, what: str) -> list[str]:
-        return [tok.value for tok in toks if self.known(tok, table, what)]
-
     def fresh(self, tok: Token, table, what: str) -> bool:
         """Whether `tok` names no key of `table` yet; reports a second declaration."""
         if tok.value not in table:
@@ -736,7 +733,7 @@ class _Resolver:
                     self.error(key, f"property {key.value} given twice")
                     continue
                 if key.value in ("roles", "active"):
-                    value = self.known_names(value, normal, "role")
+                    value = [tok.value for tok in value if self.known(tok, normal, "role")]
                 values[key.value] = value
             roles = values.pop("roles", [])
             active = values.pop("active", roles)
@@ -811,7 +808,7 @@ class _Resolver:
             if self.known(erole, emergencies, "emergency") and self.fresh(
                 erole, store.rmt, "mapping for"
             ):
-                names = self.known_names(roles, normal, "role")
+                names = [tok.value for tok in roles if self.known(tok, normal, "role")]
                 store.rmt[erole.value] = RoleMapping(tuple(names), constraint)
 
         for erole, expr, _ in p.fallback_decls:
