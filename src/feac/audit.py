@@ -15,6 +15,7 @@ store exactly; that replay is the non-repudiation check.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,6 +72,10 @@ FIELD_PARSERS = {
 }
 
 
+# Characters the line format uses as separators.
+_ILLEGAL_IN_VALUE = re.compile(r"[|,=\n]").search
+
+
 class AuditFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -117,7 +122,7 @@ class AuditLog:
         if set(cleaned) != set(fields):
             raise ValueError(f"{kind} payload keys {sorted(cleaned)} != {sorted(fields)}")
         for value in cleaned.values():
-            if any(ch in value for ch in "|,=\n"):
+            if _ILLEGAL_IN_VALUE(value):
                 raise ValueError(f"illegal character in payload value {value!r}")
         record = AuditRecord(len(self.records) + 1, ts, kind, cleaned)
         self.records.append(record)

@@ -6,7 +6,11 @@ ticks of `tp` minutes. Within a tick it:
 1. processes due timed occurrences (action completions, grant-window
    cutoffs, absolute deadlines) and due scenario events, interleaved in
    exact time order; successor actions chain at exact completion times so
-   executed timelines match planned arithmetic;
+   executed timelines match planned arithmetic. Occurrences come from a
+   heap of `(time, class, eid)` entries with lazy deletion: every active
+   emergency's current occurrence is in the heap, pushed wherever one of
+   its inputs changes, and a head that no longer equals its eid's current
+   occurrence is stale and dropped;
 2. reconciles the mode (normal <-> emergency; disaster is terminal);
 3. (re)plans every group with new or changed work: positive-value plans
    are selected optimally, zero-value plans trigger one entity
@@ -24,6 +28,7 @@ store without a record.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -129,6 +134,8 @@ class SystemState:
         # Entities that failed or substitute for one (see `fault`).
         self.engaged: set[str] = set()
         self.active: dict[str, ActiveEmergency] = {}
+        # Heap of (time, class, eid); may hold stale entries (see the module doc).
+        self.occurrences: list[tuple[Fraction, int, str]] = []
         self.plans: dict[str, GroupPlan] = {}
         self.assignments: dict[str, Assignment] = {}
         self.executions: dict[str, Execution] = {}
@@ -221,6 +228,7 @@ def enable_response_actions(
     assignment = Assignment(eid=eid, sid=sid, erole=erole, td=td, grants=grants, saved=saved)
     world.assignments[eid] = assignment
     world.unavailable_logged.discard(eid)
+    _push_occurrence(world, eid)
     return assignment
 
 
@@ -260,6 +268,7 @@ def rescind_permissions(world: SystemState, eid: str, now: Fraction, reason: str
         restored=assignment.saved,
     )
     world.unavailable_logged.discard(eid)
+    _push_occurrence(world, eid)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +354,7 @@ def _finish_execution(world: SystemState, execution: Execution, now: Fraction) -
             _expire(world, eid, now, "deadline")
         else:
             world.dirty.add(entity)
+            _push_occurrence(world, eid)
         return
 
     world.audit.append(
@@ -430,6 +440,7 @@ def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
     )
     world.executions[entity] = execution
     plan.cursor += 1
+    _push_occurrence(world, step.eid)
     world.audit.append(
         "action_started",
         now,
@@ -447,27 +458,37 @@ def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _occurrence_of(world: SystemState, eid: str) -> tuple[Fraction, int, str] | None:
+    """The eid's next timed occurrence, or None when it is not active."""
+    ae = world.active.get(eid)
+    if ae is None:
+        return None
+    # An emergency is running iff its entity's execution carries its eid.
+    execution = world.executions.get(ae.emergency.entity)
+    if execution is not None and execution.eid == eid:
+        if execution.end <= execution.td:
+            return (execution.end, 0, eid)
+        return (execution.td, 1, eid)
+    assignment = world.assignments.get(eid)
+    if assignment is not None and assignment.td < ae.deadline:
+        return (assignment.td, 1, eid)
+    return (ae.deadline, 2, eid)
+
+
+def _push_occurrence(world: SystemState, eid: str) -> None:
+    occurrence = _occurrence_of(world, eid)
+    if occurrence is not None:
+        heapq.heappush(world.occurrences, occurrence)
+
+
 def _next_occurrence(world: SystemState) -> tuple[Fraction, int, str] | None:
-    # An emergency is running iff an execution carries its eid.
-    running = {execution.eid: execution for execution in world.executions.values()}
-    assignments = world.assignments
-    best: tuple[Fraction, int, str] | None = None
-    for eid, ae in world.active.items():
-        execution = running.get(eid)
-        if execution is not None:
-            if execution.end <= execution.td:
-                candidate = (execution.end, 0, eid)
-            else:
-                candidate = (execution.td, 1, eid)
-        else:
-            assignment = assignments.get(eid)
-            if assignment is not None and assignment.td < ae.deadline:
-                candidate = (assignment.td, 1, eid)
-            else:
-                candidate = (ae.deadline, 2, eid)
-        if best is None or candidate < best:
-            best = candidate
-    return best
+    heap = world.occurrences
+    while heap:
+        head = heap[0]
+        if head == _occurrence_of(world, head[2]):
+            return head
+        heapq.heappop(heap)
+    return None
 
 
 def _dispatch_occurrence(world: SystemState, occ: tuple[Fraction, int, str]) -> None:
@@ -497,6 +518,7 @@ def _dispatch_event(world: SystemState, ev: ScenarioEvent) -> None:
             world.active[eid] = ActiveEmergency(em, deadline=now + em.ed)
             world.outcomes[eid] = "unprocessed"
             world.dirty.add(em.entity)
+            _push_occurrence(world, eid)
     elif ev.kind == "fail":
         entity = ev.args[0]
         world.audit.append("entity_failed", now, entity=entity)

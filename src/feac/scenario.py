@@ -472,18 +472,22 @@ class Parser:
             "prob": lambda: self.expect_number("a probability"),
             "resources": lambda: self.parse_list(lambda: self.expect_name("a resource name")),
         }
-        fields: dict[str, object] = {"resources": []}
+        fields: dict[str, object] = {}
         while not self.match("}"):
             key = self.expect_name("a task-set field")
             self.expect("=")
             read = readers.get(key.value)
             if read is None:
                 self.abort(key, f"unknown task-set field '{key.value}'")
-            fields[key.value] = read()
+            if key.value in fields:
+                self.error(key, f"field '{key.value}' given twice")
+            # The repeat's value is still read, then dropped: the first one stays.
+            fields.setdefault(key.value, read())
             self.match(",")
         missing = [name for name in ("actions", "time", "prob") if name not in fields]
         if missing:
             self.abort(tsid, f"task set {tsid.value} is missing field '{missing[0]}'")
+        fields.setdefault("resources", [])
         return _RawTaskSet(tsid, **fields)
 
     def parse_map(self) -> None:
@@ -728,20 +732,21 @@ class _Resolver:
             if not self.fresh(sid, store.subjects, "subject"):
                 continue
             values: dict = {}
+            active_toks: list[Token] = []
             for key, value in pairs:
                 if key.value in values:
                     self.error(key, f"property {key.value} given twice")
                     continue
+                if key.value == "active":
+                    active_toks = value
                 if key.value in ("roles", "active"):
                     value = [tok.value for tok in value if self.known(tok, normal, "role")]
                 values[key.value] = value
             roles = values.pop("roles", [])
             active = values.pop("active", roles)
-            for key, value in pairs:
-                if key.value == "active":
-                    for tok in value:
-                        if tok.value in normal and tok.value not in roles:
-                            self.error(tok, f"active role {tok.value} not in roles")
+            for tok in active_toks:
+                if tok.value in normal and tok.value not in roles:
+                    self.error(tok, f"active role {tok.value} not in roles")
             store.subjects[sid.value] = Subject(sid.value, values)
             store.srt[sid.value] = set(roles)
             store.asrt[sid.value] = {r for r in active if r in roles}

@@ -60,8 +60,11 @@ class TestAppend:
 
     def test_delimiter_characters_rejected(self):
         for bad in ("a|b", "a,b", "a=b", "a\nb"):
-            with pytest.raises(ValueError):
-                AuditLog().append("entity_failed", F(0), entity=bad)
+            log = AuditLog()
+            with pytest.raises(ValueError) as raised:
+                log.append("entity_failed", F(0), entity=bad)
+            assert str(raised.value) == f"illegal character in payload value {bad!r}"
+            assert log.records == []
 
     def test_every_kind_has_a_field_list(self):
         log = AuditLog()

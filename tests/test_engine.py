@@ -11,11 +11,14 @@ from fractions import Fraction
 
 import pytest
 
+from feac import engine
 from feac.constraints import And, Cmp, CountCmp, DistCmp, Lit, Not, Or, Ref, evaluate
 from feac.engine import EngineError, MODE_DISASTER, SystemState, engine_tick, select_subject
 from feac.model import PolicyStore, RoleKind, RoleMapping, Subject
 from feac.scenario import parse_scenario
 from feac.sim import run_simulation
+
+from scenario_gen import generate_scenario_text
 
 F = Fraction
 
@@ -564,3 +567,67 @@ at 1 fail P1
         engine_tick(world, sc.config)
     with pytest.raises(EngineError):
         engine_tick(world, sc.config)
+
+
+def reference_next_occurrence(world: SystemState):
+    """The full scan the occurrence heap replaced: the least
+    `(time, class, eid)` over every active emergency."""
+    running = {execution.eid: execution for execution in world.executions.values()}
+    best = None
+    for eid, ae in world.active.items():
+        execution = running.get(eid)
+        if execution is not None:
+            if execution.end <= execution.td:
+                candidate = (execution.end, 0, eid)
+            else:
+                candidate = (execution.td, 1, eid)
+        else:
+            assignment = world.assignments.get(eid)
+            if assignment is not None and assignment.td < ae.deadline:
+                candidate = (assignment.td, 1, eid)
+            else:
+                candidate = (ae.deadline, 2, eid)
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+@pytest.fixture
+def checked_occurrences(monkeypatch):
+    """Every drain step asserts that the heap's answer equals the full scan.
+
+    Counts the answers by occurrence class (None when nothing is pending).
+    """
+    seen = Counter()
+    from_heap = engine._next_occurrence
+
+    def checked(world):
+        got = from_heap(world)
+        assert got == reference_next_occurrence(world), (world.clock, got)
+        seen[None if got is None else got[1]] += 1
+        return got
+
+    monkeypatch.setattr(engine, "_next_occurrence", checked)
+    return seen
+
+
+def test_occurrence_heap_matches_full_scan_on_the_hospital(
+    hospital, hospital_run, checked_occurrences
+):
+    assert run_simulation(hospital).trace_text == hospital_run.trace_text
+    assert checked_occurrences[0] > 0
+
+
+def test_occurrence_heap_matches_full_scan_on_generated_runs(checked_occurrences):
+    for seed in range(60):
+        sc, diags = parse_scenario(generate_scenario_text(seed))
+        assert not diags, (seed, diags)
+        run_simulation(sc)
+    # Completions, window cutoffs and deadlines all came up.
+    assert min(checked_occurrences[klass] for klass in (0, 1, 2, None)) > 0, checked_occurrences
+
+
+def test_occurrence_heap_matches_full_scan_up_to_disaster(checked_occurrences):
+    trace = run(ONE_EMERGENCY + "at 0 raise E1\nat 1 fail P1\n")
+    assert trace.final_mode == MODE_DISASTER
+    assert checked_occurrences[0] > 0
