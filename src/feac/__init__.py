@@ -29,7 +29,6 @@ from .planner import (
     build_transition_graph,
     compute_p_value,
     count_admissible_orders,
-    iter_admissible_orders,
     select_optimal_path,
 )
 from .scenario import Diagnostic, Scenario, load_scenario, parse_scenario, print_scenario
@@ -73,7 +72,6 @@ __all__ = [
     "count_admissible_orders",
     "engine_tick",
     "find_substitute",
-    "iter_admissible_orders",
     "load_scenario",
     "parse_scenario",
     "parse_trace",

@@ -25,6 +25,7 @@ single pass can report every breach at once. The guarantees:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,7 +165,7 @@ def check_mode_correctness(records: list[AuditRecord]) -> list[CheckViolation]:
                 follow = next(
                     (
                         r
-                        for r in records[index + 1 :]
+                        for r in itertools.islice(records, index + 1, None)
                         if r.kind == "plan_selected"
                         and r.payload["entity"] == entity
                         and r.ts == rec.ts

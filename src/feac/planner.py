@@ -19,23 +19,31 @@ Equal-priority freedom can explode combinatorially, so when the number of
 admissible orders exceeds the configured cap K, exactly K distinct orders
 are drawn from a generator seeded from (seed, entity, gate, member ids).
 
-When every admissible order is inserted, a node stands for one state
-(remaining set, elapsed clock) and orders reaching equal states share it:
-an edge's metrics and validity depend only on that state, and which
-emergencies may follow depends only on the set already processed. A
-sampled graph instead stays a prefix trie over the K drawn orders, since
-merging its states would admit orders that were never drawn. Either way
-the number of root-to-terminal paths equals the number of orders inserted.
+When the cap allows every admissible order, the graph is expanded state
+by state from the root, and a node stands for one state (remaining set,
+elapsed clock). Which emergencies may come next depends only on the set
+already processed: in the first priority class with members left, an open
+(partly processed) block continues with the members left of its first
+unfinished level; otherwise any unstarted block of that class may start
+with a member of its first level. Orders that reach an equal state share
+its node, and no order is enumerated. A sampled graph instead stays a
+prefix trie over the K drawn orders, since merging its states would admit
+orders that were never drawn. Either way the number of root-to-terminal
+paths equals the number of admissible orders, or K.
 
 Influence, and so every adjusted metric, depends only on which
 emergencies are still pending. Each remaining set is therefore priced once
 per build: p', t' and Ed' of every member under the others, and the set's
-deadline bound, the least of those Ed'. An edge out of a node takes its
-metrics from its remaining set's price and is valid when its completion
-clock stays within that set's bound, which is exactly "no overshoot of its
-own adjusted deadline, nor of any other pending emergency's". A group with
-an emergency that has no executable task set completes no order, so its
-graph is the bare root.
+deadline bound, the least of those Ed'. The complements (1 - sigma_p,
+1 - sigma_t, 1 - sigma_ed) of each influencing pair in the group are taken
+once per build, and the product of a member's complements under a set is
+the product under that set less one member times one pair's complements,
+so pricing a member of a set costs one multiply of each complement. An
+edge out of a node takes its metrics from its remaining set's price and is
+valid when its completion clock stays within that set's bound, which is
+exactly "no overshoot of its own adjusted deadline, nor of any other
+pending emergency's". A group with an emergency that has no executable
+task set completes no order, so its graph is the bare root.
 
 The success value of the graph follows a max-product recursion: a
 terminal is worth 1, a valid edge processing e is worth p'(e) times its
@@ -77,18 +85,15 @@ class InfluenceSpec:
 
     pairs: dict[tuple[str, str], InfluencePair] = field(default_factory=dict)
 
-    def sigmas(self, influenced: str, active_others) -> tuple[Fraction, Fraction, Fraction]:
-        if not self.pairs or not active_others:
-            return (ZERO, ZERO, ZERO)
-        keep_p = keep_t = keep_ed = ONE
-        for other in active_others:
-            pair = self.pairs.get((other, influenced))
-            if pair is None:
-                continue
-            keep_p *= ONE - pair.sigma_p
-            keep_t *= ONE - pair.sigma_t
-            keep_ed *= ONE - pair.sigma_ed
-        return (ONE - keep_p, ONE - keep_t, ONE - keep_ed)
+    def complements(self, eids) -> dict[tuple[str, str], tuple[Fraction, Fraction, Fraction]]:
+        """(1 - sigma_p, 1 - sigma_t, 1 - sigma_ed) of every influencing pair among `eids`."""
+        out = {}
+        for a in eids:
+            for b in eids:
+                pair = self.pairs.get((a, b))
+                if pair is not None:
+                    out[a, b] = (ONE - pair.sigma_p, ONE - pair.sigma_t, ONE - pair.sigma_ed)
+        return out
 
 
 @dataclass
@@ -181,24 +186,51 @@ def select_task_set(em: Emergency, available_resources: frozenset[str] | None) -
     return min(executable, key=lambda ts: (-ts.prob, ts.time, ts.tsid))
 
 
+def complement_product(
+    memo: dict,
+    comps: dict[tuple[str, str], tuple[Fraction, Fraction, Fraction]],
+    eid: str,
+    remaining: frozenset[str],
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Product of the complements `comps` of every pair (other, eid), other
+    in `remaining` (which holds eid), memoized in `memo` on (eid, remaining).
+
+    Each entry costs one multiply of the entry for `remaining` less one other
+    member by that member's pair complements.
+    """
+    key = (eid, remaining)
+    keep = memo.get(key)
+    if keep is None:
+        others = remaining - {eid}
+        if not others:
+            keep = (ONE, ONE, ONE)
+        else:
+            other = max(others)
+            keep = complement_product(memo, comps, eid, remaining - {other})
+            comp = comps.get((other, eid))
+            if comp is not None:
+                keep = (keep[0] * comp[0], keep[1] * comp[1], keep[2] * comp[2])
+        memo[key] = keep
+    return keep
+
+
 def adjust_metrics(
     em: Emergency,
     ts: TaskSet,
-    active_others,
-    infl: InfluenceSpec,
+    keep: tuple[Fraction, Fraction, Fraction],
     cfg: PlannerConfig,
 ) -> AdjustedMetrics:
-    """Apply the combined influence of `active_others` to (p, t, Ed).
+    """Apply the combined influence `keep`, a `complement_product`, to (p, t, Ed).
 
-    p' = (1 - sigma_p) * p, t' = (1 + alpha * sigma_t) * t,
-    Ed' = (1 - beta * sigma_ed) * Ed.
+    p' = keep_p * p, t' = (1 + alpha * (1 - keep_t)) * t,
+    Ed' = (1 - beta * (1 - keep_ed)) * Ed.
     """
-    sigma_p, sigma_t, sigma_ed = infl.sigmas(em.eid, active_others)
+    keep_p, keep_t, keep_ed = keep
     return AdjustedMetrics(
         ts=ts,
-        p=(ONE - sigma_p) * ts.prob,
-        t=(ONE + cfg.alpha * sigma_t) * ts.time,
-        ed=(ONE - cfg.beta * sigma_ed) * em.ed,
+        p=keep_p * ts.prob,
+        t=(ONE + cfg.alpha * (ONE - keep_t)) * ts.time,
+        ed=(ONE - cfg.beta * (ONE - keep_ed)) * em.ed,
     )
 
 
@@ -213,6 +245,7 @@ class _Block:
 
     key: int
     levels: tuple[tuple[str, ...], ...]
+    members: frozenset[str]
 
     @property
     def first_eid(self) -> str:
@@ -243,7 +276,13 @@ def _blocks(group: list[Emergency], tdt_pairs: set[tuple[str, str]]) -> list[lis
         levels: list[tuple[str, ...]] = []
         for _, level in itertools.groupby(component, key=lambda em: em.prio):
             levels.append(tuple(em.eid for em in level))
-        blocks.append(_Block(key=component[0].prio, levels=tuple(levels)))
+        blocks.append(
+            _Block(
+                key=component[0].prio,
+                levels=tuple(levels),
+                members=frozenset(em.eid for em in component),
+            )
+        )
 
     blocks.sort(key=lambda b: (b.key, b.first_eid))
     classes: list[list[_Block]] = []
@@ -264,23 +303,28 @@ def count_admissible_orders(group: list[Emergency], tdt_pairs: set[tuple[str, st
     return total
 
 
-def _block_orders(block: _Block) -> list[tuple[str, ...]]:
-    per_level = [list(itertools.permutations(level)) for level in block.levels]
-    out = []
-    for choice in itertools.product(*per_level):
-        out.append(tuple(eid for level in choice for eid in level))
-    return out
+def _next_eids(classes: list[list[_Block]], remaining: frozenset[str]) -> list[str]:
+    """Emergencies an admissible order may take next once every member
+    outside `remaining` is processed.
 
-
-def iter_admissible_orders(group: list[Emergency], tdt_pairs: set[tuple[str, str]]):
-    """All admissible orders, deterministically enumerated."""
-    classes = _blocks(group, tdt_pairs)
-    internal = {id(b): _block_orders(b) for cls in classes for b in cls}
-    class_perms = [list(itertools.permutations(cls)) for cls in classes]
-    for class_choice in itertools.product(*class_perms):
-        block_seq = [b for cls in class_choice for b in cls]
-        for pick in itertools.product(*(internal[id(b)] for b in block_seq)):
-            yield tuple(eid for seq in pick for eid in seq)
+    The first priority class with members left decides: an open (partly
+    processed) block continues with the members left of its first
+    unfinished level; otherwise any unstarted block of the class may start
+    with a member of its first level.
+    """
+    for cls in classes:
+        starts: list[str] = []
+        for block in cls:
+            if block.members <= remaining:
+                starts.extend(block.levels[0])
+            elif not block.members.isdisjoint(remaining):
+                for level in block.levels:
+                    left = [eid for eid in level if eid in remaining]
+                    if left:
+                        return left
+        if starts:
+            return starts
+    return []
 
 
 def sample_admissible_orders(
@@ -342,49 +386,81 @@ def build_transition_graph(
     pairs = {(a, b) for a, b in tdt_pairs if a in by_eid and b in by_eid}
 
     total = count_admissible_orders(group, pairs)
-    if total <= cfg.k_cap:
-        orders = list(iter_admissible_orders(group, pairs))
-        sampled = False
-    else:
+    sampled = total > cfg.k_cap
+    root = GraphNode(remaining=frozenset(by_eid), elapsed=gate_release)
+    nodes: dict[tuple, GraphNode] = {() if sampled else (root.remaining, root.elapsed): root}
+    graph = ResponseGraph(root=root, nodes=nodes, order_count=total, sampled=sampled)
+    task_sets = {eid: select_task_set(em, available_resources) for eid, em in by_eid.items()}
+    if None in task_sets.values():
+        # An emergency no task set can serve lets no order complete.
+        return graph
+
+    comps = infl.complements(by_eid)
+    keeps: dict = {}
+    # Remaining set -> (adjusted metrics of each member, least member Ed').
+    prices: dict[frozenset[str], tuple[dict[str, AdjustedMetrics], Fraction]] = {}
+
+    def price(remaining: frozenset[str]) -> tuple[dict[str, AdjustedMetrics], Fraction]:
+        got = prices.get(remaining)
+        if got is None:
+            members = {
+                e: adjust_metrics(
+                    by_eid[e], task_sets[e], complement_product(keeps, comps, e, remaining), cfg
+                )
+                for e in remaining
+            }
+            got = prices[remaining] = (members, min(m.ed for m in members.values()))
+        return got
+
+    if sampled:
         key = "{}|{}|{}|{}".format(
             cfg.seed, group[0].entity, format_number(gate_release), ",".join(sorted(by_eid))
         )
         orders = sample_admissible_orders(group, pairs, cfg.k_cap, random.Random(key))
-        sampled = True
+        _insert_orders(nodes, root, orders, price)
+    else:
+        _expand_states(nodes, root, _blocks(group, pairs), price)
+    graph.optimal = _best_suffix(graph, require_valid=True, rank=_prob_rank)
+    return graph
 
-    task_sets = {eid: select_task_set(em, available_resources) for eid, em in by_eid.items()}
-    if None in task_sets.values():
-        # An emergency no task set can serve lets no order complete.
-        orders = []
-    # Remaining set -> (adjusted metrics of each member, least member Ed').
-    prices: dict[frozenset[str], tuple[dict[str, AdjustedMetrics], Fraction]] = {}
-    root = GraphNode(remaining=frozenset(by_eid), elapsed=gate_release)
-    nodes: dict[tuple, GraphNode] = {() if sampled else (root.remaining, root.elapsed): root}
+
+def _insert_orders(nodes: dict[tuple, GraphNode], root: GraphNode, orders, price) -> None:
+    """Prefix trie over `orders`: a node per distinct order prefix."""
     for order in orders:
         node = root
         for depth, eid in enumerate(order, start=1):
             edge = node.edges.get(eid)
             if edge is None:
-                price = prices.get(node.remaining)
-                if price is None:
-                    members = {
-                        e: adjust_metrics(by_eid[e], task_sets[e], node.remaining - {e}, infl, cfg)
-                        for e in node.remaining
-                    }
-                    price = prices[node.remaining] = (members, min(m.ed for m in members.values()))
-                members, bound = price
+                members, bound = price(node.remaining)
                 metrics = members[eid]
-                remaining = node.remaining - {eid}
                 elapsed = node.elapsed + metrics.t
-                child_key = order[:depth] if sampled else (remaining, elapsed)
-                child = nodes.get(child_key)
-                if child is None:
-                    child = nodes[child_key] = GraphNode(remaining=remaining, elapsed=elapsed)
+                child = nodes[order[:depth]] = GraphNode(node.remaining - {eid}, elapsed)
                 edge = node.edges[eid] = GraphEdge(eid, metrics, elapsed <= bound, child)
             node = edge.child
-    graph = ResponseGraph(root=root, nodes=nodes, order_count=total, sampled=sampled)
-    graph.optimal = _best_suffix(graph, require_valid=True, rank=_prob_rank)
-    return graph
+
+
+def _expand_states(
+    nodes: dict[tuple, GraphNode], root: GraphNode, classes: list[list[_Block]], price
+) -> None:
+    """Every state reachable from `root` by admissible steps, a node per
+    (remaining, elapsed), expanded one layer of equal remaining count at a
+    time so that each remaining set is priced and stepped from once."""
+    layer = {root.remaining: [root]}
+    for _ in range(len(root.remaining)):
+        below: dict[frozenset[str], list[GraphNode]] = {}
+        for remaining, states in layer.items():
+            members, bound = price(remaining)
+            for eid in _next_eids(classes, remaining):
+                metrics = members[eid]
+                rest = remaining - {eid}
+                for node in states:
+                    elapsed = node.elapsed + metrics.t
+                    child = nodes.get((rest, elapsed))
+                    if child is None:
+                        child = nodes[rest, elapsed] = GraphNode(rest, elapsed)
+                        below.setdefault(rest, []).append(child)
+                    node.edges[eid] = GraphEdge(eid, metrics, elapsed <= bound, child)
+        layer = below
 
 
 # ---------------------------------------------------------------------------

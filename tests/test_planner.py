@@ -5,6 +5,7 @@ oracle in planner_oracle.py) before being frozen, so a regression in the
 planner cannot silently re-derive them.
 """
 
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -19,6 +20,7 @@ from planner_oracle import (
 )
 from scenario_gen import random_group
 
+from feac import planner
 from feac.model import Emergency, Op, TaskSet
 from feac.planner import (
     InfluencePair,
@@ -26,9 +28,9 @@ from feac.planner import (
     PlannerConfig,
     adjust_metrics,
     build_transition_graph,
+    complement_product,
     compute_p_value,
     count_admissible_orders,
-    iter_admissible_orders,
     path_count,
     plan_to_text,
     prob_first_select,
@@ -92,6 +94,16 @@ class TestSelectTaskSet:
         assert select_task_set(e, frozenset()) is None
 
 
+def keep_under(infl, influenced, others):
+    """The planner's complement product of `others` acting on `influenced`."""
+    remaining = frozenset(others) | {influenced}
+    return complement_product({}, infl.complements(remaining), influenced, remaining)
+
+
+def combined_sigmas(infl, influenced, others):
+    return tuple(1 - k for k in keep_under(infl, influenced, others))
+
+
 class TestInfluenceArithmetic:
     def test_single_pair_adjustments(self):
         e = em("E1", 1, 10, (2, "0.8", ()))
@@ -99,7 +111,7 @@ class TestInfluenceArithmetic:
             pairs={("E2", "E1"): InfluencePair(sigma_p=F(1, 4), sigma_t=F(3, 10), sigma_ed=F(1, 10))}
         )
         cfg = PlannerConfig(alpha=F(2), beta=F(1))
-        m = adjust_metrics(e, e.task_sets[0], {"E2"}, infl, cfg)
+        m = adjust_metrics(e, e.task_sets[0], keep_under(infl, "E1", {"E2"}), cfg)
         assert m.p == F(3, 4) * F(4, 5)
         assert m.t == (1 + 2 * F(3, 10)) * 2 == F(16, 5)
         assert m.ed == F(9, 10) * 10 == 9
@@ -111,28 +123,75 @@ class TestInfluenceArithmetic:
                 ("B", "X"): InfluencePair(sigma_p=F(1, 2)),
             }
         )
-        sigma_p, sigma_t, sigma_ed = infl.sigmas("X", {"A", "B"})
+        sigma_p, sigma_t, sigma_ed = combined_sigmas(infl, "X", {"A", "B"})
         assert sigma_p == 1 - F(4, 5) * F(1, 2) == F(3, 5)
         assert sigma_t == 0 and sigma_ed == 0
 
     def test_non_influencers_do_nothing(self):
         infl = InfluenceSpec(pairs={("A", "X"): InfluencePair(sigma_t=F(1, 2))})
-        assert infl.sigmas("X", {"B", "C"}) == (0, 0, 0)
+        assert combined_sigmas(infl, "X", {"B", "C"}) == (0, 0, 0)
 
     def test_adjusted_deadline_uses_beta(self):
         e = em("E1", 1, 20, (1, "0.5", ()))
         infl = InfluenceSpec(pairs={("E2", "E1"): InfluencePair(sigma_ed=F(1, 4))})
         cfg = PlannerConfig(beta=F(2))
-        ed = adjust_metrics(e, e.task_sets[0], {"E2"}, infl, cfg).ed
+        ed = adjust_metrics(e, e.task_sets[0], keep_under(infl, "E1", {"E2"}), cfg).ed
         assert ed == (1 - 2 * F(1, 4)) * 20 == 10
 
 
+def exhaustive_orders(group, tdt):
+    """Every path of the group's exhaustive graph, sorted."""
+    orders = count_admissible_orders(group, tdt)
+    graph = build_transition_graph(group, tdt, InfluenceSpec(), PlannerConfig(k_cap=orders))
+    assert not graph.sampled
+    return sorted(iter_paths(graph))
+
+
+def welded_group(rng):
+    """Up to 7 emergencies in one or two priority classes. Each class holds
+    two or more TDT blocks, and one block per class spans two or more
+    priority levels; eids are shuffled so their order says nothing."""
+    keys = sorted(rng.sample([1, 2, 3], rng.randint(1, 2)))
+    # Per class, blocks as lists of level sizes.
+    layout = {key: [[1, 1], [1]] for key in keys}
+    for _ in range(rng.randint(0, 7 - 3 * len(keys))):
+        blocks = layout[rng.choice(keys)]
+        roll = rng.random()
+        if roll < 0.4:
+            block = rng.choice([b for b in blocks if len(b) > 1])
+            block[rng.randrange(len(block))] += 1
+        elif roll < 0.7:
+            rng.choice(blocks).append(1)
+        else:
+            blocks.append([1])
+    names = [f"E{i}" for i in range(1, 8)]
+    rng.shuffle(names)
+    group, tdt = [], set()
+    for key, blocks in layout.items():
+        for block in blocks:
+            prio, levels = key, []
+            for size in block:
+                levels.append([em(names.pop(), prio, 99, (1, "0.5", ())) for _ in range(size)])
+                prio += rng.randint(1, 2)
+            # Weld level 0 to the head of level 1, and every later member
+            # to the head of level 0.
+            if len(levels) > 1:
+                tdt.update((member.eid, levels[1][0].eid) for member in levels[0])
+            for level in levels[1:]:
+                tdt.update((levels[0][0].eid, member.eid) for member in level)
+            group.extend(m for level in levels for m in level)
+    rng.shuffle(group)
+    return group, tdt
+
+
 class TestAdmissibleOrders:
+    # The exhaustive graph expands states by the successor rule; its paths
+    # must be exactly the admissible orders.
     def test_priority_classes_multiply(self):
         group = [em("E1", 1, 9, (1, "0.5", ())), em("E2", 1, 9, (1, "0.5", ())),
                  em("E3", 2, 9, (1, "0.5", ()))]
         assert count_admissible_orders(group, set()) == 2
-        assert sorted(iter_admissible_orders(group, set())) == [
+        assert exhaustive_orders(group, set()) == [
             ("E1", "E2", "E3"),
             ("E2", "E1", "E3"),
         ]
@@ -140,18 +199,43 @@ class TestAdmissibleOrders:
     def test_time_dependency_welds_a_block(self):
         group = [em("E1", 1, 9, (1, "0.5", ())), em("E2", 1, 9, (1, "0.5", ())),
                  em("E3", 2, 9, (1, "0.5", ()))]
-        orders = sorted(iter_admissible_orders(group, {("E1", "E3")}))
+        orders = exhaustive_orders(group, {("E1", "E3")})
         assert orders == [("E1", "E3", "E2"), ("E2", "E1", "E3")]
         assert count_admissible_orders(group, {("E1", "E3")}) == 2
+
+    def test_open_block_continues_before_an_earlier_unstarted_block(self):
+        # Blocks A = [A1], [A2] and B = [B1], [B2, B3] share class 1, and A
+        # sorts first. Once B1 is taken, B stays open and must finish before
+        # A may start.
+        group = [em("A1", 1, 9, (1, "0.5", ())), em("A2", 3, 9, (1, "0.5", ())),
+                 em("B1", 1, 9, (1, "0.5", ())), em("B2", 2, 9, (1, "0.5", ())),
+                 em("B3", 2, 9, (1, "0.5", ()))]
+        tdt = {("A1", "A2"), ("B1", "B2"), ("B1", "B3")}
+        assert exhaustive_orders(group, tdt) == [
+            ("A1", "A2", "B1", "B2", "B3"),
+            ("A1", "A2", "B1", "B3", "B2"),
+            ("B1", "B2", "B3", "A1", "A2"),
+            ("B1", "B3", "B2", "A1", "A2"),
+        ]
+        assert count_admissible_orders(group, tdt) == 4
+        graph = build_transition_graph(group, tdt, InfluenceSpec(), PlannerConfig(k_cap=4))
+        assert sorted(graph.root.edges["B1"].child.edges) == ["B2", "B3"]
 
     def test_matches_oracle_on_random_groups(self):
         for seed in range(40):
             rng = random.Random(7_000 + seed)
             group, tdt, _ = random_group(rng)
-            mine = sorted(iter_admissible_orders(group, tdt))
+            mine = exhaustive_orders(group, tdt)
             assert mine == sorted(set(mine)), "orders must be distinct"
             assert mine == oracle_orders(group, tdt)
             assert len(mine) == count_admissible_orders(group, tdt)
+
+    def test_matches_oracle_on_multi_level_blocks(self):
+        for seed in range(40):
+            group, tdt = welded_group(random.Random(8_000 + seed))
+            mine = exhaustive_orders(group, tdt)
+            assert mine == oracle_orders(group, tdt), seed
+            assert len(mine) == count_admissible_orders(group, tdt), seed
 
 
 class TestPatientGroup:
@@ -301,30 +385,51 @@ class TestSampling:
         assert set(iter_paths(one)) != set(iter_paths(two))
 
 
-class CountingInfluence(InfluenceSpec):
-    """Influence that records every `sigmas` query."""
-
-    def __init__(self, pairs):
-        super().__init__(pairs)
-        self.queries = []
-
-    def sigmas(self, influenced, active_others):
-        self.queries.append((influenced, frozenset(active_others)))
-        return super().sigmas(influenced, active_others)
+def all_pairs_group(n):
+    eids = [f"E{i}" for i in range(1, n + 1)]
+    pair = InfluencePair(sigma_p=F(1, 10), sigma_t=F(1, 10), sigma_ed=F(1, 10))
+    infl = InfluenceSpec({(a, b): pair for a in eids for b in eids if a != b})
+    return [em(eid, 5, 99, (1, "0.5", ())) for eid in eids], infl
 
 
 @pytest.mark.parametrize("k_cap, sampled", [(720, False), (100, True)])
-def test_each_remaining_set_is_priced_once(k_cap, sampled):
+def test_each_remaining_set_is_priced_once(k_cap, sampled, monkeypatch):
     # Influence depends only on which emergencies are pending, so a build
-    # prices each member of each remaining set once: 6 * 2**5 queries for
-    # six emergencies, whether all 720 orders or 100 drawn ones reach them.
-    eids = [f"E{i}" for i in range(1, 7)]
-    pair = InfluencePair(sigma_p=F(1, 10), sigma_t=F(1, 10), sigma_ed=F(1, 10))
-    infl = CountingInfluence({(a, b): pair for a in eids for b in eids if a != b})
-    group = [em(eid, 5, 99, (1, "0.5", ())) for eid in eids]
+    # folds the influence on each member of each remaining set once: 6 * 2**5
+    # complement products for six emergencies, whether all 720 orders or 100
+    # drawn ones reach them.
+    folds = []
+    fold = planner.complement_product
+
+    def counting(memo, comps, eid, remaining):
+        if (eid, remaining) not in memo:
+            folds.append((eid, remaining))
+        return fold(memo, comps, eid, remaining)
+
+    monkeypatch.setattr(planner, "complement_product", counting)
+    group, infl = all_pairs_group(6)
     graph = build_transition_graph(group, set(), infl, PlannerConfig(k_cap=k_cap))
     assert graph.sampled is sampled
-    assert len(infl.queries) == len(set(infl.queries)) == 6 * 2**5
+    assert len(folds) == len(set(folds)) == 6 * 2**5
+
+
+@pytest.mark.parametrize("k_cap, sampled", [(720, False), (100, True)])
+def test_build_leaves_no_cyclic_garbage(k_cap, sampled):
+    # Reference cycles would keep each build's tables alive until the cyclic
+    # collector runs, which shows as peak memory.
+    group, infl = all_pairs_group(6)
+    gc.collect()
+    gc.disable()
+    try:
+        graph = build_transition_graph(group, set(), infl, PlannerConfig(k_cap=k_cap))
+        assert graph.sampled is sampled
+        prob_first_select(graph)
+        time_first_select(graph)
+        path_count(graph)
+        del graph
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestGraphShape:

@@ -16,20 +16,27 @@ from feac.planner import (
     PlannerConfig,
     adjust_metrics,
     build_transition_graph,
+    complement_product,
     compute_p_value,
     count_admissible_orders,
-    iter_admissible_orders,
 )
 from feac.scenario import parse_scenario, print_scenario
 from feac.sim import run_simulation
 
-from planner_oracle import oracle_admissible, oracle_best
+from planner_oracle import iter_paths, oracle_best, oracle_orders
 from scenario_gen import generate_scenario_text, random_group
 
 F = Fraction
 
 fractions = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
 sigmas = st.fractions(min_value=0, max_value=F(99, 100), max_denominator=100)
+
+
+def combined_sigmas(spec, influenced, others):
+    """(sigma_p, sigma_t, sigma_ed) the planner applies to `influenced` under `others`."""
+    remaining = frozenset(others) | {influenced}
+    keep = complement_product({}, spec.complements(remaining), influenced, remaining)
+    return tuple(1 - k for k in keep)
 
 
 class TestExactNumbers:
@@ -50,7 +57,7 @@ class TestInfluenceComposition:
         spec = InfluenceSpec(
             pairs={(f"X{i}", "T"): InfluencePair(sigma_p=s) for i, s in enumerate(strengths)}
         )
-        combined, _, _ = spec.sigmas("T", [f"X{i}" for i in range(len(strengths))])
+        combined, _, _ = combined_sigmas(spec, "T", [f"X{i}" for i in range(len(strengths))])
         assert 0 <= combined < 1
         assert combined >= max(strengths)
 
@@ -60,7 +67,7 @@ class TestInfluenceComposition:
             spec = InfluenceSpec(
                 pairs={(f"X{i}", "T"): InfluencePair(sigma_t=s) for i, s in enumerate(ss)}
             )
-            return spec.sigmas("T", [f"X{i}" for i in range(len(ss))])[1]
+            return combined_sigmas(spec, "T", [f"X{i}" for i in range(len(ss))])[1]
 
         assert combined(strengths + [extra]) >= combined(strengths)
 
@@ -73,7 +80,8 @@ class TestInfluenceComposition:
         spec = InfluenceSpec(
             pairs={("X", "E1"): InfluencePair(sigma_p=sp, sigma_t=st_, sigma_ed=sed)}
         )
-        adjusted = adjust_metrics(em, ts, ["X"], spec, PlannerConfig())
+        keep = complement_product({}, spec.complements(["X", "E1"]), "E1", frozenset({"X", "E1"}))
+        adjusted = adjust_metrics(em, ts, keep, PlannerConfig())
         assert 0 < adjusted.p <= ts.prob
         assert adjusted.t >= ts.time
         assert adjusted.ed <= em.ed
@@ -84,11 +92,11 @@ class TestPlannerInvariants:
     @settings(max_examples=60, deadline=None)
     def test_enumerated_orders_are_admissible_distinct_and_counted(self, seed):
         group, tdt, _ = random_group(random.Random(seed))
-        orders = list(iter_admissible_orders(group, tdt))
-        assert len(orders) == len(set(orders))
-        assert len(orders) == count_admissible_orders(group, tdt)
-        for order in orders:
-            assert oracle_admissible(order, group, tdt)
+        count = count_admissible_orders(group, tdt)
+        graph = build_transition_graph(group, tdt, InfluenceSpec(), PlannerConfig(k_cap=count))
+        orders = sorted(iter_paths(graph))
+        assert orders == oracle_orders(group, tdt)
+        assert len(orders) == count
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
