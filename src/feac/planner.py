@@ -226,11 +226,13 @@ def adjust_metrics(
     Ed' = (1 - beta * (1 - keep_ed)) * Ed.
     """
     keep_p, keep_t, keep_ed = keep
+    # A complement of exactly 1 leaves t or Ed as is; skipping its four
+    # operations matters when most properties go uninfluenced.
     return AdjustedMetrics(
         ts=ts,
         p=keep_p * ts.prob,
-        t=(ONE + cfg.alpha * (ONE - keep_t)) * ts.time,
-        ed=(ONE - cfg.beta * (ONE - keep_ed)) * em.ed,
+        t=ts.time if keep_t == ONE else (ONE + cfg.alpha * (ONE - keep_t)) * ts.time,
+        ed=em.ed if keep_ed == ONE else (ONE - cfg.beta * (ONE - keep_ed)) * em.ed,
     )
 
 
