@@ -278,13 +278,8 @@ def _blocks(group: list[Emergency], tdt_pairs: set[tuple[str, str]]) -> list[lis
         levels: list[tuple[str, ...]] = []
         for _, level in itertools.groupby(component, key=lambda em: em.prio):
             levels.append(tuple(em.eid for em in level))
-        blocks.append(
-            _Block(
-                key=component[0].prio,
-                levels=tuple(levels),
-                members=frozenset(em.eid for em in component),
-            )
-        )
+        eids = frozenset(em.eid for em in component)
+        blocks.append(_Block(key=component[0].prio, levels=tuple(levels), members=eids))
 
     blocks.sort(key=lambda b: (b.key, b.first_eid))
     classes: list[list[_Block]] = []
