@@ -19,31 +19,27 @@ Equal-priority freedom can explode combinatorially, so when the number of
 admissible orders exceeds the configured cap K, exactly K distinct orders
 are drawn from a generator seeded from (seed, entity, gate, member ids).
 
-When the cap allows every admissible order, the graph is expanded state
-by state from the root, and a node stands for one state (remaining set,
-elapsed clock). Which emergencies may come next depends only on the set
-already processed: in the first priority class with members left, an open
-(partly processed) block continues with the members left of its first
-unfinished level; otherwise any unstarted block of that class may start
-with a member of its first level. Orders that reach an equal state share
-its node, and no order is enumerated. A sampled graph instead stays a
-prefix trie over the K drawn orders, since merging its states would admit
-orders that were never drawn. Either way the number of root-to-terminal
-paths equals the number of admissible orders, or K.
+When the cap allows every admissible order, the graph is expanded from
+the root state by state, and no order is enumerated. A node stands for one
+state (remaining set, elapsed clock), and orders reaching equal states
+share it. The emergencies that may come next follow from the set already
+processed: an open block continues with its first unfinished level, else
+any unstarted block of the first unfinished priority class may start. A
+sampled graph instead stays a prefix trie over the K drawn orders, since
+merging its states would admit orders that were never drawn. Either way
+the number of root-to-terminal paths equals the number of orders taken.
 
 Influence, and so every adjusted metric, depends only on which
 emergencies are still pending. Each remaining set is therefore priced once
 per build: p', t' and Ed' of every member under the others, and the set's
-deadline bound, the least of those Ed'. The complements (1 - sigma_p,
-1 - sigma_t, 1 - sigma_ed) of each influencing pair in the group are taken
-once per build, and the product of a member's complements under a set is
-the product under that set less one member times one pair's complements,
-so pricing a member of a set costs one multiply of each complement. An
-edge out of a node takes its metrics from its remaining set's price and is
-valid when its completion clock stays within that set's bound, which is
-exactly "no overshoot of its own adjusted deadline, nor of any other
-pending emergency's". A group with an emergency that has no executable
-task set completes no order, so its graph is the bare root.
+deadline bound, the least of those Ed'. Pricing is incremental: a member's
+product of pair complements (1 - sigma) under a set is its product under
+that set less one member, times one pair's complements. An edge out of a
+node takes its metrics from its remaining set's price and is valid when
+its completion clock stays within that set's bound, which is exactly "no
+overshoot of its own adjusted deadline, nor of any other pending
+emergency's". A group with an emergency that has no executable task set
+completes no order, so its graph is the bare root.
 
 The success value of the graph follows a max-product recursion: a
 terminal is worth 1, a valid edge processing e is worth p'(e) times its
@@ -194,9 +190,6 @@ def complement_product(
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Product of the complements `comps` of every pair (other, eid), other
     in `remaining` (which holds eid), memoized in `memo` on (eid, remaining).
-
-    Each entry costs one multiply of the entry for `remaining` less one other
-    member by that member's pair complements.
     """
     key = (eid, remaining)
     keep = memo.get(key)

@@ -191,7 +191,7 @@ class TestAdmissibleOrders:
         group = [em("E1", 1, 9, (1, "0.5", ())), em("E2", 1, 9, (1, "0.5", ())),
                  em("E3", 2, 9, (1, "0.5", ()))]
         assert count_admissible_orders(group, set()) == 2
-        assert exhaustive_orders(group, set()) == [
+        assert exhaustive_orders(group, set()) == oracle_orders(group, set()) == [
             ("E1", "E2", "E3"),
             ("E2", "E1", "E3"),
         ]
@@ -200,6 +200,7 @@ class TestAdmissibleOrders:
         group = [em("E1", 1, 9, (1, "0.5", ())), em("E2", 1, 9, (1, "0.5", ())),
                  em("E3", 2, 9, (1, "0.5", ()))]
         orders = exhaustive_orders(group, {("E1", "E3")})
+        assert orders == oracle_orders(group, {("E1", "E3")})
         assert orders == [("E1", "E3", "E2"), ("E2", "E1", "E3")]
         assert count_admissible_orders(group, {("E1", "E3")}) == 2
 
@@ -211,7 +212,7 @@ class TestAdmissibleOrders:
                  em("B1", 1, 9, (1, "0.5", ())), em("B2", 2, 9, (1, "0.5", ())),
                  em("B3", 2, 9, (1, "0.5", ()))]
         tdt = {("A1", "A2"), ("B1", "B2"), ("B1", "B3")}
-        assert exhaustive_orders(group, tdt) == [
+        assert exhaustive_orders(group, tdt) == oracle_orders(group, tdt) == [
             ("A1", "A2", "B1", "B2", "B3"),
             ("A1", "A2", "B1", "B3", "B2"),
             ("B1", "B2", "B3", "A1", "A2"),
