@@ -8,6 +8,10 @@ returns the compiled scenario plus a list of positioned diagnostics; the
 scenario is only usable when the list is empty. `print_scenario` renders
 a canonical form that reparses to the same scenario.
 
+The lexer makes one `finditer` pass whose last alternative catches any
+unexpected character, and takes each column from the match offset less
+the offset where its line starts.
+
 Parse errors resynchronize at the next line that starts with a top-level
 keyword, so one broken declaration yields one diagnostic, not a cascade.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .constraints import (
     CMP_OPS,
@@ -110,8 +115,7 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # name | number | string | punct | eof
     value: str
     line: int
@@ -128,6 +132,7 @@ _TOKEN_RE = re.compile(
     | (?P<number>-?(?:\d+(?:\.\d+)?|\.\d+))
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<punct>->|<=|>=|!=|[{}\[\](),=<>@])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -136,30 +141,24 @@ _TOKEN_RE = re.compile(
 def tokenize(text: str, filename: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col = 1, 1
+    line, line_start = 1, 0
     fresh_line = True
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            diags.append(Diagnostic(filename, line, col, f"unexpected character {text[pos]!r}"))
-            pos += 1
-            col += 1
-            continue
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        value = match.group()
+        if kind == "ws" or kind == "comment":
+            continue
         if kind == "nl":
             line += 1
-            col = 1
+            line_start = match.end()
             fresh_line = True
-        elif kind in ("ws", "comment"):
-            col += len(value)
+        elif kind == "bad":
+            col = match.start() - line_start + 1
+            diags.append(Diagnostic(filename, line, col, f"unexpected character {match.group()!r}"))
         else:
-            tokens.append(Token(kind, value, line, col, fresh_line))
+            col = match.start() - line_start + 1
+            tokens.append(Token(kind, match.group(), line, col, fresh_line))
             fresh_line = False
-            col += len(value)
-        pos = match.end()
-    tokens.append(Token("eof", "", line, col, True))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1, True))
     return tokens, diags
 
 

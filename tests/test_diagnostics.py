@@ -212,6 +212,9 @@ def test_case_gives_exactly_its_diagnostic(case, want):
     [
         ("\n  entity P1\n", "2:3: missing scenario declaration"),
         ("scenario t\nentity", "2:7: expected an entity name, found end of input"),
+        # A tab counts as one column.
+        ("scenario t\nentity\t\t$P1\n", "2:9: unexpected character '$'"),
+        ("scenario t\nentity P1 $", "2:11: unexpected character '$'"),
     ],
 )
 def test_whole_text_gives_exactly_its_diagnostic(text, want):

@@ -1,9 +1,20 @@
-"""Scenario language: parsing, diagnostics, and the canonical printer."""
+"""Scenario language: lexing, parsing, diagnostics, and the canonical printer."""
 
+import random
 from fractions import Fraction
 
+import pytest
+
 from feac.fixtures import hospital_text
-from feac.scenario import load_scenario, parse_scenario, print_scenario
+from feac.scenario import (
+    _TOKEN_RE,
+    Diagnostic,
+    Token,
+    load_scenario,
+    parse_scenario,
+    print_scenario,
+    tokenize,
+)
 from feac.sim import run_simulation
 
 from mutations import MUTANTS, apply
@@ -78,6 +89,87 @@ class TestDiagnostics:
         mutant = MUTANTS[0]
         _, diags = parse_scenario(apply(mutant, hospital_text()), "ward.feac")
         assert str(diags[0]) == "ward.feac:10:13: unexpected character '$'"
+
+
+def reference_tokenize(text: str, filename: str):
+    """The position loop the one-pass lexer replaced: one `match` per
+    step, with the column counted forward over every matched character.
+    A `bad` match stands where the loop's pattern once matched nothing."""
+    tokens = []
+    diags = []
+    line, col = 1, 1
+    fresh_line = True
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match.lastgroup == "bad":
+            diags.append(Diagnostic(filename, line, col, f"unexpected character {text[pos]!r}"))
+            pos += 1
+            col += 1
+            continue
+        kind = match.lastgroup
+        value = match.group()
+        if kind == "nl":
+            line += 1
+            col = 1
+            fresh_line = True
+        elif kind in ("ws", "comment"):
+            col += len(value)
+        else:
+            tokens.append(Token(kind, value, line, col, fresh_line))
+            fresh_line = False
+            col += len(value)
+        pos = match.end()
+    tokens.append(Token("eof", "", line, col, True))
+    return tokens, diags
+
+
+def lexer_mutants(count: int, seed: int = 8):
+    """Seeded edits of the hospital fixture that insert characters the
+    lexer must skip, reject or count, delete characters, or cut the text."""
+    base = hospital_text()
+    inserts = ["$", "é", "\t", "\r", "\f", "\r\n", '"', '"x', "#", "# c", "-", "\n"]
+    rng = random.Random(seed)
+    for _ in range(count):
+        chars = list(base)
+        for _ in range(rng.randint(1, 5)):
+            pos = rng.randrange(len(chars) + 1)
+            if rng.random() < 0.8:
+                chars[pos:pos] = rng.choice(inserts)
+            else:
+                del chars[pos - 1 : pos]
+        if rng.random() < 0.2:
+            chars = chars[: rng.randrange(len(chars) + 1)]
+        yield "".join(chars)
+
+
+class TestLexer:
+    def assert_matches_reference(self, text):
+        tokens, diags = tokenize(text, "t.feac")
+        want_tokens, want_diags = reference_tokenize(text, "t.feac")
+        assert tokens == want_tokens, text
+        assert diags == want_diags, text
+
+    def test_matches_reference_on_clean_texts(self):
+        for text in [hospital_text(), ""] + [generate_scenario_text(s) for s in range(12)]:
+            self.assert_matches_reference(text)
+
+    def test_matches_reference_on_damaged_texts(self):
+        edge_cases = [
+            'scenario t\nentity "P1',
+            "scenario t\r\nentity P1\r\n",
+            "scenario t\n# last line, no newline",
+            "\f$\t\n\té",
+        ]
+        for text in edge_cases + list(lexer_mutants(300)):
+            self.assert_matches_reference(text)
+
+    def test_tokens_are_immutable_and_hashable(self):
+        tok = tokenize("scenario t", "t.feac")[0][1]
+        assert tok == Token("name", "t", 1, 10, False)
+        assert hash(tok) == hash(Token("name", "t", 1, 10, False))
+        with pytest.raises(AttributeError):
+            tok.col = 3
 
 
 class TestPrinter:
