@@ -53,6 +53,7 @@ visit the nodes once more, children first.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -282,10 +283,12 @@ def _blocks(group: list[Emergency], tdt_pairs: set[tuple[str, str]]) -> list[lis
 
 
 def count_admissible_orders(group: list[Emergency], tdt_pairs: set[tuple[str, str]]) -> int:
-    import math
+    return _order_count(_blocks(group, tdt_pairs))
 
+
+def _order_count(classes: list[list[_Block]]) -> int:
     total = 1
-    for cls in _blocks(group, tdt_pairs):
+    for cls in classes:
         total *= math.factorial(len(cls))
         for block in cls:
             for level in block.levels:
@@ -318,17 +321,14 @@ def _next_eids(classes: list[list[_Block]], remaining: frozenset[str]) -> list[s
 
 
 def sample_admissible_orders(
-    group: list[Emergency],
-    tdt_pairs: set[tuple[str, str]],
-    k: int,
-    rng: random.Random,
+    classes: list[list[_Block]], k: int, rng: random.Random
 ) -> list[tuple[str, ...]]:
-    """Exactly `k` distinct admissible orders drawn uniformly at random.
+    """Exactly `k` distinct admissible orders of `classes` (from `_blocks`)
+    drawn uniformly at random.
 
     The caller guarantees k is strictly less than the total count, so
     rejection of duplicates terminates.
     """
-    classes = _blocks(group, tdt_pairs)
     seen: set[tuple[str, ...]] = set()
     out: list[tuple[str, ...]] = []
     while len(out) < k:
@@ -373,9 +373,9 @@ def build_transition_graph(
         raise ValueError(f"group spans entities {sorted(entities)}")
     group = sorted(group, key=lambda em: em.eid)
     by_eid = {em.eid: em for em in group}
-    pairs = {(a, b) for a, b in tdt_pairs if a in by_eid and b in by_eid}
 
-    total = count_admissible_orders(group, pairs)
+    classes = _blocks(group, tdt_pairs)
+    total = _order_count(classes)
     sampled = total > cfg.k_cap
     root = GraphNode(remaining=frozenset(by_eid), elapsed=gate_release)
     nodes: dict[tuple, GraphNode] = {() if sampled else (root.remaining, root.elapsed): root}
@@ -406,10 +406,10 @@ def build_transition_graph(
         key = "{}|{}|{}|{}".format(
             cfg.seed, group[0].entity, format_number(gate_release), ",".join(sorted(by_eid))
         )
-        orders = sample_admissible_orders(group, pairs, cfg.k_cap, random.Random(key))
+        orders = sample_admissible_orders(classes, cfg.k_cap, random.Random(key))
         _insert_orders(nodes, root, orders, price)
     else:
-        _expand_states(nodes, root, _blocks(group, pairs), price)
+        _expand_states(nodes, root, classes, price)
     graph.optimal = _best_suffix(graph, require_valid=True, rank=_prob_rank)
     return graph
 

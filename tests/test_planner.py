@@ -415,6 +415,23 @@ def test_each_remaining_set_is_priced_once(k_cap, sampled, monkeypatch):
 
 
 @pytest.mark.parametrize("k_cap, sampled", [(720, False), (100, True)])
+def test_each_build_computes_its_blocks_once(k_cap, sampled, monkeypatch):
+    calls = []
+    blocks = planner._blocks
+
+    def counting(group, tdt_pairs):
+        calls.append(len(group))
+        return blocks(group, tdt_pairs)
+
+    monkeypatch.setattr(planner, "_blocks", counting)
+    group, infl = all_pairs_group(6)
+    graph = build_transition_graph(group, {("E1", "E2")}, infl, PlannerConfig(k_cap=k_cap))
+    assert graph.sampled is sampled
+    assert graph.order_count == 240
+    assert calls == [6]
+
+
+@pytest.mark.parametrize("k_cap, sampled", [(720, False), (100, True)])
 def test_build_leaves_no_cyclic_garbage(k_cap, sampled):
     # Reference cycles would keep each build's tables alive until the cyclic
     # collector runs, which shows as peak memory.
