@@ -135,6 +135,8 @@ class AuditLog:
 def parse_trace(text: str) -> list[AuditRecord]:
     """Parse a trace file; raises AuditFormatError with the offending line."""
     records: list[AuditRecord] = []
+    # A run stamps many records with each clock value.
+    stamps: dict[str, Fraction] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -146,10 +148,12 @@ def parse_trace(text: str) -> list[AuditRecord]:
             seq = int(seq_text)
         except ValueError:
             raise AuditFormatError(line_no, f"bad sequence number {seq_text!r}") from None
-        try:
-            ts = Fraction(ts_text)
-        except (ValueError, ZeroDivisionError):
-            raise AuditFormatError(line_no, f"bad timestamp {ts_text!r}") from None
+        ts = stamps.get(ts_text)
+        if ts is None:
+            try:
+                ts = stamps[ts_text] = Fraction(ts_text)
+            except (ValueError, ZeroDivisionError):
+                raise AuditFormatError(line_no, f"bad timestamp {ts_text!r}") from None
         fields = KIND_FIELDS.get(kind)
         if fields is None:
             raise AuditFormatError(line_no, f"unknown kind {kind!r}")

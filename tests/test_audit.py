@@ -136,6 +136,38 @@ class TestParseTrace:
             parse_trace(text)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1|1/0|entity_failed|entity=P1\n", "line 1: bad timestamp '1/0'"),
+            (
+                "1|0|entity_failed|entity=P1\n2|x|entity_failed|entity=P2\n",
+                "line 2: bad timestamp 'x'",
+            ),
+            (
+                "1|1/2|entity_failed|entity=P1\n\n2|0.5|entity_failed|entity=P2\n"
+                "3|1/2|entity_failed|entity=P1\n4|0.25|entity_failed|entity=P2\n",
+                "line 5: timestamps must be non-decreasing",
+            ),
+            (
+                "1|0|entity_failed|entity=P1\n2|0|entity_failed|entity=P1\n"
+                "2|1|entity_failed|entity=P2\n",
+                "line 3: sequence 2 out of order",
+            ),
+        ],
+    )
+    def test_ordering_and_timestamp_errors_name_their_line(self, text, message):
+        with pytest.raises(AuditFormatError) as err:
+            parse_trace(text)
+        assert str(err.value) == message
+
+    def test_equal_timestamp_texts_give_equal_values(self):
+        records = parse_trace(
+            "1|3/2|entity_failed|entity=P1\n2|1.5|entity_failed|entity=P2\n"
+            "3|3/2|entity_failed|entity=P1\n"
+        )
+        assert [r.ts for r in records] == [F(3, 2)] * 3
+
 
 def test_encode_acl_entries():
     entries = [AclEntry("Doctor", Op.READ_WRITE, F(9, 2)), AclEntry("Nurse", Op.USE)]
