@@ -32,9 +32,12 @@ the number of root-to-terminal paths equals the number of orders taken.
 Influence, and so every adjusted metric, depends only on which
 emergencies are still pending. Each remaining set is therefore priced once
 per build: p', t' and Ed' of every member under the others, and the set's
-deadline bound, the least of those Ed'. Pricing is incremental: a member's
-product of pair complements (1 - sigma) under a set is its product under
-that set less one member, times one pair's complements. An edge out of a
+deadline bound, the least of those Ed'. Pricing is incremental and works
+on integer pairs (numerator, denominator) that are never reduced: a
+member's product of pair complements (1 - sigma) under a set is its
+product under that set less one member, times one pair's complements, and
+a complement of exactly 1 is skipped. Each of p', t' and Ed' then becomes
+one Fraction over its whole formula. An edge out of a
 node takes its metrics from its remaining set's price and is valid when
 its completion clock stays within that set's bound, which is exactly "no
 overshoot of its own adjusted deadline, nor of any other pending
@@ -47,7 +50,9 @@ child, and an invalid edge is worth 0. The value of a node is the best of
 its edges. The build ends with one children-first pass that finds the
 best all-valid path, and the graph keeps it: the value and the optimal
 path are both read from it. Fallback selection and path counting each
-visit the nodes once more, children first.
+visit the nodes once more, children first. These passes carry each node's
+best product and time as integer pairs, rank them by cross-multiplication,
+and make Fractions only for the path they return.
 """
 
 from __future__ import annotations
@@ -60,6 +65,13 @@ from fractions import Fraction
 
 from .exact import ONE, ZERO, format_number
 from .model import Emergency, TaskSet
+
+
+# An exact value as an integer pair (numerator, denominator > 0), never
+# reduced; one such pair per property p, t, Ed.
+Ratio = tuple[int, int]
+Keep = tuple[Ratio, Ratio, Ratio]
+UNIT: Keep = ((1, 1), (1, 1), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -82,14 +94,18 @@ class InfluenceSpec:
 
     pairs: dict[tuple[str, str], InfluencePair] = field(default_factory=dict)
 
-    def complements(self, eids) -> dict[tuple[str, str], tuple[Fraction, Fraction, Fraction]]:
-        """(1 - sigma_p, 1 - sigma_t, 1 - sigma_ed) of every influencing pair among `eids`."""
+    def complements(self, eids) -> dict[tuple[str, str], Keep]:
+        """(1 - sigma_p, 1 - sigma_t, 1 - sigma_ed) of every influencing pair
+        among `eids`, each an integer pair (numerator, denominator)."""
         out = {}
         for a in eids:
             for b in eids:
                 pair = self.pairs.get((a, b))
                 if pair is not None:
-                    out[a, b] = (ONE - pair.sigma_p, ONE - pair.sigma_t, ONE - pair.sigma_ed)
+                    out[a, b] = tuple(
+                        (s.denominator - s.numerator, s.denominator)
+                        for s in (pair.sigma_p, pair.sigma_t, pair.sigma_ed)
+                    )
         return out
 
 
@@ -184,50 +200,56 @@ def select_task_set(em: Emergency, available_resources: frozenset[str] | None) -
 
 
 def complement_product(
-    memo: dict,
-    comps: dict[tuple[str, str], tuple[Fraction, Fraction, Fraction]],
-    eid: str,
-    remaining: frozenset[str],
-) -> tuple[Fraction, Fraction, Fraction]:
+    memo: dict, comps: dict[tuple[str, str], Keep], eid: str, remaining: frozenset[str]
+) -> Keep:
     """Product of the complements `comps` of every pair (other, eid), other
     in `remaining` (which holds eid), memoized in `memo` on (eid, remaining).
+    A complement of exactly 1 is skipped, so an uninfluenced property stays
+    (1, 1).
     """
     key = (eid, remaining)
     keep = memo.get(key)
     if keep is None:
         others = remaining - {eid}
         if not others:
-            keep = (ONE, ONE, ONE)
+            keep = UNIT
         else:
             other = max(others)
             keep = complement_product(memo, comps, eid, remaining - {other})
             comp = comps.get((other, eid))
             if comp is not None:
-                keep = (keep[0] * comp[0], keep[1] * comp[1], keep[2] * comp[2])
+                keep = tuple(
+                    k if cn == cd else (k[0] * cn, k[1] * cd) for k, (cn, cd) in zip(keep, comp)
+                )
         memo[key] = keep
     return keep
 
 
-def adjust_metrics(
-    em: Emergency,
-    ts: TaskSet,
-    keep: tuple[Fraction, Fraction, Fraction],
-    cfg: PlannerConfig,
-) -> AdjustedMetrics:
+def adjust_metrics(em: Emergency, ts: TaskSet, keep: Keep, cfg: PlannerConfig) -> AdjustedMetrics:
     """Apply the combined influence `keep`, a `complement_product`, to (p, t, Ed).
 
     p' = keep_p * p, t' = (1 + alpha * (1 - keep_t)) * t,
     Ed' = (1 - beta * (1 - keep_ed)) * Ed.
     """
-    keep_p, keep_t, keep_ed = keep
-    # A complement of exactly 1 leaves t or Ed as is; skipping its four
-    # operations matters when most properties go uninfluenced.
-    return AdjustedMetrics(
-        ts=ts,
-        p=keep_p * ts.prob,
-        t=ts.time if keep_t == ONE else (ONE + cfg.alpha * (ONE - keep_t)) * ts.time,
-        ed=em.ed if keep_ed == ONE else (ONE - cfg.beta * (ONE - keep_ed)) * em.ed,
-    )
+    (pn, pd), (tn, td), (en, ed) = keep
+    # Each value is one Fraction over the whole formula in integers. A
+    # complement product of exactly 1 leaves its value as is, which matters
+    # when most properties go uninfluenced.
+    p = ts.prob
+    if pn != pd:
+        p = Fraction(pn * p.numerator, pd * p.denominator)
+    t = ts.time
+    if tn != td:
+        # 1 + (an / ad) * (td - tn) / td = (ad * td + an * (td - tn)) / (ad * td)
+        an, ad = cfg.alpha.numerator, cfg.alpha.denominator
+        t = Fraction((ad * td + an * (td - tn)) * t.numerator, ad * td * t.denominator)
+    deadline = em.ed
+    if en != ed:
+        bn, bd = cfg.beta.numerator, cfg.beta.denominator
+        deadline = Fraction(
+            (bd * ed - bn * (ed - en)) * deadline.numerator, bd * ed * deadline.denominator
+        )
+    return AdjustedMetrics(ts=ts, p=p, t=t, ed=deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +432,7 @@ def build_transition_graph(
         _insert_orders(nodes, root, orders, price)
     else:
         _expand_states(nodes, root, classes, price)
-    graph.optimal = _best_suffix(graph, require_valid=True, rank=_prob_rank)
+    graph.optimal = _best_suffix(graph, require_valid=True, time_first=False)
     return graph
 
 
@@ -470,35 +492,54 @@ def _children_first(graph: ResponseGraph) -> list[GraphNode]:
     return sorted(graph.nodes.values(), key=lambda node: len(node.remaining))
 
 
-def _best_suffix(graph: ResponseGraph, require_valid: bool, rank) -> _Suffix | None:
-    """Root-to-terminal path of least `rank`, skipping dead edges when
-    `require_valid`; None when no such path completes."""
-    best: dict[GraphNode, _Suffix | None] = {}
+def _best_suffix(graph: ResponseGraph, require_valid: bool, time_first: bool) -> _Suffix | None:
+    """Root-to-terminal path of least rank, skipping dead edges when
+    `require_valid`; None when no such path completes.
+
+    Paths rank by (-product, time, eids), or by (time, -product, eids) when
+    `time_first`. Each node keeps its best suffix as integer pairs
+    (product, time) plus the eid of its first step; the edges out of a node
+    process distinct emergencies, so their suffixes' eids differ in the
+    first place.
+    """
+    best: dict[GraphNode, tuple | None] = {}
     for node in _children_first(graph):
         if not node.remaining:
-            best[node] = _Suffix(ONE, ZERO, ())
+            best[node] = (1, 1, 0, 1, "")
             continue
-        candidates = []
+        top = None
         for eid, edge in node.edges.items():
             child = best[edge.child]
-            if child is not None and (edge.valid or not require_valid):
-                candidates.append(
-                    _Suffix(
-                        product=edge.metrics.p * child.product,
-                        time=edge.metrics.t + child.time,
-                        eids=(eid,) + child.eids,
-                    )
-                )
-        best[node] = min(candidates, key=rank, default=None)
-    return best[graph.root]
+            if child is None or (require_valid and not edge.valid):
+                continue
+            cpn, cpd, ctn, ctd, _ = child
+            p, t = edge.metrics.p, edge.metrics.t
+            tn, td = t.numerator, t.denominator
+            here = (p.numerator * cpn, p.denominator * cpd, tn * ctd + ctn * td, td * ctd, eid)
+            if top is None or _ranks_before(here, top, time_first):
+                top = here
+        best[node] = top
+    top = best[graph.root]
+    if top is None:
+        return None
+    eids = []
+    node = graph.root
+    while node.remaining:
+        eid = best[node][4]
+        eids.append(eid)
+        node = node.edges[eid].child
+    return _Suffix(Fraction(top[0], top[1]), Fraction(top[2], top[3]), tuple(eids))
 
 
-def _prob_rank(s: _Suffix):
-    return (-s.product, s.time, s.eids)
-
-
-def _time_rank(s: _Suffix):
-    return (s.time, -s.product, s.eids)
+def _ranks_before(a: tuple, b: tuple, time_first: bool) -> bool:
+    """Whether suffix `a` ranks before `b`, both as `_best_suffix` keeps
+    them, by cross-multiplying their positive denominators."""
+    # a's product is the larger when pb < pa, its time the smaller when ta < tb.
+    pa, pb = a[0] * b[1], b[0] * a[1]
+    ta, tb = a[2] * b[3], b[2] * a[3]
+    if time_first:
+        return (ta, pb, a[4]) < (tb, pa, b[4])
+    return (pb, ta, a[4]) < (pa, tb, b[4])
 
 
 def _path_from(graph: ResponseGraph, best: _Suffix | None) -> PlanPath:
@@ -539,12 +580,12 @@ def select_optimal_path(graph: ResponseGraph) -> PlanPath | None:
 
 def prob_first_select(graph: ResponseGraph) -> PlanPath:
     """Fallback: ignore deadlines, maximize success probability."""
-    return _path_from(graph, _best_suffix(graph, require_valid=False, rank=_prob_rank))
+    return _path_from(graph, _best_suffix(graph, require_valid=False, time_first=False))
 
 
 def time_first_select(graph: ResponseGraph) -> PlanPath:
     """Fallback: ignore deadlines, minimize total adjusted time."""
-    return _path_from(graph, _best_suffix(graph, require_valid=False, rank=_time_rank))
+    return _path_from(graph, _best_suffix(graph, require_valid=False, time_first=True))
 
 
 def path_count(graph: ResponseGraph) -> int:

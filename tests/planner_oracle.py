@@ -115,10 +115,12 @@ def oracle_walk(
     beta: Fraction,
     gate: Fraction = ZERO,
     available=None,
+    deadlines: bool = True,
 ):
     """Price one order. Returns (product, total_time) or None when any step
     dies: no executable task set, own adjusted deadline overshot, or some
-    other still-pending emergency pushed past its adjusted deadline."""
+    other still-pending emergency pushed past its adjusted deadline. With
+    `deadlines` off only a missing task set kills a step."""
     by_eid = {em.eid: em for em in group}
     elapsed = gate
     product = ONE
@@ -135,9 +137,9 @@ def oracle_walk(
         t_adj = (ONE + alpha * sigma_t) * ts.time
         ed_adj = (ONE - beta * sigma_ed) * em.ed
         finish = elapsed + t_adj
-        if finish > ed_adj:
+        if deadlines and finish > ed_adj:
             return None
-        for other in others:
+        for other in others if deadlines else ():
             _, _, other_sigma_ed = _combined_sigmas(other, remaining - {other}, pairs)
             other_ed = (ONE - beta * other_sigma_ed) * by_eid[other].ed
             if finish > other_ed:
@@ -175,6 +177,32 @@ def oracle_best(
             best_key = key
             best_order = order
     return pv, (best_order if pv > ZERO else None)
+
+
+def oracle_fallback(
+    group: list[Emergency],
+    tdt_pairs,
+    pairs,
+    time_first: bool,
+    alpha: Fraction = ONE,
+    available=None,
+):
+    """(order, product, total_time) of the admissible order a fallback
+    selector picks, deadlines ignored: least (-product, total, order), or
+    least (total, -product, order) when `time_first`. None when no order
+    completes."""
+    best_key = None
+    best = None
+    for order in oracle_orders(group, tdt_pairs):
+        priced = oracle_walk(order, group, pairs, alpha, ONE, ZERO, available, deadlines=False)
+        if priced is None:
+            continue
+        product, total = priced
+        key = (total, -product, order) if time_first else (-product, total, order)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (order, product, total)
+    return best
 
 
 def iter_paths(graph):

@@ -196,14 +196,14 @@ def test_criterion_5(tmp_path):
 
 @criterion(6, "equal seeds produce byte-identical trace files")
 def test_criterion_6(hospital_path, tmp_path):
-    files = [str(tmp_path / "a.trace"), str(tmp_path / "b.trace")]
+    files = [tmp_path / "a.trace", tmp_path / "b.trace"]
     for path in files:
         out, err = io.StringIO(), io.StringIO()
         code = main(
-            ["simulate", hospital_path, "--seed", "7", "--trace", path], out, err
+            ["simulate", hospital_path, "--seed", "7", "--trace", str(path)], out, err
         )
         assert code == 0
-    first, second = (open(p, "rb").read() for p in files)
+    first, second = (path.read_bytes() for path in files)
     assert first == second
     assert first  # non-empty
 

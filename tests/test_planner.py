@@ -5,16 +5,19 @@ oracle in planner_oracle.py) before being frozen, so a regression in the
 planner cannot silently re-derive them.
 """
 
+import ast
 import gc
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from planner_oracle import (
     iter_paths,
     oracle_admissible,
     oracle_best,
+    oracle_fallback,
     oracle_orders,
     oracle_walk,
 )
@@ -95,13 +98,14 @@ class TestSelectTaskSet:
 
 
 def keep_under(infl, influenced, others):
-    """The planner's complement product of `others` acting on `influenced`."""
+    """The planner's complement product of `others` acting on `influenced`,
+    as integer pairs (numerator, denominator)."""
     remaining = frozenset(others) | {influenced}
     return complement_product({}, infl.complements(remaining), influenced, remaining)
 
 
 def combined_sigmas(infl, influenced, others):
-    return tuple(1 - k for k in keep_under(infl, influenced, others))
+    return tuple(1 - F(num, den) for num, den in keep_under(infl, influenced, others))
 
 
 class TestInfluenceArithmetic:
@@ -339,6 +343,24 @@ class TestFallbackSelectors:
         assert path.product == F(1, 8)
         assert path.total_time == F(4)
 
+    def test_zero_products_tie_and_time_decides(self):
+        # A's only task set never succeeds, so every order is worth 0 and
+        # probability first ranks by time like time first. B takes 3 while
+        # A is pending and 2 after, so the three orders with A before B tie
+        # at 4 and the smallest of them wins.
+        group = [em("A", 1, 1, (1, "0", ())), em("B", 1, 1, (2, "0.5", ())),
+                 em("C", 1, 1, (1, "0.9", ()))]
+        infl = InfluenceSpec(pairs={("A", "B"): InfluencePair(sigma_t=F(1, 2))})
+        graph = build_transition_graph(group, set(), infl, PlannerConfig())
+        assert compute_p_value(graph) == 0
+        assert select_optimal_path(graph) is None
+        for select, time_first in ((prob_first_select, False), (time_first_select, True)):
+            path = select(graph)
+            assert (path.eids, path.product, path.total_time) == (("A", "B", "C"), 0, 4)
+            assert oracle_fallback(group, set(), infl.pairs, time_first) == (
+                ("A", "B", "C"), 0, 4
+            )
+
     def test_selectors_on_empty_graph(self):
         starved = em("A", 1, 10, (1, "0.9", ("MRI",)))
         graph = build_transition_graph(
@@ -532,3 +554,65 @@ def test_every_path_is_priced_like_the_oracle():
                 assert (product, total) == priced, (case, order)
             seen["valid path" if valid else "dead path"] += 1
     assert min(seen.values()) >= 40, seen
+
+
+@pytest.mark.parametrize("time_first", [False, True])
+def test_fallback_selectors_match_oracle(time_first):
+    # The fallbacks ignore deadlines, so every admissible order competes.
+    select = time_first_select if time_first else prob_first_select
+    sizes = Counter()
+    for case in range(80):
+        rng = random.Random(150_000 + case)
+        group, tdt, infl = random_group(rng, max_size=7)
+        alpha = rng.choice([F(1, 2), F(1), F(2)])
+        available = rng.choice([None, frozenset({"R1"}), frozenset({"R1", "R2"})])
+        orders = count_admissible_orders(group, tdt)
+        cfg = PlannerConfig(alpha=alpha, k_cap=orders)
+        graph = build_transition_graph(group, tdt, infl, cfg, available_resources=available)
+        assert not graph.sampled
+        path = select(graph)
+        want = oracle_fallback(group, tdt, infl.pairs, time_first, alpha, available)
+        if want is None:
+            assert path.steps == (), case
+        else:
+            assert (path.eids, path.product, path.total_time) == want, case
+            sizes[len(group)] += 1
+    assert sizes[7] and sizes[6], sizes
+
+
+def test_planner_values_are_fractions():
+    # Integer arithmetic inside the planner must leave it as Fractions only;
+    # a true division of two ints would leave a float here.
+    seen = Counter()
+    for case in range(120):
+        rng = random.Random(170_000 + case)
+        group, tdt, infl = random_group(rng, max_size=6)
+        alpha = rng.choice([F(1, 2), F(1), F(2)])
+        beta = rng.choice([F(1, 2), F(1), F(2)])
+        orders = count_admissible_orders(group, tdt)
+        k_cap = rng.randint(1, orders - 1) if orders > 1 and rng.random() < 0.5 else orders
+        cfg = PlannerConfig(alpha=alpha, beta=beta, k_cap=k_cap, seed=case)
+        graph = build_transition_graph(group, tdt, infl, cfg, gate_release=F(rng.randint(0, 8), 2))
+        seen["sampled" if graph.sampled else "exhaustive"] += 1
+        values = []
+        for node in graph.nodes.values():
+            values.append(node.elapsed)
+            for edge in node.edges.values():
+                values += [edge.metrics.p, edge.metrics.t, edge.metrics.ed]
+        if graph.optimal is not None:
+            seen["optimal"] += 1
+            values += [graph.optimal.product, graph.optimal.time]
+        paths = [select_optimal_path(graph), prob_first_select(graph), time_first_select(graph)]
+        for path in filter(None, paths):
+            values += [path.product, path.total_time]
+            for step in path.steps:
+                values += [step.p, step.t, step.ed, step.end_elapsed]
+        assert all(type(value) is Fraction for value in values), case
+    assert min(seen.values()) >= 20, seen
+
+
+def test_planner_source_has_no_true_division_or_float():
+    tree = ast.parse(Path(planner.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        assert not isinstance(getattr(node, "op", None), ast.Div), node.lineno
+        assert not (isinstance(node, ast.Name) and node.id == "float"), node.lineno

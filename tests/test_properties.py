@@ -4,12 +4,13 @@ import random
 import string
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feac.audit import AuditLog, parse_trace
 from feac.checks import check_trace
 from feac.exact import format_number, parse_number
+from feac.model import Emergency, Op, TaskSet
 from feac.planner import (
     InfluencePair,
     InfluenceSpec,
@@ -30,13 +31,14 @@ F = Fraction
 
 fractions = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
 sigmas = st.fractions(min_value=0, max_value=F(99, 100), max_denominator=100)
+weights = st.sampled_from([F(1, 2), F(1), F(2)])
 
 
 def combined_sigmas(spec, influenced, others):
     """(sigma_p, sigma_t, sigma_ed) the planner applies to `influenced` under `others`."""
     remaining = frozenset(others) | {influenced}
     keep = complement_product({}, spec.complements(remaining), influenced, remaining)
-    return tuple(1 - k for k in keep)
+    return tuple(1 - F(num, den) for num, den in keep)
 
 
 class TestExactNumbers:
@@ -71,10 +73,39 @@ class TestInfluenceComposition:
 
         assert combined(strengths + [extra]) >= combined(strengths)
 
+    @given(
+        st.lists(st.tuples(sigmas, st.one_of(st.just(F(0)), sigmas), sigmas), max_size=4),
+        weights,
+        weights,
+        st.fractions(min_value=0, max_value=1, max_denominator=100),
+        st.fractions(min_value=F(1, 100), max_value=100, max_denominator=100),
+        st.fractions(min_value=F(1, 100), max_value=100, max_denominator=100),
+    )
+    # beta * sigma_ed > 1 drives Ed' below zero.
+    @example([(F(1, 5), F(0), F(3, 4))], F(1), F(2), F(9, 10), F(3, 2), F(20))
+    @example([(F(0), F(1, 4), F(99, 100)), (F(1, 2), F(0), F(0))], F(1, 2), F(2), F(1), F(1), F(7))
+    def test_adjusted_metrics_follow_the_formulas(self, influences, alpha, beta, prob, time, ed):
+        ts = TaskSet("TS1", (("O1", Op.USE),), time=time, prob=prob)
+        em = Emergency("E1", "P1", 2, ed, True, (ts,))
+        others = [f"X{i}" for i in range(len(influences))]
+        spec = InfluenceSpec(
+            pairs={(x, "E1"): InfluencePair(*sigma) for x, sigma in zip(others, influences)}
+        )
+        remaining = frozenset(others) | {"E1"}
+        keep = complement_product({}, spec.complements(remaining), "E1", remaining)
+        got = adjust_metrics(em, ts, keep, PlannerConfig(alpha=alpha, beta=beta))
+        keep_p = keep_t = keep_ed = F(1)
+        for sigma_p, sigma_t, sigma_ed in influences:
+            keep_p *= 1 - sigma_p
+            keep_t *= 1 - sigma_t
+            keep_ed *= 1 - sigma_ed
+        assert got.p == keep_p * prob
+        assert got.t == (1 + alpha * (1 - keep_t)) * time
+        assert got.ed == (1 - beta * (1 - keep_ed)) * ed
+        assert all(type(value) is Fraction for value in (got.p, got.t, got.ed))
+
     @given(sigmas, sigmas, sigmas)
     def test_adjustment_directions(self, sp, st_, sed):
-        from feac.model import Emergency, Op, TaskSet
-
         ts = TaskSet("TS1", (("O1", Op.USE),), time=F(3), prob=F(4, 5))
         em = Emergency("E1", "P1", 2, F(10), True, (ts,))
         spec = InfluenceSpec(
