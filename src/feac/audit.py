@@ -8,6 +8,11 @@ with a fixed key order per kind, timestamps as exact decimals, and ';' as
 the separator inside list-valued fields ('-' stands for empty or absent).
 Two runs with equal inputs and seed produce byte-identical traces.
 
+The log is its lines: `AuditLog.append` formats each record once, straight
+into its line, and keeps nothing else. Records (`AuditRecord`) exist only
+as the result of `parse_trace`, so a log's `records` and a trace file's
+records come from the same parser.
+
 Records carry enough payload to rebuild every policy-store mutation, so
 replaying a trace against the run's initial store reproduces its final
 store exactly; that replay is the non-repudiation check.
@@ -82,16 +87,12 @@ class AuditFormatError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRecord:
     seq: int
     ts: Fraction
     kind: str
     payload: dict[str, str]
-
-    def to_line(self) -> str:
-        pairs = ",".join(f"{k}={self.payload[k]}" for k in KIND_FIELDS[self.kind])
-        return f"{self.seq}|{format_number(self.ts)}|{self.kind}|{pairs}"
 
 
 def fmt_value(value) -> str:
@@ -109,34 +110,79 @@ def fmt_value(value) -> str:
     return text if text else "-"
 
 
-class AuditLog:
-    def __init__(self):
-        self.records: list[AuditRecord] = []
+# Per kind: the keyword names `append` takes ('from' is a keyword, so
+# callers pass from_=...), and the line template after seq|timestamp|.
+_ARG_NAMES = {
+    kind: tuple(f + "_" if f == "from" else f for f in fields)
+    for kind, fields in KIND_FIELDS.items()
+}
+_TEMPLATES = {
+    kind: "{}|{}|" + kind + "|" + ",".join(f + "={}" for f in fields)
+    for kind, fields in KIND_FIELDS.items()
+}
+# Payload fields each kind has that FIELD_PARSERS converts, in field order.
+_TYPED_FIELDS = {
+    kind: tuple(f for f in fields if f in FIELD_PARSERS) for kind, fields in KIND_FIELDS.items()
+}
 
-    def append(self, kind: str, ts: Fraction, **payload) -> AuditRecord:
-        fields = KIND_FIELDS.get(kind)
-        if fields is None:
+
+class AuditLog:
+    """The trace as a list of lines, one per record, without newlines."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self._ts: Fraction | None = None
+        self._ts_text = ""
+
+    @property
+    def records(self) -> list[AuditRecord]:
+        return parse_trace(self.to_text())
+
+    def append(self, kind: str, ts: Fraction, **payload) -> None:
+        names = _ARG_NAMES.get(kind)
+        if names is None:
             raise ValueError(f"unknown audit kind {kind!r}")
-        # 'from' is a keyword, so callers pass from_=...
-        cleaned = {k.rstrip("_"): fmt_value(v) for k, v in payload.items()}
-        if set(cleaned) != set(fields):
-            raise ValueError(f"{kind} payload keys {sorted(cleaned)} != {sorted(fields)}")
-        for value in cleaned.values():
-            if _ILLEGAL_IN_VALUE(value):
-                raise ValueError(f"illegal character in payload value {value!r}")
-        record = AuditRecord(len(self.records) + 1, ts, kind, cleaned)
-        self.records.append(record)
-        return record
+        try:
+            values = [payload[name] for name in names]
+        except KeyError:
+            values = None
+        if values is None or len(payload) != len(names):
+            values = _reordered(kind, payload)
+        texts = [(v or "-") if type(v) is str else fmt_value(v) for v in values]
+        if _ILLEGAL_IN_VALUE("".join(texts)):
+            # Name the first bad value in the caller's keyword order.
+            for value in payload.values():
+                value = fmt_value(value)
+                if _ILLEGAL_IN_VALUE(value):
+                    raise ValueError(f"illegal character in payload value {value!r}")
+        if ts is not self._ts:
+            self._ts = ts
+            self._ts_text = format_number(ts)
+        self.lines.append(_TEMPLATES[kind].format(len(self.lines) + 1, self._ts_text, *texts))
 
     def to_text(self) -> str:
-        return "\n".join(r.to_line() for r in self.records) + ("\n" if self.records else "")
+        return "\n".join(self.lines) + ("\n" if self.lines else "")
+
+
+def _reordered(kind: str, payload: dict) -> list:
+    """`payload`'s values in field order, keys read without trailing '_'."""
+    fields = KIND_FIELDS[kind]
+    cleaned = {k.rstrip("_"): v for k, v in payload.items()}
+    if set(cleaned) != set(fields):
+        raise ValueError(f"{kind} payload keys {sorted(cleaned)} != {sorted(fields)}")
+    return [cleaned[f] for f in fields]
 
 
 def parse_trace(text: str) -> list[AuditRecord]:
     """Parse a trace file; raises AuditFormatError with the offending line."""
     records: list[AuditRecord] = []
-    # A run stamps many records with each clock value.
+    # A run stamps many records with each clock value, and repeats most
+    # typed values (an op, a td) many times: each distinct timestamp text is
+    # converted once and each distinct (key, text) checked once.
     stamps: dict[str, Fraction] = {}
+    checked: set[tuple[str, str]] = set()
+    last_text: str | None = None
+    last_ts = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -157,26 +203,35 @@ def parse_trace(text: str) -> list[AuditRecord]:
         fields = KIND_FIELDS.get(kind)
         if fields is None:
             raise AuditFormatError(line_no, f"unknown kind {kind!r}")
+        chunks = payload_text.split(",")
         payload: dict[str, str] = {}
-        for chunk in payload_text.split(","):
-            if "=" not in chunk:
+        for chunk in chunks:
+            key, sep, value = chunk.partition("=")
+            if not sep:
                 raise AuditFormatError(line_no, f"bad payload chunk {chunk!r}")
-            key, value = chunk.split("=", 1)
             payload[key] = value
         if tuple(payload) != fields:
             raise AuditFormatError(line_no, f"payload keys {tuple(payload)} != {fields}")
-        for key, value in payload.items():
-            parse = FIELD_PARSERS.get(key)
-            if parse is None:
+        if len(chunks) != len(fields):
+            # A repeated key the dict folded into its first place.
+            keys = tuple(chunk.partition("=")[0] for chunk in chunks)
+            raise AuditFormatError(line_no, f"payload keys {keys} != {fields}")
+        for key in _TYPED_FIELDS[kind]:
+            value = payload[key]
+            if (key, value) in checked:
                 continue
             try:
-                parse(value)
+                FIELD_PARSERS[key](value)
             except (ValueError, ZeroDivisionError):
                 raise AuditFormatError(line_no, f"bad {key} {value!r}") from None
+            checked.add((key, value))
         if seq != len(records) + 1:
             raise AuditFormatError(line_no, f"sequence {seq} out of order")
-        if records and ts < records[-1].ts:
-            raise AuditFormatError(line_no, "timestamps must be non-decreasing")
+        if ts_text != last_text:
+            # Equal texts are equal values; only a new text can go backwards.
+            if records and ts < last_ts:
+                raise AuditFormatError(line_no, "timestamps must be non-decreasing")
+            last_text, last_ts = ts_text, ts
         records.append(AuditRecord(seq, ts, kind, payload))
     return records
 

@@ -15,7 +15,8 @@ single pass can report every breach at once. The guarantees:
 - rescission liveness: every grant is rescinded exactly once, no later
   than one polling period after its expiry instant;
 - subject exclusivity: a subject holds at most one emergency role at a
-  time;
+  time, and has it restored before the system returns to normal or
+  declares disaster;
 - resource exclusivity: two running actions never share a resource;
 - gating (needs the scenario): no gated group starts an action while one
   of its environment gates is still open;
@@ -289,6 +290,15 @@ def check_subject_exclusivity(records: list[AuditRecord]) -> list[CheckViolation
                     CheckViolation("subject_exclusivity", rec.seq, f"{sid} restored while idle")
                 )
             holding.pop(sid, None)
+        elif rec.kind == "state_transition" and rec.payload["to"] in ("normal", "disaster"):
+            for sid in sorted(holding):
+                out.append(
+                    CheckViolation(
+                        "subject_exclusivity",
+                        rec.seq,
+                        f"{sid} still holds {holding[sid]} entering {rec.payload['to']}",
+                    )
+                )
     return out
 
 

@@ -130,9 +130,10 @@ def cmd_simulate(args, out, err) -> int:
             return 2
     else:
         out.write(trace.trace_text)
+    records = trace.trace_text.count("\n")
     print(
         f"final={trace.final_mode} clock={format_number(trace.final_clock)} "
-        f"records={len(trace.records)}"
+        f"records={records}"
         + (f" trace={args.trace}" if args.trace else ""),
         file=summary_stream,
     )

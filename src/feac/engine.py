@@ -691,16 +691,16 @@ def _assign_pending(world: SystemState, entity: str, now: Fraction) -> None:
 # ---------------------------------------------------------------------------
 
 
-def engine_tick(world: SystemState, cfg: EngineConfig):
+def engine_tick(world: SystemState, cfg: EngineConfig) -> int:
     """Run one engine cycle at the current clock, then advance it by tp.
 
-    Returns the records appended during the cycle. Raises EngineError if
-    called after disaster.
+    Returns how many records the cycle appended (0 for an idle tick).
+    Raises EngineError if called after disaster.
     """
     if world.mode == MODE_DISASTER:
         raise EngineError("engine is in disaster state")
     now = world.clock
-    first_new = len(world.audit.records)
+    first_new = len(world.audit.lines)
 
     _drain_due(world, now)
     if world.mode != MODE_DISASTER:
@@ -719,4 +719,4 @@ def engine_tick(world: SystemState, cfg: EngineConfig):
             _try_start_group(world, entity, now)
 
     world.clock = now + cfg.tp
-    return world.audit.records[first_new:]
+    return len(world.audit.lines) - first_new

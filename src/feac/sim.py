@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .audit import AuditRecord
+from .audit import AuditRecord, parse_trace
 from .engine import MODE_DISASTER, SystemState, engine_tick
 from .exact import ZERO
 from .model import PolicyStore
@@ -15,15 +16,21 @@ from .scenario import Scenario
 
 @dataclass
 class SimTrace:
-    """Everything a run produced: records, both store snapshots, outcomes."""
+    """Everything a run produced: the trace, both store snapshots, outcomes.
 
-    records: list[AuditRecord]
+    `records` is parsed from `trace_text` on first use and then kept.
+    """
+
     trace_text: str
     initial_store: PolicyStore
     final_store: PolicyStore
     final_mode: str
     final_clock: Fraction
     outcomes: dict[str, str]
+
+    @functools.cached_property
+    def records(self) -> list[AuditRecord]:
+        return parse_trace(self.trace_text)
 
 
 def run_simulation(
@@ -73,7 +80,6 @@ def run_simulation(
             break
 
     return SimTrace(
-        records=list(world.audit.records),
         trace_text=world.audit.to_text(),
         initial_store=world.initial_store,
         final_store=world.store,

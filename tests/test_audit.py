@@ -1,8 +1,11 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from feac.audit import (
+    FIELD_PARSERS,
     AuditFormatError,
     AuditLog,
     AuditRecord,
@@ -13,6 +16,8 @@ from feac.audit import (
     replay_store,
 )
 from feac.model import AclEntry, Op, PolicyStore, Subject, SystemObject, serialize_store
+
+from test_sim import GOLDEN
 
 F = Fraction
 
@@ -40,7 +45,30 @@ class TestAppend:
     def test_line_format_and_key_order(self):
         log = AuditLog()
         log.append("state_transition", F(3, 2), from_="normal", to="emergency")
-        assert log.records[0].to_line() == "1|1.5|state_transition|from=normal,to=emergency"
+        assert log.lines == ["1|1.5|state_transition|from=normal,to=emergency"]
+        assert log.to_text() == "1|1.5|state_transition|from=normal,to=emergency\n"
+
+    def test_values_format_as_fmt_value_does(self):
+        log = AuditLog()
+        log.append(
+            "action_started", F(1, 4), eid="", tsid=None, sid=["S2", "S1"],
+            start=F(1, 4), end=3, resources={"b", "a"},
+        )
+        log.append("access_checked", F(1, 4), sid="S1", oid="O1", op="use", decision=True,
+                   reason=())
+        assert log.lines == [
+            "1|0.25|action_started|eid=-,tsid=-,sid=S2;S1,start=0.25,end=3,resources=a;b",
+            "2|0.25|access_checked|sid=S1,oid=O1,op=use,decision=true,reason=-",
+        ]
+
+    def test_each_timestamp_is_its_own_value(self):
+        # Equal timestamps may be one object or several; each line shows
+        # the value it was given.
+        log = AuditLog()
+        half, two = F(1, 2), F(2)
+        for ts in (half, half, two, F(1, 2), half, F(2)):
+            log.append("entity_failed", ts, entity="P1")
+        assert [line.split("|")[1] for line in log.lines] == ["0.5", "0.5", "2", "0.5", "0.5", "2"]
 
     def test_sequence_numbers_increment(self):
         log = AuditLog()
@@ -64,7 +92,42 @@ class TestAppend:
             with pytest.raises(ValueError) as raised:
                 log.append("entity_failed", F(0), entity=bad)
             assert str(raised.value) == f"illegal character in payload value {bad!r}"
-            assert log.records == []
+            assert log.lines == []
+
+    def test_first_illegal_value_in_keyword_order_is_named(self):
+        log = AuditLog()
+        with pytest.raises(ValueError) as raised:
+            log.append("state_transition", F(0), to="a,b", from_="c|d")
+        assert str(raised.value) == "illegal character in payload value 'a,b'"
+        assert log.lines == []
+
+    @pytest.mark.parametrize(
+        "kind, payload, message",
+        [
+            ("coffee_break", {}, "unknown audit kind 'coffee_break'"),
+            (
+                "entity_failed",
+                {"entity": "P1", "extra": "x"},
+                "entity_failed payload keys ['entity', 'extra'] != ['entity']",
+            ),
+            (
+                "state_transition",
+                {"from_": "normal"},
+                "state_transition payload keys ['from'] != ['from', 'to']",
+            ),
+        ],
+    )
+    def test_rejected_append_leaves_the_log_as_it_was(self, kind, payload, message):
+        log = AuditLog()
+        with pytest.raises(ValueError) as raised:
+            log.append(kind, F(0), **payload)
+        assert str(raised.value) == message
+        assert log.lines == []
+        assert log.to_text() == ""
+        log.append("entity_failed", F(1), entity="P1")
+        with pytest.raises(ValueError):
+            log.append(kind, F(1), **payload)
+        assert log.lines == ["1|1|entity_failed|entity=P1"]
 
     def test_every_kind_has_a_field_list(self):
         log = AuditLog()
@@ -76,7 +139,40 @@ class TestAppend:
             log.append(kind, F(0), **payload)
         text = log.to_text()
         assert len(text.splitlines()) == len(KIND_FIELDS)
-        assert parse_trace(text) == log.records
+        assert parse_trace(text) == [
+            AuditRecord(seq, F(0), kind, {f: special.get(f, "1") for f in fields})
+            for seq, (kind, fields) in enumerate(KIND_FIELDS.items(), start=1)
+        ]
+
+
+# The records of TestParseTrace.roundtrip_log, written out.
+ROUNDTRIP_RECORDS = [
+    AuditRecord(
+        1, F(0), "emergency_raised", {"eid": "E1", "entity": "P1", "prio": "3", "ed": "20"}
+    ),
+    AuditRecord(2, F(0), "state_transition", {"from": "normal", "to": "emergency"}),
+    AuditRecord(
+        3,
+        F(1, 2),
+        "plan_selected",
+        {"entity": "P1", "pv": "0.684", "strategy": "optimal", "path": "E1:TS1",
+         "epoch": "0.5", "gate": "0"},
+    ),
+]
+
+
+def granted_lines(count: int, **last) -> list[str]:
+    """`count` good permission_granted lines, the last one with `last`'s
+    fields replaced."""
+    lines = []
+    for seq in range(1, count + 1):
+        fields = {"erole": "E1", "oid": "O1", "op": "use", "td": "8", "eid": "E1",
+                  "sid": f"S{seq}"}
+        if seq == count:
+            fields.update(last)
+        payload = ",".join(f"{k}={v}" for k, v in fields.items())
+        lines.append(f"{seq}|0|permission_granted|{payload}")
+    return lines
 
 
 class TestParseTrace:
@@ -92,11 +188,12 @@ class TestParseTrace:
 
     def test_round_trip(self):
         log = self.roundtrip_log()
-        assert parse_trace(log.to_text()) == log.records
+        assert parse_trace(log.to_text()) == ROUNDTRIP_RECORDS
+        assert log.records == ROUNDTRIP_RECORDS
 
     def test_blank_lines_skipped(self):
         log = self.roundtrip_log()
-        assert parse_trace(log.to_text() + "\n\n") == log.records
+        assert parse_trace(log.to_text() + "\n\n") == ROUNDTRIP_RECORDS
 
     def test_malformed_shape(self):
         with pytest.raises(AuditFormatError) as err:
@@ -161,12 +258,177 @@ class TestParseTrace:
             parse_trace(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "field, bad", [("td", "x"), ("td", "1/0"), ("op", "bogus"), ("td", "use")]
+    )
+    def test_bad_typed_value_after_many_good_ones_names_its_line(self, field, bad):
+        lines = granted_lines(60, **{field: bad})
+        # Two more lines after it: one good, one repeating the bad value.
+        lines += granted_lines(62)[60:]
+        lines[61] = lines[59].replace("60|", "62|", 1)
+        with pytest.raises(AuditFormatError) as err:
+            parse_trace("\n".join(lines))
+        assert str(err.value) == f"line 60: bad {field} {bad!r}"
+
+    def test_typed_values_are_checked_per_key(self):
+        # "use" is a good op but a bad td, in the same trace.
+        lines = granted_lines(3) + granted_lines(4, td="use")[3:]
+        with pytest.raises(AuditFormatError) as err:
+            parse_trace("\n".join(lines))
+        assert str(err.value) == "line 4: bad td 'use'"
+
+    @pytest.mark.parametrize(
+        "stamps, line",
+        [(["1", "1", "1", "0.5"], 4), (["0.5", "1", "1", "1", "0.5"], 5), (["2", "2", "1/1"], 3)],
+    )
+    def test_timestamp_drop_after_equal_texts(self, stamps, line):
+        text = "".join(
+            f"{seq}|{ts}|entity_failed|entity=P1\n" for seq, ts in enumerate(stamps, start=1)
+        )
+        with pytest.raises(AuditFormatError) as err:
+            parse_trace(text)
+        assert str(err.value) == f"line {line}: timestamps must be non-decreasing"
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ("from=normal", "payload keys ('from',) != ('from', 'to')"),
+            ("from=normal,from=emergency", "payload keys ('from',) != ('from', 'to')"),
+            ("to=emergency,from=normal", "payload keys ('to', 'from') != ('from', 'to')"),
+            (
+                "from=normal,to=emergency,to=normal",
+                "payload keys ('from', 'to', 'to') != ('from', 'to')",
+            ),
+            (
+                "from=normal,to=emergency,from=emergency",
+                "payload keys ('from', 'to', 'from') != ('from', 'to')",
+            ),
+        ],
+    )
+    def test_repeated_or_missing_key(self, payload, message):
+        text = f"1|0|entity_failed|entity=P1\n2|0|state_transition|{payload}\n"
+        with pytest.raises(AuditFormatError) as err:
+            parse_trace(text)
+        assert str(err.value) == f"line 2: {message}"
+
     def test_equal_timestamp_texts_give_equal_values(self):
         records = parse_trace(
             "1|3/2|entity_failed|entity=P1\n2|1.5|entity_failed|entity=P2\n"
             "3|3/2|entity_failed|entity=P1\n"
         )
         assert [r.ts for r in records] == [F(3, 2)] * 3
+
+
+
+def reference_parse_trace(text: str) -> list[AuditRecord]:
+    """parse_trace written plainly: every field converted on every line, every
+    timestamp compared with the one before. It differs from the parser it
+    replaced only in rejecting a payload that repeats a key."""
+    records: list[AuditRecord] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("|")
+        if len(parts) != 4:
+            raise AuditFormatError(line_no, "expected seq|timestamp|kind|payload")
+        seq_text, ts_text, kind, payload_text = parts
+        try:
+            seq = int(seq_text)
+        except ValueError:
+            raise AuditFormatError(line_no, f"bad sequence number {seq_text!r}") from None
+        try:
+            ts = Fraction(ts_text)
+        except (ValueError, ZeroDivisionError):
+            raise AuditFormatError(line_no, f"bad timestamp {ts_text!r}") from None
+        fields = KIND_FIELDS.get(kind)
+        if fields is None:
+            raise AuditFormatError(line_no, f"unknown kind {kind!r}")
+        keys, payload = [], {}
+        for chunk in payload_text.split(","):
+            if "=" not in chunk:
+                raise AuditFormatError(line_no, f"bad payload chunk {chunk!r}")
+            key, value = chunk.split("=", 1)
+            keys.append(key)
+            payload[key] = value
+        if tuple(payload) != fields:
+            raise AuditFormatError(line_no, f"payload keys {tuple(payload)} != {fields}")
+        if tuple(keys) != fields:
+            raise AuditFormatError(line_no, f"payload keys {tuple(keys)} != {fields}")
+        for key, value in payload.items():
+            parse = FIELD_PARSERS.get(key)
+            if parse is None:
+                continue
+            try:
+                parse(value)
+            except (ValueError, ZeroDivisionError):
+                raise AuditFormatError(line_no, f"bad {key} {value!r}") from None
+        if seq != len(records) + 1:
+            raise AuditFormatError(line_no, f"sequence {seq} out of order")
+        if records and ts < records[-1].ts:
+            raise AuditFormatError(line_no, "timestamps must be non-decreasing")
+        records.append(AuditRecord(seq, ts, kind, payload))
+    return records
+
+
+def trace_mutants(count: int, seed: int = 10):
+    """Seeded edits of the golden trace: one to three field replacements
+    (values the trace holds, odd values, a payload chunk written twice),
+    deleted, doubled or swapped lines, and blank lines."""
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    pool = sorted({part for line in lines for part in re.split(r"[|,=]", line)})
+    pool += ["", "x", "-1", "1/0", "1/2", "0.5", "3.0", "use", "bogus", "a:b", "R:use:x", "=", ",",
+             "|", "a|b", "td=1", "op=use,td=2"]
+    rng = random.Random(seed)
+    for _ in range(count):
+        edited = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            index = rng.randrange(len(edited))
+            move = rng.random()
+            if move < 0.7:
+                fields = edited[index].replace(",", "|").split("|")
+                at = rng.randrange(len(fields))
+                value = rng.choice(pool)
+                pick = rng.random()
+                if at >= 3 and pick < 0.1:
+                    value = fields[at] + "," + fields[at]
+                elif at >= 3 and pick < 0.8:
+                    value = fields[at].partition("=")[0] + "=" + value
+                fields[at] = value
+                head = "|".join(fields[:3])
+                edited[index] = head + "|" + ",".join(fields[3:])
+            elif move < 0.8:
+                del edited[index]
+            elif move < 0.9:
+                edited.insert(index, edited[index])
+            elif move < 0.95 and index + 1 < len(edited):
+                edited[index], edited[index + 1] = edited[index + 1], edited[index]
+            else:
+                edited.insert(index, " ")
+        yield "\n".join(edited) + "\n"
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except AuditFormatError as exc:
+        return str(exc)
+
+
+def test_parse_trace_matches_the_reference_on_damaged_traces():
+    outcomes = set()
+    for text in trace_mutants(1500):
+        got = parse_outcome(parse_trace, text)
+        assert got == parse_outcome(reference_parse_trace, text), text
+        if isinstance(got, str):
+            words = got.split(": ", 1)[1].split()
+            outcomes.add(" ".join(words[:2]) if words[0] == "bad" else words[0])
+        else:
+            outcomes.add("ok")
+    # The mutants reach every kind of diagnostic, and some parse clean.
+    assert outcomes >= {
+        "ok", "expected", "bad sequence", "bad timestamp", "bad payload", "bad td", "bad op",
+        "unknown", "payload", "sequence", "timestamps",
+    }, outcomes
 
 
 def test_encode_acl_entries():

@@ -254,6 +254,33 @@ class TestExclusivity:
         )
         assert check_subject_exclusivity(records) == []
 
+    def test_role_kept_past_the_return_to_normal(self):
+        records = mk(
+            HEADER,
+            ("state_transition", 0, dict(from_="normal", to="emergency")),
+            ("role_assigned", 0, dict(sid="B2", erole="E2", eid="E2", saved="R1")),
+            ("role_assigned", 0, dict(sid="A1", erole="E1", eid="E1", saved="R1")),
+            ("role_assigned", 0, dict(sid="C3", erole="E3", eid="E3", saved="R1")),
+            ("role_restored", 2, dict(sid="C3", erole="E3", restored="R1")),
+            ("state_transition", 3, dict(from_="emergency", to="normal")),
+        )
+        assert [str(v) for v in check_subject_exclusivity(records)] == [
+            "subject_exclusivity at #7: A1 still holds E1 entering normal",
+            "subject_exclusivity at #7: B2 still holds E2 entering normal",
+        ]
+
+    def test_role_kept_into_disaster(self):
+        records = mk(
+            HEADER,
+            ("state_transition", 0, dict(from_="normal", to="emergency")),
+            ("role_assigned", 0, dict(sid="A1", erole="E1", eid="E1", saved="R1")),
+            ("state_transition", 1, dict(from_="emergency", to="fault_tolerant")),
+            ("state_transition", 1, dict(from_="fault_tolerant", to="disaster")),
+        )
+        assert [str(v) for v in check_subject_exclusivity(records)] == [
+            "subject_exclusivity at #5: A1 still holds E1 entering disaster",
+        ]
+
     def test_resource_conflict(self):
         start = dict(tsid="TS1", sid="A1", start=0, end=2)
         records = mk(

@@ -8,6 +8,7 @@ from feac.cli import main
 from feac.fixtures import hospital_text
 
 from mutations import MUTANTS, apply
+from test_sim import GOLDEN
 
 DISASTER_SCENARIO = """\
 scenario lone
@@ -290,6 +291,22 @@ class TestAudit:
             assert "Traceback" not in out + err
             codes.append((code, out, err))
         return codes
+
+    def test_dropped_role_restore_fails_the_standalone_audit(self, tmp_path):
+        golden = GOLDEN.read_text(encoding="utf-8").splitlines()
+        restores = [i for i, line in enumerate(golden) if "|role_restored|" in line]
+        assert len(restores) == 7
+        trace_file = tmp_path / "dropped.trace"
+        for index in restores:
+            kept = golden[:index] + golden[index + 1 :]
+            renumbered = [
+                f"{seq}|{line.split('|', 1)[1]}\n" for seq, line in enumerate(kept, start=1)
+            ]
+            trace_file.write_text("".join(renumbered), encoding="utf-8")
+            code, out, _ = run_cli("audit", str(trace_file))
+            sid = golden[index].split("|")[3].split(",")[0].removeprefix("sid=")
+            assert code == 1, golden[index]
+            assert f"subject_exclusivity at #92: {sid} still holds" in out
 
     def test_unknown_op_is_a_usage_error(self, hospital_path, tmp_path):
         for code, _, err in self.audit_tampered(
