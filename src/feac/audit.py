@@ -77,8 +77,9 @@ FIELD_PARSERS = {
 }
 
 
-# Characters the line format uses as separators.
-_ILLEGAL_IN_VALUE = re.compile(r"[|,=\n]").search
+# Characters the line format uses as separators, and every line boundary
+# of str.splitlines, which parse_trace splits the text with.
+_ILLEGAL_IN_VALUE = re.compile(r"[|,=\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]").search
 
 
 class AuditFormatError(ValueError):
@@ -155,7 +156,7 @@ class AuditLog:
                 value = fmt_value(value)
                 if _ILLEGAL_IN_VALUE(value):
                     raise ValueError(f"illegal character in payload value {value!r}")
-        if ts is not self._ts:
+        if ts != self._ts:
             self._ts = ts
             self._ts_text = format_number(ts)
         self.lines.append(_TEMPLATES[kind].format(len(self.lines) + 1, self._ts_text, *texts))

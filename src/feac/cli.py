@@ -12,7 +12,8 @@ import sys
 from fractions import Fraction
 
 from .audit import AuditFormatError, parse_trace
-from .checks import check_trace
+from .checks import CheckViolation, check_trace
+from .engine import TIME_FIRST
 from .exact import ZERO, format_number, parse_number
 from .model import validate_store
 from .planner import (
@@ -94,12 +95,9 @@ def cmd_plan(args, out, err) -> int:
     if pv > ZERO:
         path = select_optimal_path(graph)
         strategy = "optimal"
-    elif scenario.config.fallback_strategy == "time_first":
-        path = time_first_select(graph)
-        strategy = "time_first"
     else:
-        path = prob_first_select(graph)
-        strategy = "probability_first"
+        strategy = scenario.config.fallback_strategy
+        path = (time_first_select if strategy == TIME_FIRST else prob_first_select)(graph)
     print(
         f"group={args.group} orders={graph.order_count} paths={path_count(graph)} "
         f"sampled={'yes' if graph.sampled else 'no'} "
@@ -174,8 +172,6 @@ def cmd_audit(args, out, err) -> int:
             final_store=rerun.final_store,
         )
         if rerun.trace_text.splitlines() != text.splitlines():
-            from .checks import CheckViolation
-
             violations.append(
                 CheckViolation("determinism", 0, "trace differs from deterministic re-run")
             )

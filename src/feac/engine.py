@@ -493,10 +493,8 @@ def _next_occurrence(world: SystemState) -> tuple[Fraction, int, str] | None:
 
 def _dispatch_occurrence(world: SystemState, occ: tuple[Fraction, int, str]) -> None:
     when, klass, eid = occ
-    ae = world.active.get(eid)
-    if ae is None:
-        return
-    execution = world.executions.get(ae.emergency.entity)
+    # `_next_occurrence` returns only heads matching `_occurrence_of`, so eid is active.
+    execution = world.executions.get(world.active[eid].emergency.entity)
     if execution is not None and execution.eid == eid:
         if klass == 0:
             _finish_execution(world, execution, when)
@@ -703,8 +701,7 @@ def engine_tick(world: SystemState, cfg: EngineConfig) -> int:
     first_new = len(world.audit.lines)
 
     _drain_due(world, now)
-    if world.mode != MODE_DISASTER:
-        _sync_mode(world, now)
+    _sync_mode(world, now)
     if world.mode == MODE_EMERGENCY:
         for entity in _group_order(world.dirty):
             if world.mode != MODE_EMERGENCY:

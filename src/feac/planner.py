@@ -47,12 +47,14 @@ completes no order, so its graph is the bare root.
 The success value of the graph follows a max-product recursion: a
 terminal is worth 1, a valid edge processing e is worth p'(e) times its
 child, and an invalid edge is worth 0. The value of a node is the best of
-its edges. The build ends with one children-first pass that finds the
-best all-valid path, and the graph keeps it: the value and the optimal
-path are both read from it. Fallback selection and path counting each
-visit the nodes once more, children first. These passes carry each node's
-best product and time as integer pairs, rank them by cross-multiplication,
-and make Fractions only for the path they return.
+its edges. The build ends with one children-first pass that returns the
+best all-valid path as a plan, and the graph keeps it: the value and the
+optimal path are both read from it. Fallback selection and path counting
+each visit the nodes once more. Every builder inserts a node before its
+children, so each of these passes visits the nodes in reverse insertion
+order. They carry each node's best product and time as integer pairs,
+rank them by cross-multiplication, and make Fractions only for the path
+they return.
 """
 
 from __future__ import annotations
@@ -129,7 +131,6 @@ class AdjustedMetrics:
 
 @dataclass
 class GraphEdge:
-    eid: str
     metrics: AdjustedMetrics
     valid: bool
     # Shared nodes would make a recursive repr print every path below.
@@ -153,7 +154,7 @@ class ResponseGraph:
     order_count: int
     sampled: bool
     # Best all-valid path by probability; None when no such path completes.
-    optimal: _Suffix | None = None
+    optimal: PlanPath | None = None
 
 
 @dataclass(frozen=True)
@@ -432,7 +433,7 @@ def build_transition_graph(
         _insert_orders(nodes, root, orders, price)
     else:
         _expand_states(nodes, root, classes, price)
-    graph.optimal = _best_suffix(graph, require_valid=True, time_first=False)
+    graph.optimal = _best_path(graph, require_valid=True, time_first=False)
     return graph
 
 
@@ -447,7 +448,7 @@ def _insert_orders(nodes: dict[tuple, GraphNode], root: GraphNode, orders, price
                 metrics = members[eid]
                 elapsed = node.elapsed + metrics.t
                 child = nodes[order[:depth]] = GraphNode(node.remaining - {eid}, elapsed)
-                edge = node.edges[eid] = GraphEdge(eid, metrics, elapsed <= bound, child)
+                edge = node.edges[eid] = GraphEdge(metrics, elapsed <= bound, child)
             node = edge.child
 
 
@@ -471,7 +472,7 @@ def _expand_states(
                     if child is None:
                         child = nodes[rest, elapsed] = GraphNode(rest, elapsed)
                         below.setdefault(rest, []).append(child)
-                    node.edges[eid] = GraphEdge(eid, metrics, elapsed <= bound, child)
+                    node.edges[eid] = GraphEdge(metrics, elapsed <= bound, child)
         layer = below
 
 
@@ -480,19 +481,7 @@ def _expand_states(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Suffix:
-    product: Fraction
-    time: Fraction
-    eids: tuple[str, ...]
-
-
-def _children_first(graph: ResponseGraph) -> list[GraphNode]:
-    # Every edge processes one emergency, so a child always has fewer left.
-    return sorted(graph.nodes.values(), key=lambda node: len(node.remaining))
-
-
-def _best_suffix(graph: ResponseGraph, require_valid: bool, time_first: bool) -> _Suffix | None:
+def _best_path(graph: ResponseGraph, require_valid: bool, time_first: bool) -> PlanPath | None:
     """Root-to-terminal path of least rank, skipping dead edges when
     `require_valid`; None when no such path completes.
 
@@ -503,7 +492,9 @@ def _best_suffix(graph: ResponseGraph, require_valid: bool, time_first: bool) ->
     first place.
     """
     best: dict[GraphNode, tuple | None] = {}
-    for node in _children_first(graph):
+    # Children first: `_expand_states` inserts layer by layer, and
+    # `_insert_orders` inserts a child only after its parent.
+    for node in reversed(graph.nodes.values()):
         if not node.remaining:
             best[node] = (1, 1, 0, 1, "")
             continue
@@ -522,17 +513,19 @@ def _best_suffix(graph: ResponseGraph, require_valid: bool, time_first: bool) ->
     top = best[graph.root]
     if top is None:
         return None
-    eids = []
+    steps = []
     node = graph.root
     while node.remaining:
         eid = best[node][4]
-        eids.append(eid)
-        node = node.edges[eid].child
-    return _Suffix(Fraction(top[0], top[1]), Fraction(top[2], top[3]), tuple(eids))
+        edge = node.edges[eid]
+        m = edge.metrics
+        node = edge.child
+        steps.append(PlanStep(eid, m.ts, m.p, m.t, m.ed, end_elapsed=node.elapsed))
+    return PlanPath(tuple(steps), Fraction(top[0], top[1]), Fraction(top[2], top[3]))
 
 
 def _ranks_before(a: tuple, b: tuple, time_first: bool) -> bool:
-    """Whether suffix `a` ranks before `b`, both as `_best_suffix` keeps
+    """Whether suffix `a` ranks before `b`, both as `_best_path` keeps
     them, by cross-multiplying their positive denominators."""
     # a's product is the larger when pb < pa, its time the smaller when ta < tb.
     pa, pb = a[0] * b[1], b[0] * a[1]
@@ -542,26 +535,7 @@ def _ranks_before(a: tuple, b: tuple, time_first: bool) -> bool:
     return (pb, ta, a[4]) < (pa, tb, b[4])
 
 
-def _path_from(graph: ResponseGraph, best: _Suffix | None) -> PlanPath:
-    if best is None:
-        return PlanPath(steps=(), product=ZERO, total_time=ZERO)
-    steps: list[PlanStep] = []
-    node = graph.root
-    for eid in best.eids:
-        edge = node.edges[eid]
-        m = edge.metrics
-        steps.append(
-            PlanStep(
-                eid=eid,
-                ts=m.ts,
-                p=m.p,
-                t=m.t,
-                ed=m.ed,
-                end_elapsed=node.elapsed + m.t,
-            )
-        )
-        node = edge.child
-    return PlanPath(steps=tuple(steps), product=best.product, total_time=best.time)
+_NO_PATH = PlanPath(steps=(), product=ZERO, total_time=ZERO)
 
 
 def compute_p_value(graph: ResponseGraph) -> Fraction:
@@ -575,23 +549,23 @@ def select_optimal_path(graph: ResponseGraph) -> PlanPath | None:
     graph's value is 0 (callers fall back to a heuristic selection)."""
     if graph.optimal is None or graph.optimal.product == ZERO:
         return None
-    return _path_from(graph, graph.optimal)
+    return graph.optimal
 
 
 def prob_first_select(graph: ResponseGraph) -> PlanPath:
     """Fallback: ignore deadlines, maximize success probability."""
-    return _path_from(graph, _best_suffix(graph, require_valid=False, time_first=False))
+    return _best_path(graph, require_valid=False, time_first=False) or _NO_PATH
 
 
 def time_first_select(graph: ResponseGraph) -> PlanPath:
     """Fallback: ignore deadlines, minimize total adjusted time."""
-    return _path_from(graph, _best_suffix(graph, require_valid=False, time_first=True))
+    return _best_path(graph, require_valid=False, time_first=True) or _NO_PATH
 
 
 def path_count(graph: ResponseGraph) -> int:
     """Number of root-to-terminal paths."""
     counts: dict[GraphNode, int] = {}
-    for node in _children_first(graph):
+    for node in reversed(graph.nodes.values()):
         counts[node] = sum(counts[e.child] for e in node.edges.values()) if node.remaining else 1
     return counts[graph.root]
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from feac import audit
 from feac.audit import (
     FIELD_PARSERS,
     AuditFormatError,
@@ -15,6 +16,7 @@ from feac.audit import (
     parse_trace,
     replay_store,
 )
+from feac.exact import format_number
 from feac.model import AclEntry, Op, PolicyStore, Subject, SystemObject, serialize_store
 
 from test_sim import GOLDEN
@@ -93,6 +95,34 @@ class TestAppend:
                 log.append("entity_failed", F(0), entity=bad)
             assert str(raised.value) == f"illegal character in payload value {bad!r}"
             assert log.lines == []
+
+    @pytest.mark.parametrize(
+        "boundary", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_line_boundaries_rejected(self, boundary):
+        # parse_trace splits at every str.splitlines boundary, so a value
+        # holding one would not read back.
+        bad = f"a{boundary}b"
+        log = AuditLog()
+        with pytest.raises(ValueError) as raised:
+            log.append("entity_failed", F(0), entity=bad)
+        assert str(raised.value) == f"illegal character in payload value {bad!r}"
+        assert log.lines == []
+
+    def test_equal_timestamps_format_once(self, monkeypatch):
+        # Events drained at one tick carry equal but distinct Fractions.
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return format_number(value)
+
+        monkeypatch.setattr(audit, "format_number", counting)
+        log = AuditLog()
+        for ts in (F(1, 2), F(1, 2), F(1, 2), F(2), F(2)):
+            log.append("entity_failed", ts, entity="P1")
+        assert calls == [F(1, 2), F(2)]
+        assert [line.split("|")[1] for line in log.lines] == ["0.5"] * 3 + ["2"] * 2
 
     def test_first_illegal_value_in_keyword_order_is_named(self):
         log = AuditLog()

@@ -32,6 +32,42 @@ at 1 fail P1
 """
 
 
+# Both orders overshoot the deadlines, so pv is 0 and the configured
+# fallback decides: E1 first is the likelier order, E2 first the quicker.
+RUSH_SCENARIO = """\
+scenario rush
+config tp = 0.5
+config seed = 1
+config horizon = 20
+config fallback = time_first
+entity P1
+role R1
+subject A1 { roles = [R1] }
+object O1 { acl R1 use }
+emergency E1 {
+  entity P1
+  prio 2
+  ed 3
+  ft false
+  ts TS1 { actions = [O1 use], time = 2, prob = 0.9 }
+}
+emergency E2 {
+  entity P1
+  prio 2
+  ed 3
+  ft false
+  ts TS1 { actions = [O1 use], time = 1, prob = 0.5 }
+  ts TS2 { actions = [O1 use], time = 4, prob = 0.8 }
+}
+influence E1 -> E2 { sigma_p = 0.5 }
+influence E2 -> E1 { sigma_t = 0.5 }
+map E1 -> [R1]
+map E2 -> [R1]
+at 0 raise E1
+at 0 raise E2
+"""
+
+
 SUBSTITUTION_SCENARIO = """\
 scenario swap
 config tp = 0.5
@@ -186,6 +222,25 @@ class TestPlan:
             "pv=0 strategy=probability_first\n"
         )
 
+    @pytest.mark.parametrize(
+        "fallback, steps",
+        [
+            ("time_first", ["E2 TS2 p=0.4 t=4 ed=3 done=4", "E1 TS1 p=0.9 t=2 ed=3 done=6"]),
+            ("probability_first", ["E1 TS1 p=0.9 t=3 ed=3 done=3", "E2 TS2 p=0.8 t=4 ed=3 done=7"]),
+        ],
+    )
+    def test_configured_fallback_picks_the_path(self, tmp_path, fallback, steps):
+        path = tmp_path / "rush.feac"
+        text = RUSH_SCENARIO.replace("fallback = time_first", f"fallback = {fallback}")
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli("plan", str(path), "--group", "P1")
+        assert code == 0
+        assert out.splitlines() == [
+            "group=P1 orders=2 paths=2 sampled=no gate=0",
+            *steps,
+            f"pv=0 strategy={fallback}",
+        ]
+
     def test_unknown_group(self, hospital_path):
         code, _, err = run_cli("plan", hospital_path, "--group", "P9")
         assert code == 1
@@ -252,6 +307,14 @@ class TestAudit:
         code, out, _ = run_cli("audit", str(trace_file), "--scenario", hospital_path)
         assert code == 0
         assert out == "ok: 95 records, all checks passed\n"
+
+    def test_scenario_needs_a_run_started_record(self, hospital_path, tmp_path):
+        trace_file = tmp_path / "headless.trace"
+        trace_file.write_text("1|0|entity_failed|entity=P1\n", encoding="utf-8")
+        code, out, err = run_cli("audit", str(trace_file), "--scenario", hospital_path)
+        assert code == 2
+        assert out == ""
+        assert err == "error: trace has no run_started record\n"
 
     def test_tampered_trace_fails(self, hospital_path, tmp_path):
         trace_file = self.write_trace(tmp_path, hospital_path)

@@ -601,13 +601,36 @@ def test_planner_values_are_fractions():
                 values += [edge.metrics.p, edge.metrics.t, edge.metrics.ed]
         if graph.optimal is not None:
             seen["optimal"] += 1
-            values += [graph.optimal.product, graph.optimal.time]
+            values += [graph.optimal.product, graph.optimal.total_time]
         paths = [select_optimal_path(graph), prob_first_select(graph), time_first_select(graph)]
         for path in filter(None, paths):
             values += [path.product, path.total_time]
             for step in path.steps:
                 values += [step.p, step.t, step.ed, step.end_elapsed]
         assert all(type(value) is Fraction for value in values), case
+    assert min(seen.values()) >= 20, seen
+
+
+def test_nodes_are_inserted_before_their_children():
+    # Valuation and path counting visit graph.nodes in reverse insertion
+    # order, which is children first only if every parent precedes its children.
+    seen = Counter()
+    for case in range(120):
+        rng = random.Random(190_000 + case)
+        group, tdt, infl = random_group(rng, max_size=6)
+        orders = count_admissible_orders(group, tdt)
+        k_cap = rng.randint(1, orders - 1) if orders > 1 and rng.random() < 0.5 else orders
+        cfg = PlannerConfig(k_cap=k_cap, seed=case)
+        graph = build_transition_graph(group, tdt, infl, cfg, gate_release=F(rng.randint(0, 8), 2))
+        seen["sampled" if graph.sampled else "exhaustive"] += 1
+        position = {node: i for i, node in enumerate(graph.nodes.values())}
+        assert len(position) == len(graph.nodes), case
+        for node in graph.nodes.values():
+            for edge in node.edges.values():
+                assert position[node] < position[edge.child], case
+        if compute_p_value(graph) > 0:
+            seen["optimal"] += 1
+            assert select_optimal_path(graph) is graph.optimal, case
     assert min(seen.values()) >= 20, seen
 
 

@@ -4,6 +4,7 @@ import random
 import string
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -163,6 +164,8 @@ payload_text = st.text(
     min_size=1,
     max_size=12,
 )
+# Every boundary str.splitlines breaks at besides "\n"; append rejects them.
+LINE_BOUNDARIES = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class TestAuditRoundTrip:
@@ -177,6 +180,17 @@ class TestAuditRoundTrip:
             log.append("entity_failed", ts, entity=entity)
             expected.append(AuditRecord(seq, ts, "entity_failed", {"entity": entity}))
         assert parse_trace(log.to_text()) == expected
+
+    @given(st.text(alphabet=string.ascii_letters + LINE_BOUNDARIES, min_size=1, max_size=12))
+    def test_values_with_line_boundaries_are_rejected(self, entity):
+        log = AuditLog()
+        if any(c in LINE_BOUNDARIES for c in entity):
+            with pytest.raises(ValueError):
+                log.append("entity_failed", Fraction(0), entity=entity)
+            assert log.lines == []
+        else:
+            log.append("entity_failed", Fraction(0), entity=entity)
+            assert parse_trace(log.to_text())[0].payload == {"entity": entity}
 
 
 class TestScenarioRoundTrip:
