@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 from .audit import AuditFormatError, parse_trace
 from .checks import CheckViolation, check_trace
@@ -140,6 +141,18 @@ def cmd_simulate(args, out, err) -> int:
     return 3 if trace.final_mode == "disaster" else 0
 
 
+def _first_difference(trace: list[str], rerun: list[str]) -> str:
+    """Where two unequal traces first differ, with both texts."""
+    for number, (ours, theirs) in enumerate(zip_longest(trace, rerun), start=1):
+        if ours != theirs:
+            break
+    if ours is None:
+        return f"at line {number}: the trace is shorter ({number - 1} lines), re-run has {theirs!r}"
+    if theirs is None:
+        return f"at line {number}: the re-run is shorter ({number - 1} lines), trace has {ours!r}"
+    return f"at line {number}: trace has {ours!r}, re-run has {theirs!r}"
+
+
 def cmd_audit(args, out, err) -> int:
     try:
         with open(args.trace, encoding="utf-8") as handle:
@@ -171,9 +184,11 @@ def cmd_audit(args, out, err) -> int:
             initial_store=rerun.initial_store,
             final_store=rerun.final_store,
         )
-        if rerun.trace_text.splitlines() != text.splitlines():
+        lines, rerun_lines = text.splitlines(), rerun.trace_text.splitlines()
+        if lines != rerun_lines:
+            where = _first_difference(lines, rerun_lines)
             violations.append(
-                CheckViolation("determinism", 0, "trace differs from deterministic re-run")
+                CheckViolation("determinism", 0, f"trace differs from deterministic re-run {where}")
             )
     else:
         violations += check_trace(records)

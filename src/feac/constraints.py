@@ -6,6 +6,11 @@ combinators, literals, and references to named constraints. Evaluation is
 total: a missing property, a type mismatch, or an unresolved reference
 makes the enclosing comparison false rather than raising.
 
+`evaluate` walks the combinators and references and hands each atom to an
+`atom` function, by default `atom_holds`. The engine's staffing index
+passes its own, which caches the atoms that read only subject properties
+and answers `count(...)` from per-role holder counts.
+
 Nesting is bounded by MAX_DEPTH. The scenario parser rejects a constraint
 deeper than that (see `nesting_depth`), or with more than MAX_DEPTH
 parentheses and `not`s around any part of it. Evaluation treats a
@@ -98,12 +103,12 @@ def _compare(op: str, left, right) -> bool:
     return left >= right
 
 
-def evaluate(
-    expr: ConstraintExpr, subject, store, _seen: frozenset[str] = frozenset(), _depth: int = 0
-) -> bool:
-    """Evaluate `expr` for `subject` against `store`. Never raises."""
-    if _depth > MAX_DEPTH:
-        return False
+def atom_holds(expr: ConstraintExpr, subject, store) -> bool:
+    """Truth of one atom (`Lit`, `Cmp`, `DistCmp`, `CountCmp`) for `subject`.
+
+    Every atom but `count(...)` reads only the atom and the subject's
+    properties. Anything that is not an atom is false.
+    """
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, Cmp):
@@ -135,22 +140,45 @@ def evaluate(
         dy = value[1] - expr.point[1]
         return _compare(expr.op, dx * dx + dy * dy, expr.radius * expr.radius)
     if isinstance(expr, CountCmp):
-        holders = sum(1 for roles in store.asrt.values() if expr.role in roles)
-        return _compare(expr.op, holders, expr.limit)
+        return count_holds(expr, sum(1 for roles in store.asrt.values() if expr.role in roles))
+    return False
+
+
+def count_holds(expr: CountCmp, holders: int) -> bool:
+    """Truth of `expr` when `holders` subjects hold its role active."""
+    return _compare(expr.op, holders, expr.limit)
+
+
+def evaluate(
+    expr: ConstraintExpr,
+    subject,
+    store,
+    atom=atom_holds,
+    _seen: frozenset[str] = frozenset(),
+    _depth: int = 0,
+) -> bool:
+    """Evaluate `expr` for `subject` against `store`. Never raises.
+
+    `atom(expr, subject, store)` answers each atom; the default computes it
+    from the subject and the store. Whatever answers the atoms, the
+    combinators, references, cycles and the depth bound are handled here.
+    """
+    if _depth > MAX_DEPTH:
+        return False
     if isinstance(expr, Not):
-        return not evaluate(expr.item, subject, store, _seen, _depth + 1)
+        return not evaluate(expr.item, subject, store, atom, _seen, _depth + 1)
     if isinstance(expr, And):
-        return all(evaluate(item, subject, store, _seen, _depth + 1) for item in expr.items)
+        return all(evaluate(item, subject, store, atom, _seen, _depth + 1) for item in expr.items)
     if isinstance(expr, Or):
-        return any(evaluate(item, subject, store, _seen, _depth + 1) for item in expr.items)
+        return any(evaluate(item, subject, store, atom, _seen, _depth + 1) for item in expr.items)
     if isinstance(expr, Ref):
         if expr.name in _seen:
             return False
         target = store.constraints.get(expr.name)
         if target is None:
             return False
-        return evaluate(target, subject, store, _seen | {expr.name}, _depth + 1)
-    return False
+        return evaluate(target, subject, store, atom, _seen | {expr.name}, _depth + 1)
+    return atom(expr, subject, store)
 
 
 def nesting_depth(expr: ConstraintExpr) -> int:

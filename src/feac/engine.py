@@ -17,7 +17,13 @@ ticks of `tp` minutes. Within a tick it:
    substitution attempt and then a fallback heuristic selection;
 4. eagerly staffs every planned step: subject selection via the role
    mapping hierarchy, timed permission grants (td = now + Ed'), role
-   alternation with the originals saved for restoration, notification;
+   alternation with the originals saved for restoration, notification.
+   Selection reads a run-scoped staffing index (`StaffingIndex`, on
+   `SystemState.staffing`): the idle holders of each role in id order,
+   per-role counts of active holders, and each property-only atom's truth
+   per subject. The three writers of role sets refresh it for the subject
+   they wrote: `enable_response_actions`, `rescind_permissions`, and
+   `_run_fault_tolerance` after a substitution that copied roles;
 5. starts the next action of each group whose environment gates are clear
    and whose resources are unlocked.
 
@@ -30,14 +36,25 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import random
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .audit import AuditLog, encode_acl_entries
-from .constraints import evaluate
+from .constraints import ConstraintExpr, CountCmp, atom_holds, count_holds, evaluate
 from .exact import ZERO
 from .fault import apply_fault_tolerance
-from .model import AclEntry, ENV_ENTITY, Emergency, Op, PolicyStore, RoleKind, acl_check
+from .model import (
+    AclEntry,
+    ENV_ENTITY,
+    Emergency,
+    Op,
+    PolicyStore,
+    RoleKind,
+    Subject,
+    acl_check,
+)
 from .planner import (
     InfluenceSpec,
     PlannerConfig,
@@ -140,6 +157,7 @@ class SystemState:
         self.assignments: dict[str, Assignment] = {}
         self.executions: dict[str, Execution] = {}
         self.locks: dict[str, str] = {}
+        self.staffing = StaffingIndex(store)
         self.audit = AuditLog()
         self.rng = random.Random(seed)
         self.forces: dict[tuple[str, str], tuple[Fraction, str]] = {}
@@ -168,7 +186,76 @@ def _group_order(entities) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def select_subject(store: PolicyStore, erole: str) -> str | None:
+_NONE: frozenset = frozenset()
+
+
+class StaffingIndex:
+    """Run-scoped index of the live store's role sets, read by `select_subject`.
+
+    - `idle[role]` holds, sorted, the ids of the subjects that may assume
+      `role` (SRT) and hold no emergency role (ASRT); `idle[None]` holds
+      every such subject. A busy subject is in no list.
+    - `holders[role]` counts the ASRT entries that hold `role` active, so a
+      `count(...)` atom needs no scan.
+    - `static` holds each other atom's truth per (subject, atom), computed
+      once: subject properties never change during a run.
+
+    Role sets change only in `enable_response_actions`,
+    `rescind_permissions` and a substitution in `_run_fault_tolerance`,
+    and each of them calls `refresh` for the subject it wrote.
+    """
+
+    def __init__(self, store: PolicyStore):
+        self.store = store
+        self.emergency_roles = {r for r, kind in store.roles.items() if kind is RoleKind.EMERGENCY}
+        self.idle: dict[str | None, list[str]] = {}
+        self.listed: dict[str, frozenset[str | None]] = {}
+        self.asrt: dict[str, frozenset[str]] = {}  # as last refreshed
+        self.holders: Counter[str] = Counter()
+        # (sid, id(atom)) -> (atom, truth); holding the atom keeps its id unique.
+        self.static: dict[tuple[str, int], tuple[ConstraintExpr, bool]] = {}
+        for sid in sorted(store.subjects.keys() | store.asrt.keys()):
+            self.refresh(sid)
+
+    def refresh(self, sid: str) -> None:
+        """Bring `sid`'s list entries and holder counts up to date with the store."""
+        store = self.store
+        active = store.asrt.get(sid, _NONE)
+        before = self.asrt.get(sid, _NONE)
+        if active != before:
+            holders = self.holders
+            for role in before:
+                holders[role] -= 1
+            for role in active:
+                holders[role] += 1
+            self.asrt[sid] = frozenset(active)
+        if sid not in store.subjects:
+            return
+        if not self.emergency_roles.isdisjoint(active):
+            keys = _NONE
+        else:
+            keys = frozenset((None, *store.srt.get(sid, ())))
+        listed = self.listed.get(sid, _NONE)
+        if keys != listed:
+            for key in listed - keys:
+                ids = self.idle[key]
+                del ids[bisect_left(ids, sid)]
+            for key in keys - listed:
+                insort(self.idle.setdefault(key, []), sid)
+            self.listed[sid] = keys
+
+    def atom(self, expr: ConstraintExpr, subject: Subject, store: PolicyStore) -> bool:
+        """`constraints.atom_holds`, from the counts and the per-subject cache."""
+        if isinstance(expr, CountCmp):
+            return count_holds(expr, self.holders[expr.role])
+        key = (subject.sid, id(expr))
+        cached = self.static.get(key)
+        if cached is None:
+            cached = self.static[key] = (expr, atom_holds(expr, subject, store))
+        return cached[1]
+
+
+def select_subject(staffing: StaffingIndex, erole: str) -> str | None:
     """Walk the role-mapping hierarchy top-down, then the fallback constraint.
 
     Each RMT role is one level, checked against the mapping's constraint;
@@ -178,19 +265,23 @@ def select_subject(store: PolicyStore, erole: str) -> str | None:
     level's constraint. Subjects are tried in id order and the first
     eligible one is returned, so each level is staffed by its smallest
     eligible subject id.
+
+    The candidates of a level are `staffing.idle[role]` (every idle subject
+    for the RCT level), so the subjects visited are exactly those whose
+    constraint is evaluated, and each `evaluate` call takes its atoms from
+    `staffing.atom`. The index is current because every writer of role
+    sets refreshes it (see `StaffingIndex`).
     """
+    store = staffing.store
     mapping = store.rmt.get(erole)
     levels = [] if mapping is None else [(role, mapping.constraint) for role in mapping.roles]
     if erole in store.rct:
         levels.append((None, store.rct[erole]))
-    sids = sorted(store.subjects)
     for role, constraint in levels:
-        for sid in sids:
-            if role is not None and role not in store.srt.get(sid, ()):
-                continue
-            if any(store.roles.get(r) is RoleKind.EMERGENCY for r in store.asrt.get(sid, ())):
-                continue
-            if constraint is None or evaluate(constraint, store.subjects[sid], store):
+        for sid in staffing.idle.get(role, ()):
+            if constraint is None or evaluate(
+                constraint, store.subjects[sid], store, staffing.atom
+            ):
                 return sid
     return None
 
@@ -215,6 +306,7 @@ def enable_response_actions(
     store.ort[sid] = saved
     store.srt.setdefault(sid, set()).add(erole)
     store.asrt[sid] = {erole}
+    world.staffing.refresh(sid)
 
     for oid, op in step.ts.actions:
         store.objects[oid].acl.append(AclEntry(erole, op, td))
@@ -260,6 +352,7 @@ def rescind_permissions(world: SystemState, eid: str, now: Fraction, reason: str
     store.asrt[assignment.sid] = set(assignment.saved)
     store.srt.get(assignment.sid, set()).discard(assignment.erole)
     store.ort.pop(assignment.sid, None)
+    world.staffing.refresh(assignment.sid)
     world.audit.append(
         "role_restored",
         now,
@@ -286,6 +379,8 @@ def _run_fault_tolerance(
     members = world.group_members(entity)
     report = apply_fault_tolerance(world.store, world.engaged, entity, members)
     if report.outcome == "substituted":
+        if report.roles_copied:
+            world.staffing.refresh(report.substitute)
         world.audit.append(
             "ft_substitution",
             now,
@@ -675,7 +770,7 @@ def _assign_pending(world: SystemState, entity: str, now: Fraction) -> None:
         if world.store.roles.get(erole) is not RoleKind.EMERGENCY:
             sid = None
         else:
-            sid = select_subject(world.store, erole)
+            sid = select_subject(world.staffing, erole)
         if sid is None:
             if step.eid not in world.unavailable_logged:
                 world.audit.append("subject_unavailable", now, eid=step.eid, erole=erole)

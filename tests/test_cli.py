@@ -333,7 +333,27 @@ class TestAudit:
         trace_file.write_text(text.replace("prio=3", "prio=4", 1), encoding="utf-8")
         code, out, _ = run_cli("audit", str(trace_file), "--scenario", hospital_path)
         assert code == 1
-        assert out == "determinism at #0: trace differs from deterministic re-run\n"
+        assert out == (
+            "determinism at #0: trace differs from deterministic re-run at line 2: "
+            "trace has '2|0|emergency_raised|eid=E1,entity=env,prio=4,ed=20', "
+            "re-run has '2|0|emergency_raised|eid=E1,entity=env,prio=3,ed=20'\n"
+        )
+
+    def test_truncated_and_extended_traces_name_the_shorter_side(self, hospital_path, tmp_path):
+        golden = GOLDEN.read_text(encoding="utf-8").splitlines()
+        extra = "96|9.5|entity_failed|entity=P1"
+        trace_file = tmp_path / "run.trace"
+        cases = [
+            (golden[:94], f"line 95: the trace is shorter (94 lines), re-run has {golden[94]!r}"),
+            (golden + [extra], f"line 96: the re-run is shorter (95 lines), trace has {extra!r}"),
+        ]
+        for lines, where in cases:
+            trace_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            code, out, _ = run_cli("audit", str(trace_file), "--scenario", hospital_path)
+            assert code == 1
+            assert f"determinism at #0: trace differs from deterministic re-run at {where}" in (
+                out.splitlines()
+            )
 
     def audit_tampered(self, tmp_path, scenario_path, kind, field, value):
         """Audit exit codes, without and with --scenario, after rewriting one

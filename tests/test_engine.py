@@ -5,17 +5,41 @@ failed draw, resource serialization, entity substitution, zero-value
 fallback, expiry. Assertions read the audit records the run produced.
 """
 
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from feac import engine
-from feac.constraints import And, Cmp, CountCmp, DistCmp, Lit, Not, Or, Ref, evaluate
-from feac.engine import EngineError, MODE_DISASTER, SystemState, engine_tick, select_subject
-from feac.model import PolicyStore, RoleKind, RoleMapping, Subject
-from feac.scenario import parse_scenario
+from feac import constraints, engine, sim
+from feac.constraints import (
+    CMP_OPS,
+    MAX_DEPTH,
+    And,
+    Cmp,
+    CountCmp,
+    DistCmp,
+    Lit,
+    Not,
+    Or,
+    Ref,
+    evaluate,
+)
+from feac.engine import (
+    EngineError,
+    MODE_DISASTER,
+    StaffingIndex,
+    SystemState,
+    enable_response_actions,
+    engine_tick,
+    rescind_permissions,
+    select_subject,
+)
+from feac.model import PolicyStore, RoleKind, RoleMapping, Subject, TaskSet
+from feac.planner import InfluenceSpec, PlanStep
+from feac.scenario import load_scenario, parse_scenario
 from feac.sim import run_simulation
 
 from scenario_gen import generate_scenario_text
@@ -265,24 +289,163 @@ def reference_select(store: PolicyStore, erole: str):
     return None
 
 
+def random_staffing_world(rng: random.Random) -> SystemState:
+    """A world over a random staffing store whose subjects also form one
+    function group, so a failed subject is substituted by a peer."""
+    store = random_staffing_store(rng)
+    store.efgt = {sid: "crew" for sid in store.subjects}
+    return SystemState(store, {}, [], InfluenceSpec())
+
+
+def random_write(world: SystemState, rng: random.Random) -> str:
+    """One role-set write through the engine: enable, rescind or substitute."""
+    store = world.store
+    now = world.clock
+    roll = rng.random()
+    if roll < 0.45:
+        erole = rng.choice(EMERGENCY_ROLES)
+        if erole in world.assignments:
+            return "skipped"
+        sid = select_subject(world.staffing, erole) or rng.choice(sorted(store.subjects))
+        ts = TaskSet("T1", (), F(1), F(1))
+        enable_response_actions(world, PlanStep(erole, ts, F(1), F(1), F(5), F(1)), sid, now)
+        return "enabled"
+    if roll < 0.8:
+        if not world.assignments:
+            return "skipped"
+        rescind_permissions(world, rng.choice(sorted(world.assignments)), now, "solved")
+        return "rescinded"
+    entity = rng.choice(sorted(store.subjects))
+    if entity in world.engaged:
+        return "skipped"
+    copied = sorted(store.asrt.get(entity, ()))
+    if not engine._run_fault_tolerance(world, entity, now, escalated=False):
+        return "disaster"
+    return "substituted with roles" if copied else "substituted"
+
+
 def test_select_subject_matches_reference_on_random_stores():
+    """The index answers as the full scan does, on fresh stores and after
+    enable, rescind and substitution steps on the same index."""
     seen = Counter()
     for case in range(300):
         rng = random.Random(70_000 + case)
-        store = random_staffing_store(rng)
-        for erole in EMERGENCY_ROLES:
-            want = reference_select(store, erole)
-            assert select_subject(store, erole) == want, (case, erole)
-            mapping = store.rmt.get(erole)
-            if mapping is None:
-                seen["rct only" if erole in store.rct else "no mapping"] += 1
-            else:
-                seen[f"{len(mapping.roles)} levels"] += 1
-            seen["staffed" if want is not None else "unstaffed"] += 1
-            busy = [sid for sid, roles in store.asrt.items() if roles & set(EMERGENCY_ROLES)]
-            if want is not None and busy and min(busy) < want:
-                seen["passed over a busy subject"] += 1
+        world = random_staffing_world(rng)
+        store = world.store
+        for step in range(8):
+            for erole in EMERGENCY_ROLES:
+                want = reference_select(store, erole)
+                assert select_subject(world.staffing, erole) == want, (case, step, erole)
+                mapping = store.rmt.get(erole)
+                if mapping is None:
+                    seen["rct only" if erole in store.rct else "no mapping"] += 1
+                else:
+                    seen[f"{len(mapping.roles)} levels"] += 1
+                seen["staffed" if want is not None else "unstaffed"] += 1
+                busy = [sid for sid, roles in store.asrt.items() if roles & set(EMERGENCY_ROLES)]
+                if want is not None and busy and min(busy) < want:
+                    seen["passed over a busy subject"] += 1
+            world.clock += 1
+            seen[random_write(world, rng)] += 1
+    # A substitution with no peer left is a disaster, which rescinds everything.
+    assert seen.pop("disaster") > 0, seen
     assert min(seen.values()) >= 20, seen
+
+
+def random_atom(rng: random.Random):
+    """An atom whose property or literal may not fit: bool, number, str and
+    coordinate values meet every literal kind, and count(...) reads normal
+    and emergency roles."""
+    pick = rng.randrange(5)
+    op = rng.choice(CMP_OPS)
+    prop = rng.choice(("experience", "ward", "senior", "location", "missing"))
+    if pick == 0:
+        return Lit(rng.random() < 0.5)
+    if pick == 1:
+        value = rng.choice((F(rng.randint(0, 5)), rng.choice(("icu", "er")), rng.random() < 0.5))
+        return Cmp(prop, op, value)
+    if pick == 2:
+        point = (F(rng.randint(0, 4)), F(rng.randint(0, 4), rng.randint(1, 2)))
+        return DistCmp(prop, point, op, F(rng.randint(0, 4)))
+    if pick == 3:
+        return CountCmp(rng.choice(NORMAL_ROLES + EMERGENCY_ROLES), op, rng.randint(0, 4))
+    return Ref(rng.choice(EQUIVALENCE_REFS))
+
+
+def random_expression(rng: random.Random, depth: int = 0):
+    roll = rng.random()
+    if depth < 3 and roll < 0.35:
+        items = tuple(random_expression(rng, depth + 1) for _ in range(rng.randint(1, 3)))
+        return rng.choice((And, Or))(items)
+    if depth < 3 and roll < 0.45:
+        return Not(random_expression(rng, depth + 1))
+    return random_atom(rng)
+
+
+def ref_chain(prefix: str, length: int, end) -> dict:
+    """`prefix0` -> `prefix1` -> ... -> `prefix<length>` = end."""
+    refs = {f"{prefix}{i}": Ref(f"{prefix}{i + 1}") for i in range(length)}
+    return {**refs, f"{prefix}{length}": end}
+
+
+EQUIVALENCE_REFS = ("near", "cycle", "self", "missing", "fits0", "over0", "count_fits0")
+
+
+def equivalence_store(rng: random.Random) -> PolicyStore:
+    store = random_staffing_store(rng)
+    store.constraints = {
+        "near": DistCmp("location", (F(1), F(1)), "<=", F(2)),
+        "cycle": And((Ref("cycle_back"), Lit(True))),
+        "cycle_back": Or((Ref("cycle"), Cmp("ward", "=", "icu"))),
+        "self": Or((Ref("self"), Cmp("experience", ">=", F(2)))),
+        # Reached from the top level, the last link of `fits` sits exactly
+        # at MAX_DEPTH and that of `over` one level past it.
+        **ref_chain("fits", MAX_DEPTH - 1, Cmp("experience", "<", F(4))),
+        **ref_chain("over", MAX_DEPTH, Cmp("experience", "<", F(4))),
+        **ref_chain("count_fits", MAX_DEPTH - 1, CountCmp("N1", ">=", 1)),
+    }
+    for sid, subject in store.subjects.items():
+        # Mismatched property kinds: a scalar where a coordinate belongs and back.
+        if rng.random() < 0.2:
+            subject.properties["location"] = rng.choice((F(2), "icu", True))
+        if rng.random() < 0.2:
+            subject.properties["experience"] = rng.choice(((F(1), F(1)), "3", False))
+        if rng.random() < 0.3:
+            subject.properties["senior"] = rng.random() < 0.5
+    return store
+
+
+def test_index_atoms_answer_as_evaluate_does():
+    """`evaluate` with the index's atoms equals plain `evaluate` on random
+    expressions and subjects, while role sets change under the index."""
+    seen = Counter()
+    for case in range(40):
+        rng = random.Random(90_000 + case)
+        store = equivalence_store(rng)
+        index = StaffingIndex(store)
+        subjects = [store.subjects[sid] for sid in sorted(store.subjects)]
+        expressions = [random_expression(rng) for _ in range(12)]
+        expressions += [Ref(name) for name in EQUIVALENCE_REFS]
+        for _ in range(2):
+            for expr in expressions:
+                for subject in subjects:
+                    want = evaluate(expr, subject, store)
+                    assert evaluate(expr, subject, store, index.atom) == want, (case, expr)
+                    seen[want] += 1
+                    if isinstance(expr, Ref):
+                        seen[(expr.name, want)] += 1
+            # Role changes between rounds move every count(...) answer.
+            for sid in rng.sample(sorted(store.subjects), min(3, len(subjects))):
+                active = set(rng.sample(NORMAL_ROLES + EMERGENCY_ROLES, rng.randint(0, 2)))
+                store.asrt[sid] = active
+                store.srt[sid] = store.srt.get(sid, set()) | active
+                index.refresh(sid)
+    # Both answers came up, the chain that fits holds for someone, the one
+    # past MAX_DEPTH and the missing reference never do.
+    assert seen[True] > 500 and seen[False] > 500, seen
+    assert seen[("fits0", True)] and seen[("count_fits0", True)], seen
+    assert not (seen[("over0", True)] or seen[("missing", True)]), seen
+    assert seen[("cycle", True)] and seen[("self", True)], seen
 
 
 class TestRetry:
@@ -631,3 +794,130 @@ def test_occurrence_heap_matches_full_scan_up_to_disaster(checked_occurrences):
     trace = run(ONE_EMERGENCY + "at 0 raise E1\nat 1 fail P1\n")
     assert trace.final_mode == MODE_DISASTER
     assert checked_occurrences[0] > 0
+
+
+def assert_index_current(staffing: StaffingIndex):
+    """The index equals one built afresh from its store."""
+    fresh = StaffingIndex(staffing.store)
+    assert {k: v for k, v in staffing.idle.items() if v} == {
+        k: v for k, v in fresh.idle.items() if v
+    }
+    assert +staffing.holders == +fresh.holders
+
+
+@pytest.fixture
+def checked_staffing(monkeypatch):
+    """Every `select_subject` call asserts that the index's answer equals
+    `reference_select` on the live store, and every tick that the index
+    equals a fresh one. Counts the answers by the subject chosen."""
+    seen = Counter()
+    indexed = engine.select_subject
+    ticked = sim.engine_tick
+
+    def checked(staffing, erole):
+        got = indexed(staffing, erole)
+        assert got == reference_select(staffing.store, erole), (erole, got)
+        seen[got] += 1
+        return got
+
+    def checked_tick(world, cfg):
+        appended = ticked(world, cfg)
+        assert_index_current(world.staffing)
+        return appended
+
+    monkeypatch.setattr(engine, "select_subject", checked)
+    monkeypatch.setattr(sim, "engine_tick", checked_tick)
+    return seen
+
+
+def test_staffing_index_matches_the_scan_on_the_hospital(hospital, hospital_run, checked_staffing):
+    assert run_simulation(hospital).trace_text == hospital_run.trace_text
+    assert sum(checked_staffing.values()) == 7
+
+
+def test_staffing_index_matches_the_scan_on_generated_runs(checked_staffing):
+    for seed in range(60):
+        sc, diags = parse_scenario(generate_scenario_text(seed))
+        assert not diags, (seed, diags)
+        run_simulation(sc)
+    assert checked_staffing[None] > 0 and sum(checked_staffing.values()) > 200, checked_staffing
+
+
+CREW_FAILOVER = Path(__file__).parent / "data" / "crew_failover.feac"
+
+
+def test_staffing_index_follows_roles_copied_on_substitution(checked_staffing):
+    sc, diags = load_scenario(str(CREW_FAILOVER))
+    assert not diags
+    trace = run_simulation(sc)
+    (sub,) = recs(trace, "ft_substitution")
+    assert (sub.ts, sub.payload["to"], sub.payload["roles"]) == (F(1), "S2", "E1")
+    # S2 held E2 when it took over E1; the index saw both at every tick.
+    assert [r.payload["sid"] for r in recs(trace, "role_assigned")][:2] == ["S1", "S2"]
+    assert (trace.final_mode, trace.final_clock, len(trace.records)) == ("normal", F(19, 2), 97)
+    assert sum(checked_staffing.values()) == 7
+
+
+COUNT_FLIP = """\
+entity P1
+role R1
+constraint spare = count(R1) >= 2
+subject A1 { roles = [R1] }
+subject A2 { roles = [R1] }
+subject A3 { roles = [R1] }
+subject B1 { roles = [], on_call = true }
+object O1 { acl R1 use }
+"""
+
+
+def test_staffing_index_follows_a_count_level_that_flips(checked_staffing):
+    """`spare` holds while two R1 holders stay active: staffing E1 and E2
+    takes it from true to false, so E3 falls back to the on-call B1 although
+    A3 is idle; E4, raised after the first three finish, finds it true again."""
+    emergencies = "".join(
+        f"""\
+emergency E{n} {{
+  entity P1
+  prio {n}
+  ed 20
+  ft true
+  ts TS1 {{ actions = [O1 use], time = 1, prob = 0.9 }}
+}}
+map E{n} -> [R1] where @spare
+fallbackmap E{n} where on_call = true
+at {raised} raise E{n}
+at 0 force E{n} TS1 success
+"""
+        for n, raised in ((1, 0), (2, 0), (3, 0), (4, 5))
+    )
+    trace = run(COUNT_FLIP + emergencies)
+    assigned = [(r.ts, r.payload["eid"], r.payload["sid"]) for r in recs(trace, "role_assigned")]
+    assert assigned == [
+        (F(0), "E1", "A1"),
+        (F(0), "E2", "A2"),
+        (F(0), "E3", "B1"),
+        (F(5), "E4", "A1"),
+    ]
+    assert trace.outcomes == {eid: "eliminated" for eid in ("E1", "E2", "E3", "E4")}
+    assert checked_staffing == Counter({"A1": 2, "A2": 1, "B1": 1})
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [(engine, [("_finish_execution", "float(execution.p)")]), (constraints, [])],
+)
+def test_engine_source_has_no_true_division_or_float(module, allowed):
+    """Policy and staffing arithmetic stays exact: no `/`, and `float` only
+    for the outcome draw."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    floats = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+                    floats.append((func.name, ast.unparse(node)))
+    assert floats == allowed
+    names = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "float"]
+    assert len(names) == len(allowed)
+    for node in ast.walk(tree):
+        assert not isinstance(getattr(node, "op", None), ast.Div), node.lineno
