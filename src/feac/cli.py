@@ -1,8 +1,9 @@
 """Command-line front end: validate, plan, simulate, audit.
 
 Exit codes: 0 success, 1 failed validation or failed checks, 2 usage or
-input errors (missing files, malformed traces, broken scenarios where a
-working one is required), 3 simulation ended in disaster.
+input errors (missing, unreadable or non-UTF-8 files, malformed traces,
+broken scenarios where a working one is required), 3 simulation ended in
+disaster.
 """
 
 from __future__ import annotations
@@ -30,12 +31,28 @@ from .scenario import Scenario, load_scenario, print_scenario
 from .sim import run_simulation
 
 
-def _load_clean(path: str, out, err) -> Scenario | None:
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def _load(path: str, read, err):
+    """`read(path)`, or None after an `error:` line when the file cannot be
+    read or is not UTF-8 text."""
     try:
-        scenario, diags = load_scenario(path)
+        return read(path)
     except OSError as exc:
         print(f"error: {exc}", file=err)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text (byte {exc.start}: {exc.reason})", file=err)
+    return None
+
+
+def _load_clean(path: str, out, err) -> Scenario | None:
+    loaded = _load(path, load_scenario, err)
+    if loaded is None:
         return None
+    scenario, diags = loaded
     if diags:
         for diag in diags:
             print(diag, file=out)
@@ -44,11 +61,10 @@ def _load_clean(path: str, out, err) -> Scenario | None:
 
 
 def cmd_validate(args, out, err) -> int:
-    try:
-        scenario, diags = load_scenario(args.scenario)
-    except OSError as exc:
-        print(f"error: {exc}", file=err)
+    loaded = _load(args.scenario, load_scenario, err)
+    if loaded is None:
         return 2
+    scenario, diags = loaded
     for diag in diags:
         print(diag, file=out)
     if diags:
@@ -154,11 +170,8 @@ def _first_difference(trace: list[str], rerun: list[str]) -> str:
 
 
 def cmd_audit(args, out, err) -> int:
-    try:
-        with open(args.trace, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=err)
+    text = _load(args.trace, _read_text, err)
+    if text is None:
         return 2
     try:
         records = parse_trace(text)

@@ -27,6 +27,12 @@ ticks of `tp` minutes. Within a tick it:
 5. starts the next action of each group whose environment gates are clear
    and whose resources are unlocked.
 
+A staffed step is one `Assignment`: its subject holds the emergency role
+(named by the step's eid) and the step's permissions until `td`. A running
+action is that same assignment, stamped with its `end` and filed under its
+entity in `SystemState.executions`; the grant it runs under is the one it
+was staffed with, so the step, subject and window are stored once.
+
 Every state change is appended to the audit log; nothing mutates the
 store without a record.
 """
@@ -102,12 +108,14 @@ class ActiveEmergency:
 
 @dataclass
 class Assignment:
-    eid: str
+    """`sid` holds emergency role `step.eid` and the step's permissions until
+    `td`, with its own roles `saved`; `end` is set when the action starts."""
+
+    step: PlanStep
     sid: str
-    erole: str
     td: Fraction
-    grants: list[tuple[str, Op, Fraction]]
     saved: tuple[str, ...]
+    end: Fraction | None = None
 
 
 @dataclass
@@ -116,17 +124,6 @@ class GroupPlan:
     epoch: Fraction
     gate_abs: Fraction
     cursor: int = 0
-
-
-@dataclass
-class Execution:
-    eid: str
-    tsid: str
-    sid: str
-    end: Fraction
-    td: Fraction
-    p: Fraction
-    resources: frozenset[str]
 
 
 class SystemState:
@@ -141,7 +138,6 @@ class SystemState:
         seed: int = 0,
     ):
         self.store = store
-        self.initial_store = store.clone()
         self.emergencies = emergencies
         self.events = sorted(events, key=lambda ev: (ev.time, ev.index))
         self.event_cursor = 0
@@ -155,7 +151,8 @@ class SystemState:
         self.occurrences: list[tuple[Fraction, int, str]] = []
         self.plans: dict[str, GroupPlan] = {}
         self.assignments: dict[str, Assignment] = {}
-        self.executions: dict[str, Execution] = {}
+        # The running assignment of each entity's group.
+        self.executions: dict[str, Assignment] = {}
         self.locks: dict[str, str] = {}
         self.staffing = StaffingIndex(store)
         self.audit = AuditLog()
@@ -168,12 +165,12 @@ class SystemState:
         self.unavailable_logged: set[str] = set()
 
     def group_members(self, entity: str, include_executing: bool = True) -> list[Emergency]:
-        execution = None if include_executing else self.executions.get(entity)
-        running = None if execution is None else execution.eid
+        running = None if include_executing else self.executions.get(entity)
+        skip = None if running is None else running.step.eid
         return [
             ae.emergency
             for eid, ae in sorted(self.active.items())
-            if ae.emergency.entity == entity and eid != running
+            if ae.emergency.entity == entity and eid != skip
         ]
 
 
@@ -296,28 +293,25 @@ def enable_response_actions(
 ) -> Assignment:
     """Grant, alternate roles, notify: the four-step enablement for one step."""
     store = world.store
-    eid = step.eid
-    erole = eid
+    eid = step.eid  # also the emergency role
     td = now + step.ed
     saved = tuple(sorted(store.asrt.get(sid, set())))
-    grants: list[tuple[str, Op, Fraction]] = []
 
-    world.audit.append("role_assigned", now, sid=sid, erole=erole, eid=eid, saved=saved)
+    world.audit.append("role_assigned", now, sid=sid, erole=eid, eid=eid, saved=saved)
     store.ort[sid] = saved
-    store.srt.setdefault(sid, set()).add(erole)
-    store.asrt[sid] = {erole}
+    store.srt.setdefault(sid, set()).add(eid)
+    store.asrt[sid] = {eid}
     world.staffing.refresh(sid)
 
     for oid, op in step.ts.actions:
-        store.objects[oid].acl.append(AclEntry(erole, op, td))
-        grants.append((oid, op, td))
+        store.objects[oid].acl.append(AclEntry(eid, op, td))
         world.audit.append(
-            "permission_granted", now, erole=erole, oid=oid, op=op.value, td=td, eid=eid, sid=sid
+            "permission_granted", now, erole=eid, oid=oid, op=op.value, td=td, eid=eid, sid=sid
         )
 
-    world.audit.append("subject_notified", now, sid=sid, eid=eid, erole=erole)
+    world.audit.append("subject_notified", now, sid=sid, eid=eid, erole=eid)
 
-    assignment = Assignment(eid=eid, sid=sid, erole=erole, td=td, grants=grants, saved=saved)
+    assignment = Assignment(step, sid, td, saved)
     world.assignments[eid] = assignment
     world.unavailable_logged.discard(eid)
     _push_occurrence(world, eid)
@@ -334,32 +328,27 @@ def rescind_permissions(world: SystemState, eid: str, now: Fraction, reason: str
     if assignment is None:
         return
     store = world.store
-    for oid, op, td in assignment.grants:
-        entry = AclEntry(assignment.erole, op, td)
+    sid, td = assignment.sid, assignment.td
+    for oid, op in assignment.step.ts.actions:
+        entry = AclEntry(eid, op, td)
         acl = store.objects[oid].acl
         if entry in acl:
             acl.remove(entry)
         world.audit.append(
             "permission_rescinded",
             now,
-            erole=assignment.erole,
+            erole=eid,
             oid=oid,
             op=op.value,
             td=td,
             reason=reason,
             eid=eid,
         )
-    store.asrt[assignment.sid] = set(assignment.saved)
-    store.srt.get(assignment.sid, set()).discard(assignment.erole)
-    store.ort.pop(assignment.sid, None)
-    world.staffing.refresh(assignment.sid)
-    world.audit.append(
-        "role_restored",
-        now,
-        sid=assignment.sid,
-        erole=assignment.erole,
-        restored=assignment.saved,
-    )
+    store.asrt[sid] = set(assignment.saved)
+    store.srt.get(sid, set()).discard(eid)
+    store.ort.pop(sid, None)
+    world.staffing.refresh(sid)
+    world.audit.append("role_restored", now, sid=sid, erole=eid, restored=assignment.saved)
     world.unavailable_logged.discard(eid)
     _push_occurrence(world, eid)
 
@@ -414,11 +403,12 @@ def _declare_disaster(world: SystemState, entity: str, now: Fraction, reason: st
 # ---------------------------------------------------------------------------
 
 
-def _release_locks(world: SystemState, execution: Execution) -> None:
-    for resource in execution.resources:
-        if world.locks.get(resource) == execution.eid:
+def _release_locks(world: SystemState, running: Assignment) -> None:
+    resources = running.step.ts.resources
+    for resource in resources:
+        if world.locks.get(resource) == running.step.eid:
             del world.locks[resource]
-    if execution.resources:
+    if resources:
         world.dirty |= world.blocked
         world.blocked.clear()
 
@@ -427,24 +417,22 @@ def _gated_entities(store: PolicyStore, eid: str) -> list[str]:
     return sorted({entity for entity, gate in store.edt if gate == eid})
 
 
-def _finish_execution(world: SystemState, execution: Execution, now: Fraction) -> None:
-    eid = execution.eid
+def _finish_execution(world: SystemState, running: Assignment, now: Fraction) -> None:
+    step, sid = running.step, running.sid
+    eid, tsid = step.eid, step.ts.tsid
     ae = world.active[eid]
     entity = ae.emergency.entity
     del world.executions[entity]
-    _release_locks(world, execution)
+    _release_locks(world, running)
 
-    forced = world.forces.get((eid, execution.tsid))
+    forced = world.forces.get((eid, tsid))
     if forced is not None and forced[0] <= now:
         success = forced[1] == "success"
     else:
-        success = world.rng.random() < float(execution.p)
+        success = world.rng.random() < float(step.p)
 
     if not success:
-        world.audit.append(
-            "action_failed", now, eid=eid, tsid=execution.tsid, sid=execution.sid,
-            reason="draw_failed",
-        )
+        world.audit.append("action_failed", now, eid=eid, tsid=tsid, sid=sid, reason="draw_failed")
         if now >= ae.deadline:
             _expire(world, eid, now, "deadline")
         else:
@@ -452,10 +440,7 @@ def _finish_execution(world: SystemState, execution: Execution, now: Fraction) -
             _push_occurrence(world, eid)
         return
 
-    world.audit.append(
-        "action_finished", now, eid=eid, tsid=execution.tsid, sid=execution.sid,
-        outcome="success",
-    )
+    world.audit.append("action_finished", now, eid=eid, tsid=tsid, sid=sid, outcome="success")
     rescind_permissions(world, eid, now, "solved")
     world.outcomes[eid] = "eliminated"
     del world.active[eid]
@@ -475,15 +460,15 @@ def _finish_execution(world: SystemState, execution: Execution, now: Fraction) -
     _try_start_group(world, entity, now)
 
 
-def _abort_execution(world: SystemState, execution: Execution, now: Fraction) -> None:
+def _abort_execution(world: SystemState, running: Assignment, now: Fraction) -> None:
     """Grant window (td) ran out mid-action: cut it off and expire."""
-    eid = execution.eid
+    eid = running.step.eid
     entity = world.active[eid].emergency.entity
     del world.executions[entity]
-    _release_locks(world, execution)
+    _release_locks(world, running)
     rescind_permissions(world, eid, now, "expired")
     world.audit.append(
-        "action_failed", now, eid=eid, tsid=execution.tsid, sid=execution.sid, reason="expired"
+        "action_failed", now, eid=eid, tsid=running.step.ts.tsid, sid=running.sid, reason="expired"
     )
     world.audit.append("emergency_expired", now, eid=eid, reason="window")
     world.outcomes[eid] = "expired"
@@ -524,16 +509,8 @@ def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
         return
     for resource in step.ts.resources:
         world.locks[resource] = step.eid
-    execution = Execution(
-        eid=step.eid,
-        tsid=step.ts.tsid,
-        sid=assignment.sid,
-        end=now + step.t,
-        td=assignment.td,
-        p=step.p,
-        resources=step.ts.resources,
-    )
-    world.executions[entity] = execution
+    assignment.end = now + step.t
+    world.executions[entity] = assignment
     plan.cursor += 1
     _push_occurrence(world, step.eid)
     world.audit.append(
@@ -543,7 +520,7 @@ def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
         tsid=step.ts.tsid,
         sid=assignment.sid,
         start=now,
-        end=execution.end,
+        end=assignment.end,
         resources=sorted(step.ts.resources),
     )
 
@@ -558,12 +535,12 @@ def _occurrence_of(world: SystemState, eid: str) -> tuple[Fraction, int, str] | 
     ae = world.active.get(eid)
     if ae is None:
         return None
-    # An emergency is running iff its entity's execution carries its eid.
-    execution = world.executions.get(ae.emergency.entity)
-    if execution is not None and execution.eid == eid:
-        if execution.end <= execution.td:
-            return (execution.end, 0, eid)
-        return (execution.td, 1, eid)
+    # An emergency is running iff its entity's running assignment is its own.
+    running = world.executions.get(ae.emergency.entity)
+    if running is not None and running.step.eid == eid:
+        if running.end <= running.td:
+            return (running.end, 0, eid)
+        return (running.td, 1, eid)
     assignment = world.assignments.get(eid)
     if assignment is not None and assignment.td < ae.deadline:
         return (assignment.td, 1, eid)
@@ -589,12 +566,12 @@ def _next_occurrence(world: SystemState) -> tuple[Fraction, int, str] | None:
 def _dispatch_occurrence(world: SystemState, occ: tuple[Fraction, int, str]) -> None:
     when, klass, eid = occ
     # `_next_occurrence` returns only heads matching `_occurrence_of`, so eid is active.
-    execution = world.executions.get(world.active[eid].emergency.entity)
-    if execution is not None and execution.eid == eid:
+    running = world.executions.get(world.active[eid].emergency.entity)
+    if running is not None and running.step.eid == eid:
         if klass == 0:
-            _finish_execution(world, execution, when)
+            _finish_execution(world, running, when)
         else:
-            _abort_execution(world, execution, when)
+            _abort_execution(world, running, when)
     else:
         _expire(world, eid, when, "window" if klass == 1 else "deadline")
 
@@ -684,9 +661,9 @@ def _gate_release(world: SystemState, entity: str, now: Fraction) -> Fraction:
         if ae is None:
             continue
         scheduled = None
-        execution = world.executions.get(ae.emergency.entity)
-        if execution is not None and execution.eid == gate_eid:
-            scheduled = execution.end
+        running = world.executions.get(ae.emergency.entity)
+        if running is not None and running.step.eid == gate_eid:
+            scheduled = running.end
         if scheduled is None:
             env_plan = world.plans.get(ENV_ENTITY)
             if env_plan is not None:
@@ -718,9 +695,9 @@ def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: Fractio
     # Plans assume every resource frees up in time; actual contention
     # serializes at start time and forces a replan when a lock releases.
     gate_release = _gate_release(world, entity, now)
-    execution = world.executions.get(entity)
-    if execution is not None:
-        gate_release = max(gate_release, execution.end - now)
+    running = world.executions.get(entity)
+    if running is not None:
+        gate_release = max(gate_release, running.end - now)
     graph = build_transition_graph(
         remaining,
         world.store.tdt,

@@ -19,6 +19,7 @@ keyword, so one broken declaration yields one diagnostic, not a cascade.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -216,7 +217,8 @@ class Parser:
         self.pos = 0
 
         self.scenario_name: Token | None = None
-        self.configs: list[tuple[Token, Token]] = []
+        # (key, value, the value's number when it is one)
+        self.configs: list[tuple[Token, Token, Fraction | None]] = []
         self.entities: list[Token] = []
         self.role_decls: list[Token] = []
         self.constraint_decls: list[tuple[Token, ConstraintExpr, _ExprInfo]] = []
@@ -270,11 +272,18 @@ class Parser:
         return False
 
     def expect_number(self, what: str) -> tuple[Token, Fraction]:
+        """The one place a number token is converted; on error it stays unread."""
         tok = self.peek()
         if tok.kind != "number":
             self.abort(tok, f"expected {what}, found {_describe(tok)}")
+        try:
+            value = parse_number(tok.value)
+        except ValueError:
+            # A part longer than the interpreter's int() conversion limit.
+            limit = sys.get_int_max_str_digits()
+            self.abort(tok, f"number too long: a part has more than {limit} digits")
         self.advance()
-        return tok, parse_number(tok.value)
+        return tok, value
 
     def resync(self) -> None:
         while True:
@@ -291,8 +300,8 @@ class Parser:
         """A number, string or boolean; on error the token stays unread."""
         tok = self.peek()
         if tok.kind == "number":
-            value = parse_number(tok.value)
-        elif tok.kind == "string":
+            return self.expect_number(what)[1]
+        if tok.kind == "string":
             value = tok.value[1:-1]
         elif tok.kind == "name" and tok.value in ("true", "false"):
             value = tok.value == "true"
@@ -374,10 +383,14 @@ class Parser:
         key = self.expect_name("a config key")
         self.expect("=")
         value = self.peek()
-        if value.kind not in ("name", "number"):
+        number = None
+        if value.kind == "number":
+            _, number = self.expect_number("a config value")
+        elif value.kind == "name":
+            self.advance()
+        else:
             self.abort(value, f"expected a config value, found {_describe(value)}")
-        self.advance()
-        self.configs.append((key, value))
+        self.configs.append((key, value, number))
 
     def parse_entity(self) -> None:
         self.advance()
@@ -915,7 +928,7 @@ class _Resolver:
     def resolve_config(self) -> tuple[EngineConfig, int, Fraction]:
         values: dict[str, Fraction | str] = {}
         seen: set[str] = set()
-        for key, value in self.p.configs:
+        for key, value, number in self.p.configs:
             if key.value not in CONFIG_KEYS:
                 self.error(key, f"unknown config key '{key.value}'")
                 continue
@@ -929,10 +942,9 @@ class _Resolver:
                     continue
                 values[key.value] = value.value
                 continue
-            if value.kind != "number":
+            if number is None:
                 self.error(value, f"config key '{key.value}' needs a number")
                 continue
-            number = parse_number(value.value)
             if key.value in ("k", "seed") and number.denominator != 1:
                 self.error(value, f"config key '{key.value}' must be an integer")
                 continue

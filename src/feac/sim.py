@@ -49,6 +49,7 @@ def run_simulation(
             cfg, planner=dataclasses.replace(cfg.planner, seed=effective_seed)
         )
 
+    initial_store = sc.store.clone()
     world = SystemState(
         sc.store.clone(),
         sc.emergencies,
@@ -81,7 +82,7 @@ def run_simulation(
 
     return SimTrace(
         trace_text=world.audit.to_text(),
-        initial_store=world.initial_store,
+        initial_store=initial_store,
         final_store=world.store,
         final_mode=world.mode,
         final_clock=world.clock,

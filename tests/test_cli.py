@@ -120,6 +120,17 @@ BAD_NUMBERS = [
 ]
 
 
+# Every command given a file that is not UTF-8 text ({bad}); the audit's
+# trace is the golden one ({trace}) when the scenario is the bad file.
+UNDECODABLE = [
+    ("validate", "{bad}"),
+    ("plan", "{bad}", "--group", "P1"),
+    ("simulate", "{bad}"),
+    ("audit", "{bad}"),
+    ("audit", "{trace}", "--scenario", "{bad}"),
+]
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), out, err)
@@ -164,6 +175,17 @@ class TestUsage:
         code, _, err = run_cli("validate", "/no/such/file.feac")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv", UNDECODABLE, ids=["validate", "plan", "simulate", "audit", "audit-scenario"]
+    )
+    def test_undecodable_file_is_a_usage_error(self, tmp_path, argv):
+        bad = tmp_path / "bad.feac"
+        bad.write_bytes(b"\xff")
+        code, out, err = run_cli(*(arg.format(bad=bad, trace=GOLDEN) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: not UTF-8 text (byte 0: invalid start byte)\n"
 
     @pytest.mark.parametrize("command, option", BAD_NUMBERS)
     def test_bad_number_is_a_usage_error(self, hospital_path, command, option, capsys):

@@ -7,6 +7,7 @@ broken declaration resynchronizes without a cascade) are all pinned.
 """
 
 import re
+import sys
 
 import pytest
 
@@ -183,6 +184,22 @@ CASES = [
 ]
 
 
+# int() refuses more digits than this in one part of a number (0: no limit).
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (DIGIT_LIMIT + 1)
+TOO_LONG = f"number too long: a part has more than {DIGIT_LIMIT} digits"
+LONG_NUMBERS = [
+    ("config-value", f"config seed = {LONG}", f"1:15: {TOO_LONG}"),
+    (
+        "emergency-field",
+        f"emergency E3 {{ entity P1 prio 2 ed {LONG} ft false {TS} }}",
+        f"1:36: {TOO_LONG}",
+    ),
+    ("comparison-literal", f"constraint c = x = 0.{LONG}", f"1:20: {TOO_LONG}"),
+    ("event-time", f"at {LONG} raise E1", f"1:4: {TOO_LONG}"),
+]
+
+
 def test_base_is_clean():
     _, diags = parse_scenario(BASE, "t.feac")
     assert diags == []
@@ -203,6 +220,15 @@ def message_id(want: str) -> str:
 
 @pytest.mark.parametrize("case, want", CASES, ids=[message_id(want) for _, want in CASES])
 def test_case_gives_exactly_its_diagnostic(case, want):
+    _, diags = parse_scenario(case + "\n" + BASE, "t.feac")
+    assert [str(d) for d in diags] == [f"t.feac:{want}"]
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numbers of any length")
+@pytest.mark.parametrize(
+    "case, want", [c[1:] for c in LONG_NUMBERS], ids=[c[0] for c in LONG_NUMBERS]
+)
+def test_over_long_number_gives_exactly_its_diagnostic(case, want):
     _, diags = parse_scenario(case + "\n" + BASE, "t.feac")
     assert [str(d) for d in diags] == [f"t.feac:{want}"]
 

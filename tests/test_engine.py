@@ -735,15 +735,15 @@ at 1 fail P1
 def reference_next_occurrence(world: SystemState):
     """The full scan the occurrence heap replaced: the least
     `(time, class, eid)` over every active emergency."""
-    running = {execution.eid: execution for execution in world.executions.values()}
+    running = {assignment.step.eid: assignment for assignment in world.executions.values()}
     best = None
     for eid, ae in world.active.items():
-        execution = running.get(eid)
-        if execution is not None:
-            if execution.end <= execution.td:
-                candidate = (execution.end, 0, eid)
+        assignment = running.get(eid)
+        if assignment is not None:
+            if assignment.end <= assignment.td:
+                candidate = (assignment.end, 0, eid)
             else:
-                candidate = (execution.td, 1, eid)
+                candidate = (assignment.td, 1, eid)
         else:
             assignment = world.assignments.get(eid)
             if assignment is not None and assignment.td < ae.deadline:
@@ -904,7 +904,7 @@ at 0 force E{n} TS1 success
 
 @pytest.mark.parametrize(
     "module, allowed",
-    [(engine, [("_finish_execution", "float(execution.p)")]), (constraints, [])],
+    [(engine, [("_finish_execution", "float(step.p)")]), (constraints, [])],
 )
 def test_engine_source_has_no_true_division_or_float(module, allowed):
     """Policy and staffing arithmetic stays exact: no `/`, and `float` only

@@ -1,8 +1,8 @@
 """Fuzz properties of the command line: damaged inputs give exit codes, never tracebacks.
 
 Each property damages the hospital fixture, or its simulated trace, in one
-place and runs the CLI on the result. Examples are derandomized, so every
-run checks the same mutants.
+place (a word, a field or a byte) and runs the CLI on the result. Examples
+are derandomized, so every run checks the same mutants.
 """
 
 import re
@@ -15,6 +15,7 @@ from feac.fixtures import hospital_text
 from feac.scenario import parse_scenario
 
 from test_cli import run_cli
+from test_sim import GOLDEN
 
 # Replacement values beside those the trace holds, aimed at the trace parser and checkers.
 ODD_VALUES = [
@@ -26,6 +27,10 @@ ODD_VALUES = [
 ODD_WORDS = ["", "{", "}", "=", ",", "(", ")", "[", "]", "->", "0", "-1", "1/0", "99", "x", "#"]
 
 WORD = re.compile(r"[^\s{}\[\](),=]+")
+
+# Bytes that break UTF-8 (a stray continuation, a lead byte cut short, bytes
+# never valid) beside a few that keep it valid.
+ODD_BYTES = [0x00, 0x0A, 0x7B, 0x7F, 0x80, 0xBF, 0xC3, 0xE2, 0xF0, 0xFF]
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +102,39 @@ def test_mutated_scenario_gives_diagnostics_or_an_auditable_run(work, data):
     assert code in (0, 3), out + err
     code, out, err = run_cli("audit", str(trace), "--scenario", str(scenario))
     assert code == 0, out + err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_damaged_byte_gives_an_exit_code(hospital_path, work, data):
+    """One byte of the scenario or the golden trace overwritten or inserted:
+    a file that no longer decodes is a usage error for every command."""
+    damage_trace = data.draw(st.booleans(), label="damage the trace")
+    blob = GOLDEN.read_bytes() if damage_trace else hospital_text().encode("utf-8")
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    byte = data.draw(st.sampled_from(ODD_BYTES), label="byte")
+    keep = data.draw(st.booleans(), label="insert")
+    damaged = work / ("damaged.trace" if damage_trace else "damaged.feac")
+    damaged.write_bytes(blob[:at] + bytes([byte]) + blob[at + (0 if keep else 1) :])
+    try:
+        damaged.read_text(encoding="utf-8")
+        decodes = True
+    except UnicodeDecodeError:
+        decodes = False
+
+    if damage_trace:
+        commands = [("audit", damaged), ("audit", damaged, "--scenario", hospital_path)]
+    else:
+        commands = [
+            ("validate", damaged),
+            ("plan", damaged, "--group", "P1"),
+            ("simulate", damaged, "--trace", work / "damaged-run.trace"),
+            ("audit", GOLDEN, "--scenario", damaged),
+        ]
+    for argv in commands:
+        code, out, err = run_cli(*map(str, argv))
+        if decodes:
+            assert code in (0, 1, 2, 3), out + err
+        else:
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: {damaged}: not UTF-8 text (byte "), err
