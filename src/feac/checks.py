@@ -358,6 +358,21 @@ def check_gating(records: list[AuditRecord], scenario: Scenario) -> list[CheckVi
     return out
 
 
+def first_difference(ours: list[str], theirs: list[str], our_name: str, their_name: str) -> str:
+    """Where two unequal line lists first differ, with the text of each side
+    there, or with the longer side's text when the other ends first."""
+    for number, (a, b) in enumerate(itertools.zip_longest(ours, theirs), start=1):
+        if a != b:
+            break
+    if a is None:
+        shorter, longer, text = our_name, their_name, b
+    elif b is None:
+        shorter, longer, text = their_name, our_name, a
+    else:
+        return f"at line {number}: {our_name} has {a!r}, {their_name} has {b!r}"
+    return f"at line {number}: the {shorter} is shorter ({number - 1} lines), {longer} has {text!r}"
+
+
 def check_replay_fidelity(
     records: list[AuditRecord], initial_store: PolicyStore, final_store: PolicyStore
 ) -> list[CheckViolation]:
@@ -366,16 +381,8 @@ def check_replay_fidelity(
     want = serialize_store(final_store)
     if got == want:
         return []
-    for line_no, (a, b) in enumerate(zip(got.splitlines(), want.splitlines()), start=1):
-        if a != b:
-            return [
-                CheckViolation(
-                    "replay_fidelity",
-                    0,
-                    f"stores differ at line {line_no}: replayed {a!r}, actual {b!r}",
-                )
-            ]
-    return [CheckViolation("replay_fidelity", 0, "stores differ in length")]
+    where = first_difference(got.splitlines(), want.splitlines(), "replayed store", "actual store")
+    return [CheckViolation("replay_fidelity", 0, f"stores differ {where}")]
 
 
 def check_trace(

@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from itertools import zip_longest
 
 from .audit import AuditFormatError, parse_trace
-from .checks import CheckViolation, check_trace
+from .checks import CheckViolation, check_trace, first_difference
 from .engine import TIME_FIRST
 from .exact import ZERO, format_number, parse_number
 from .model import validate_store
@@ -157,18 +156,6 @@ def cmd_simulate(args, out, err) -> int:
     return 3 if trace.final_mode == "disaster" else 0
 
 
-def _first_difference(trace: list[str], rerun: list[str]) -> str:
-    """Where two unequal traces first differ, with both texts."""
-    for number, (ours, theirs) in enumerate(zip_longest(trace, rerun), start=1):
-        if ours != theirs:
-            break
-    if ours is None:
-        return f"at line {number}: the trace is shorter ({number - 1} lines), re-run has {theirs!r}"
-    if theirs is None:
-        return f"at line {number}: the re-run is shorter ({number - 1} lines), trace has {ours!r}"
-    return f"at line {number}: trace has {ours!r}, re-run has {theirs!r}"
-
-
 def cmd_audit(args, out, err) -> int:
     text = _load(args.trace, _read_text, err)
     if text is None:
@@ -199,7 +186,7 @@ def cmd_audit(args, out, err) -> int:
         )
         lines, rerun_lines = text.splitlines(), rerun.trace_text.splitlines()
         if lines != rerun_lines:
-            where = _first_difference(lines, rerun_lines)
+            where = first_difference(lines, rerun_lines, "trace", "re-run")
             violations.append(
                 CheckViolation("determinism", 0, f"trace differs from deterministic re-run {where}")
             )

@@ -33,6 +33,13 @@ action is that same assignment, stamped with its `end` and filed under its
 entity in `SystemState.executions`; the grant it runs under is the one it
 was staffed with, so the step, subject and window are stored once.
 
+Everything that lasts as long as one raise lives on its `ActiveEmergency`
+in `SystemState.active`: the deadline, the assignment while it is staffed,
+and whether a `subject_unavailable` was logged since it was last staffed.
+An emergency is retired (solved or expired) only after its assignment is
+rescinded, and retiring drops the record, so an assignment never outlives
+its emergency and a re-raise starts with a fresh record.
+
 Every state change is appended to the audit log; nothing mutates the
 store without a record.
 """
@@ -101,12 +108,6 @@ class ScenarioEvent:
 
 
 @dataclass
-class ActiveEmergency:
-    emergency: Emergency
-    deadline: Fraction
-
-
-@dataclass
 class Assignment:
     """`sid` holds emergency role `step.eid` and the step's permissions until
     `td`, with its own roles `saved`; `end` is set when the action starts."""
@@ -116,6 +117,22 @@ class Assignment:
     td: Fraction
     saved: tuple[str, ...]
     end: Fraction | None = None
+
+
+@dataclass
+class ActiveEmergency:
+    """One raise of an emergency, from the raise until it is retired.
+
+    `assignment` is its staffing while it has one, and `unavailable_logged`
+    records that its lack of a subject was reported since it was last
+    staffed. Retiring the emergency drops the record, so a re-raise starts
+    with neither.
+    """
+
+    emergency: Emergency
+    deadline: Fraction
+    assignment: Assignment | None = None
+    unavailable_logged: bool = False
 
 
 @dataclass
@@ -150,7 +167,6 @@ class SystemState:
         # Heap of (time, class, eid); may hold stale entries (see the module doc).
         self.occurrences: list[tuple[Fraction, int, str]] = []
         self.plans: dict[str, GroupPlan] = {}
-        self.assignments: dict[str, Assignment] = {}
         # The running assignment of each entity's group.
         self.executions: dict[str, Assignment] = {}
         self.locks: dict[str, str] = {}
@@ -162,7 +178,6 @@ class SystemState:
         self.dirty: set[str] = set()
         self.blocked: set[str] = set()
         self.ft_attempted: set[str] = set()
-        self.unavailable_logged: set[str] = set()
 
     def group_members(self, entity: str, include_executing: bool = True) -> list[Emergency]:
         running = None if include_executing else self.executions.get(entity)
@@ -291,7 +306,7 @@ def select_subject(staffing: StaffingIndex, erole: str) -> str | None:
 def enable_response_actions(
     world: SystemState, step: PlanStep, sid: str, now: Fraction
 ) -> Assignment:
-    """Grant, alternate roles, notify: the four-step enablement for one step."""
+    """Grant, alternate roles, notify: the enablement of one active emergency's step."""
     store = world.store
     eid = step.eid  # also the emergency role
     td = now + step.ed
@@ -311,20 +326,21 @@ def enable_response_actions(
 
     world.audit.append("subject_notified", now, sid=sid, eid=eid, erole=eid)
 
-    assignment = Assignment(step, sid, td, saved)
-    world.assignments[eid] = assignment
-    world.unavailable_logged.discard(eid)
+    ae = world.active[eid]
+    ae.assignment = Assignment(step, sid, td, saved)
+    ae.unavailable_logged = False
     _push_occurrence(world, eid)
-    return assignment
+    return ae.assignment
 
 
 def rescind_permissions(world: SystemState, eid: str, now: Fraction, reason: str) -> None:
-    """Remove an assignment's grants and restore the subject's saved roles.
+    """Remove an active emergency's grants and restore its subject's saved roles.
 
-    Idempotent: a second call for the same emergency is a no-op and emits
-    nothing.
+    Idempotent: a call for an emergency with no assignment is a no-op and
+    emits nothing.
     """
-    assignment = world.assignments.pop(eid, None)
+    ae = world.active[eid]
+    assignment, ae.assignment = ae.assignment, None
     if assignment is None:
         return
     store = world.store
@@ -349,7 +365,6 @@ def rescind_permissions(world: SystemState, eid: str, now: Fraction, reason: str
     store.ort.pop(sid, None)
     world.staffing.refresh(sid)
     world.audit.append("role_restored", now, sid=sid, erole=eid, restored=assignment.saved)
-    world.unavailable_logged.discard(eid)
     _push_occurrence(world, eid)
 
 
@@ -389,8 +404,9 @@ def _run_fault_tolerance(
 
 def _declare_disaster(world: SystemState, entity: str, now: Fraction, reason: str) -> None:
     # Disaster disables every service: all grants come back before the end.
-    for eid in sorted(world.assignments):
-        rescind_permissions(world, eid, now, "disaster")
+    for eid, ae in sorted(world.active.items()):
+        if ae.assignment is not None:
+            rescind_permissions(world, eid, now, "disaster")
     world.executions.clear()
     world.locks.clear()
     world.audit.append("disaster", now, entity=entity, reason=reason)
@@ -498,7 +514,7 @@ def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
     if any(gate in world.active for gate in world.store.gates_for(entity)):
         return
     step = plan.steps[plan.cursor]
-    assignment = world.assignments.get(step.eid)
+    assignment = world.active[step.eid].assignment
     if assignment is None:
         return
     conflicts = {
@@ -541,9 +557,8 @@ def _occurrence_of(world: SystemState, eid: str) -> tuple[Fraction, int, str] | 
         if running.end <= running.td:
             return (running.end, 0, eid)
         return (running.td, 1, eid)
-    assignment = world.assignments.get(eid)
-    if assignment is not None and assignment.td < ae.deadline:
-        return (assignment.td, 1, eid)
+    if ae.assignment is not None and ae.assignment.td < ae.deadline:
+        return (ae.assignment.td, 1, eid)
     return (ae.deadline, 2, eid)
 
 
@@ -644,9 +659,6 @@ def _sync_mode(world: SystemState, now: Fraction) -> None:
     if world.mode == target:
         return
     if target == MODE_NORMAL:
-        # Transition sweep: per-emergency rescission normally leaves nothing.
-        for eid in sorted(world.assignments):
-            rescind_permissions(world, eid, now, "state_change")
         world.plans.clear()
         world.dirty.clear()
         world.blocked.clear()
@@ -682,7 +694,7 @@ def _gate_release(world: SystemState, entity: str, now: Fraction) -> Fraction:
 def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: Fraction) -> None:
     members = world.group_members(entity, include_executing=False)
     for member in members:
-        if member.eid in world.assignments:
+        if world.active[member.eid].assignment is not None:
             rescind_permissions(world, member.eid, now, "replaced")
     if not members:
         world.plans.pop(entity, None)
@@ -741,7 +753,8 @@ def _assign_pending(world: SystemState, entity: str, now: Fraction) -> None:
     if plan is None:
         return
     for step in plan.steps[plan.cursor :]:
-        if step.eid not in world.active or step.eid in world.assignments:
+        ae = world.active.get(step.eid)
+        if ae is None or ae.assignment is not None:
             continue
         erole = step.eid
         if world.store.roles.get(erole) is not RoleKind.EMERGENCY:
@@ -749,9 +762,9 @@ def _assign_pending(world: SystemState, entity: str, now: Fraction) -> None:
         else:
             sid = select_subject(world.staffing, erole)
         if sid is None:
-            if step.eid not in world.unavailable_logged:
+            if not ae.unavailable_logged:
                 world.audit.append("subject_unavailable", now, eid=step.eid, erole=erole)
-                world.unavailable_logged.add(step.eid)
+                ae.unavailable_logged = True
             continue
         enable_response_actions(world, step, sid, now)
 

@@ -9,6 +9,7 @@ back as exact decimals. Floats never enter the arithmetic.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -26,6 +27,15 @@ def parse_number(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _int_text(n: int) -> str:
+    """`str(n)`, also past `sys.get_int_max_str_digits()`, through `Decimal`,
+    whose conversion has no such limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def format_number(value: Fraction) -> str:
     """Shortest exact decimal form of `value`.
 
@@ -35,7 +45,7 @@ def format_number(value: Fraction) -> str:
     """
     num, den = value.numerator, value.denominator
     if den == 1:
-        return str(num)
+        return _int_text(num)
     twos = 0
     rest = den
     while rest % 2 == 0:
@@ -46,11 +56,11 @@ def format_number(value: Fraction) -> str:
         rest //= 5
         fives += 1
     if rest != 1:
-        return f"{num}/{den}"
+        return f"{_int_text(num)}/{_int_text(den)}"
     digits = max(twos, fives)
     scaled = num * 10**digits // den
     sign = "-" if scaled < 0 else ""
-    body = str(abs(scaled)).rjust(digits + 1, "0")
+    body = _int_text(abs(scaled)).rjust(digits + 1, "0")
     whole, frac = body[:-digits], body[-digits:]
     frac = frac.rstrip("0")
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"

@@ -106,7 +106,6 @@ class Scenario:
     emergencies: dict[str, Emergency]
     infl: InfluenceSpec
     config: EngineConfig
-    seed: int
     horizon: Fraction
     events: list[ScenarioEvent]
 
@@ -910,7 +909,7 @@ class _Resolver:
         if p.scenario_name is None and p.tokens:
             self.error(p.tokens[0], "missing scenario declaration")
 
-        config, seed, horizon = self.resolve_config()
+        config, horizon = self.resolve_config()
         events = self.resolve_events(store, emergencies, entities)
 
         return Scenario(
@@ -920,12 +919,11 @@ class _Resolver:
             emergencies=emergencies,
             infl=InfluenceSpec(pairs),
             config=config,
-            seed=seed,
             horizon=horizon,
             events=events,
         )
 
-    def resolve_config(self) -> tuple[EngineConfig, int, Fraction]:
+    def resolve_config(self) -> tuple[EngineConfig, Fraction]:
         values: dict[str, Fraction | str] = {}
         seen: set[str] = set()
         for key, value, number in self.p.configs:
@@ -964,7 +962,7 @@ class _Resolver:
         fallback = values.get("fallback", PROBABILITY_FIRST)
         horizon = values.get("horizon", Fraction(20))
         planner = PlannerConfig(alpha=alpha, beta=beta, k_cap=k, seed=seed)
-        return EngineConfig(tp=tp, planner=planner, fallback_strategy=fallback), seed, horizon
+        return EngineConfig(tp=tp, planner=planner, fallback_strategy=fallback), horizon
 
     def resolve_events(self, store, emergencies, entities) -> list[ScenarioEvent]:
         events: list[ScenarioEvent] = []
@@ -1022,7 +1020,7 @@ def print_scenario(sc: Scenario) -> str:
     out.append(f"config alpha = {format_number(cfg.planner.alpha)}")
     out.append(f"config beta = {format_number(cfg.planner.beta)}")
     out.append(f"config k = {cfg.planner.k_cap}")
-    out.append(f"config seed = {sc.seed}")
+    out.append(f"config seed = {cfg.planner.seed}")
     out.append(f"config fallback = {cfg.fallback_strategy}")
     out.append(f"config horizon = {format_number(sc.horizon)}")
     out.append("")

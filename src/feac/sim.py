@@ -41,10 +41,10 @@ def run_simulation(
     `seed` and `horizon` override the scenario's configured values; the seed
     drives both outcome draws and planner sampling.
     """
-    effective_seed = sc.seed if seed is None else seed
-    effective_horizon = sc.horizon if horizon is None else horizon
     cfg = sc.config
-    if effective_seed != sc.seed:
+    effective_seed = cfg.planner.seed if seed is None else seed
+    effective_horizon = sc.horizon if horizon is None else horizon
+    if effective_seed != cfg.planner.seed:
         cfg = dataclasses.replace(
             cfg, planner=dataclasses.replace(cfg.planner, seed=effective_seed)
         )

@@ -15,6 +15,8 @@ from feac.checks import (
     check_subject_exclusivity,
     check_trace,
 )
+from feac.constraints import Lit
+from feac.model import serialize_store
 
 F = Fraction
 
@@ -341,6 +343,19 @@ class TestReplayFidelity:
         assert len(violations) == 1
         assert violations[0].check == "replay_fidelity"
         assert "stores differ" in violations[0].message
+
+    def test_a_longer_store_names_its_first_extra_line(self, hospital_run):
+        # The constraints come last in the dump, so one more only appends a line.
+        actual = hospital_run.final_store.clone()
+        actual.constraints["zz"] = Lit(True)
+        count = len(serialize_store(hospital_run.final_store).splitlines())
+        violations = check_replay_fidelity(
+            hospital_run.records, hospital_run.initial_store, actual
+        )
+        assert [v.message for v in violations] == [
+            f"stores differ at line {count + 1}: the replayed store is shorter "
+            f"({count} lines), actual store has 'constraint zz true'"
+        ]
 
     def test_intact_trace_replays_exactly(self, hospital_run):
         assert (

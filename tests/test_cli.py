@@ -6,9 +6,12 @@ import pytest
 
 from feac.cli import main
 from feac.fixtures import hospital_text
+from feac.scenario import parse_scenario
 
 from mutations import MUTANTS, apply
 from test_sim import GOLDEN
+
+RERAISE = GOLDEN.parent / "reraise_unstaffed.feac"
 
 DISASTER_SCENARIO = """\
 scenario lone
@@ -120,6 +123,11 @@ BAD_NUMBERS = [
 ]
 
 
+# Each part fits the interpreter's integer-string digit limit (4300 by
+# default); the exact value, 6001 digits, does not.
+HUGE = "1" * 3000 + "." + "1" * 3000
+HUGE_TP_SCENARIO = DISASTER_SCENARIO.replace("config tp = 0.5", f"config tp = 0{HUGE}")
+
 # Every command given a file that is not UTF-8 text ({bad}); the audit's
 # trace is the golden one ({trace}) when the scenario is the bad file.
 UNDECODABLE = [
@@ -148,6 +156,13 @@ def broken_path(tmp_path):
 def disaster_path(tmp_path):
     path = tmp_path / "lone.feac"
     path.write_text(DISASTER_SCENARIO, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def huge_tp_path(tmp_path):
+    path = tmp_path / "huge.feac"
+    path.write_text(HUGE_TP_SCENARIO, encoding="utf-8")
     return str(path)
 
 
@@ -207,6 +222,14 @@ class TestValidate:
         assert code == 0
         assert out.startswith("scenario hospital\n")
         assert "emergency E4 {" in out
+
+    def test_print_writes_a_value_past_the_digit_limit(self, huge_tp_path):
+        code, out, err = run_cli("validate", huge_tp_path, "--print")
+        assert (code, err) == (0, "")
+        assert f"config tp = {HUGE}\n" in out
+        reparsed, diags = parse_scenario(out)
+        assert not diags
+        assert reparsed == parse_scenario(HUGE_TP_SCENARIO)[0]
 
     def test_diagnostics_exit_one(self, broken_path):
         code, out, _ = run_cli("validate", broken_path)
@@ -303,6 +326,13 @@ class TestSimulate:
         assert code == 0
         assert len(out.splitlines()) == 66
         assert "final=emergency" in err
+
+    def test_value_past_the_digit_limit_simulates(self, huge_tp_path):
+        # The first tick moves the clock past the horizon.
+        code, out, err = run_cli("simulate", huge_tp_path)
+        assert code == 0
+        assert f",tp={HUGE}," in out.splitlines()[0]
+        assert err.startswith(f"final=emergency clock={HUGE} records=")
 
     def test_disaster_exits_three(self, disaster_path):
         code, out, err = run_cli("simulate", disaster_path)
@@ -435,6 +465,23 @@ class TestAudit:
             assert code == 1
             assert "grant_security" in out
         assert "determinism" in codes[1][1]
+
+    def test_re_raise_of_an_unstaffed_emergency_reports_again(self, tmp_path):
+        # The first raise expires at 1 with no subject; the second is a new
+        # emergency and owes its own notice before its deadline at 4.
+        trace_file = tmp_path / "reraise.trace"
+        code, out, _ = run_cli("simulate", str(RERAISE), "--trace", str(trace_file))
+        assert code == 0
+        assert out.splitlines()[0] == f"final=normal clock=4.5 records=13 trace={trace_file}"
+        unavailable = [
+            line.split("|")[1]
+            for line in trace_file.read_text(encoding="utf-8").splitlines()
+            if "|subject_unavailable|" in line
+        ]
+        assert unavailable == ["0", "3"]
+        for extra in ((), ("--scenario", str(RERAISE))):
+            code, out, _ = run_cli("audit", str(trace_file), *extra)
+            assert (code, out) == (0, "ok: 13 records, all checks passed\n")
 
     def test_substitution_trace_passes(self, substitution_path, tmp_path):
         trace_file = self.write_trace(tmp_path, substitution_path)

@@ -28,6 +28,7 @@ from feac.constraints import (
     evaluate,
 )
 from feac.engine import (
+    ActiveEmergency,
     EngineError,
     MODE_DISASTER,
     StaffingIndex,
@@ -37,7 +38,7 @@ from feac.engine import (
     rescind_permissions,
     select_subject,
 )
-from feac.model import PolicyStore, RoleKind, RoleMapping, Subject, TaskSet
+from feac.model import Emergency, PolicyStore, RoleKind, RoleMapping, Subject, TaskSet
 from feac.planner import InfluenceSpec, PlanStep
 from feac.scenario import load_scenario, parse_scenario
 from feac.sim import run_simulation
@@ -172,6 +173,65 @@ at 0 force E1 TS1 success
         assert trace.outcomes == {"E1": "expired"}
         assert trace.final_mode == "normal"
 
+    def test_unavailable_is_logged_again_after_staffing_is_replaced(self):
+        # E2 finds A1 busy at 0, gets A1 at 1, fails its draw at 2 and is
+        # replaced while E3 takes A1: a second notice, since it was staffed.
+        trace = run(
+            """\
+entity P1
+entity P2
+role R1
+subject A1 { roles = [R1] }
+object O1 { acl R1 use }
+emergency E1 {
+  entity P1
+  prio 1
+  ed 10
+  ft false
+  ts TS1 { actions = [O1 use], time = 1, prob = 0.9 }
+}
+emergency E2 {
+  entity P2
+  prio 2
+  ed 10
+  ft false
+  ts TS1 { actions = [O1 use], time = 1, prob = 0.9 }
+}
+emergency E3 {
+  entity P1
+  prio 1
+  ed 10
+  ft false
+  ts TS1 { actions = [O1 use], time = 1, prob = 0.9 }
+}
+map E1 -> [R1]
+map E2 -> [R1]
+map E3 -> [R1]
+at 0 raise E1
+at 0 raise E2
+at 0 force E1 TS1 success
+at 0 force E2 TS1 failure
+at 2 raise E3
+at 2 force E3 TS1 success
+at 3 force E2 TS1 success
+"""
+        )
+        kinds = ("subject_unavailable", "role_assigned", "permission_rescinded")
+        e2 = [r for r in trace.records if r.kind in kinds and r.payload["eid"] == "E2"]
+        assert [(r.ts, r.kind) for r in e2] == [
+            (F(0), "subject_unavailable"),
+            (F(1), "role_assigned"),
+            (F(2), "permission_rescinded"),
+            (F(2), "subject_unavailable"),
+            (F(3), "role_assigned"),
+            (F(4), "permission_rescinded"),
+        ]
+        assert [r.payload["reason"] for r in e2 if r.kind == "permission_rescinded"] == [
+            "replaced",
+            "solved",
+        ]
+        assert trace.outcomes == {"E1": "eliminated", "E2": "eliminated", "E3": "eliminated"}
+
     def test_constraint_only_staffing_covers_a_missing_role(self):
         trace = run(
             """\
@@ -302,18 +362,26 @@ def random_write(world: SystemState, rng: random.Random) -> str:
     store = world.store
     now = world.clock
     roll = rng.random()
+    # A disaster rescinds every assignment but retires no emergency.
+    staffed = sorted(eid for eid, ae in world.active.items() if ae.assignment is not None)
     if roll < 0.45:
         erole = rng.choice(EMERGENCY_ROLES)
-        if erole in world.assignments:
+        if erole in staffed:
             return "skipped"
         sid = select_subject(world.staffing, erole) or rng.choice(sorted(store.subjects))
         ts = TaskSet("T1", (), F(1), F(1))
+        # The engine staffs only active emergencies; this one's entity is no
+        # subject, so it joins no group a substitution reads.
+        emergency = Emergency(erole, "ward", 1, F(5), False, (ts,))
+        world.active[erole] = ActiveEmergency(emergency, deadline=now + F(5))
         enable_response_actions(world, PlanStep(erole, ts, F(1), F(1), F(5), F(1)), sid, now)
         return "enabled"
     if roll < 0.8:
-        if not world.assignments:
+        if not staffed:
             return "skipped"
-        rescind_permissions(world, rng.choice(sorted(world.assignments)), now, "solved")
+        eid = rng.choice(staffed)
+        rescind_permissions(world, eid, now, "solved")
+        del world.active[eid]
         return "rescinded"
     entity = rng.choice(sorted(store.subjects))
     if entity in world.engaged:
@@ -725,7 +793,8 @@ at 1 fail P1
 """
     )
     assert not diags
-    world = SystemState(sc.store.clone(), sc.emergencies, sc.events, sc.infl, seed=sc.seed)
+    seed = sc.config.planner.seed
+    world = SystemState(sc.store.clone(), sc.emergencies, sc.events, sc.infl, seed=seed)
     while world.mode != MODE_DISASTER:
         engine_tick(world, sc.config)
     with pytest.raises(EngineError):
@@ -744,12 +813,10 @@ def reference_next_occurrence(world: SystemState):
                 candidate = (assignment.end, 0, eid)
             else:
                 candidate = (assignment.td, 1, eid)
+        elif ae.assignment is not None and ae.assignment.td < ae.deadline:
+            candidate = (ae.assignment.td, 1, eid)
         else:
-            assignment = world.assignments.get(eid)
-            if assignment is not None and assignment.td < ae.deadline:
-                candidate = (assignment.td, 1, eid)
-            else:
-                candidate = (ae.deadline, 2, eid)
+            candidate = (ae.deadline, 2, eid)
         if best is None or candidate < best:
             best = candidate
     return best

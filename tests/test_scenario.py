@@ -28,7 +28,7 @@ class TestParsing:
         assert hospital.name == "hospital"
         assert hospital.entities == {"env", "P1", "P2"}
         assert set(hospital.emergencies) == {f"E{i}" for i in range(1, 8)}
-        assert hospital.seed == 7
+        assert hospital.config.planner.seed == 7
         assert hospital.horizon == F(60)
         assert hospital.config.tp == F(1, 2)
 
