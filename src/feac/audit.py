@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import format_number
+from .exact import format_number, parse_trace_number
 from .model import AclEntry, Op, PolicyStore, SystemObject
 
 # Fixed payload layout per kind. Appending with any other keys is an error.
@@ -59,7 +59,7 @@ def _parse_acl(text: str) -> list[AclEntry]:
     entries = []
     for chunk in _parse_list(text):
         role, op, td = chunk.split(":")
-        entries.append(AclEntry(role, Op(op), None if td == "-" else Fraction(td)))
+        entries.append(AclEntry(role, Op(op), None if td == "-" else parse_trace_number(td)))
     return entries
 
 
@@ -67,10 +67,10 @@ def _parse_acl(text: str) -> list[AclEntry]:
 # applies. parse_trace runs each one, so checkers and replay only ever meet
 # values they can convert.
 FIELD_PARSERS = {
-    "td": Fraction,
-    "pv": Fraction,
-    "tp": Fraction,
-    "horizon": Fraction,
+    "td": parse_trace_number,
+    "pv": parse_trace_number,
+    "tp": parse_trace_number,
+    "horizon": parse_trace_number,
     "seed": int,
     "op": Op,
     "acl": _parse_acl,
@@ -132,7 +132,9 @@ class AuditLog:
 
     def __init__(self):
         self.lines: list[str] = []
+        # The last timestamp, its (numerator, denominator) and its text.
         self._ts: Fraction | None = None
+        self._stamp: tuple[int, int] | None = None
         self._ts_text = ""
 
     @property
@@ -156,9 +158,13 @@ class AuditLog:
                 value = fmt_value(value)
                 if _ILLEGAL_IN_VALUE(value):
                     raise ValueError(f"illegal character in payload value {value!r}")
-        if ts != self._ts:
+        if ts is not self._ts:
+            # Records at one time often carry different objects of one value.
+            stamp = (ts.numerator, ts.denominator)
+            if stamp != self._stamp:
+                self._stamp = stamp
+                self._ts_text = format_number(ts)
             self._ts = ts
-            self._ts_text = format_number(ts)
         self.lines.append(_TEMPLATES[kind].format(len(self.lines) + 1, self._ts_text, *texts))
 
     def to_text(self) -> str:
@@ -198,8 +204,8 @@ def parse_trace(text: str) -> list[AuditRecord]:
         ts = stamps.get(ts_text)
         if ts is None:
             try:
-                ts = stamps[ts_text] = Fraction(ts_text)
-            except (ValueError, ZeroDivisionError):
+                ts = stamps[ts_text] = parse_trace_number(ts_text)
+            except ValueError:
                 raise AuditFormatError(line_no, f"bad timestamp {ts_text!r}") from None
         fields = KIND_FIELDS.get(kind)
         if fields is None:
@@ -223,7 +229,7 @@ def parse_trace(text: str) -> list[AuditRecord]:
                 continue
             try:
                 FIELD_PARSERS[key](value)
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 raise AuditFormatError(line_no, f"bad {key} {value!r}") from None
             checked.add((key, value))
         if seq != len(records) + 1:
@@ -263,7 +269,7 @@ def replay_store(initial: PolicyStore, records: list[AuditRecord]) -> PolicyStor
             obj = store.objects.get(p["oid"])
             if obj is None:
                 continue
-            entry = AclEntry(p["erole"], Op(p["op"]), Fraction(p["td"]))
+            entry = AclEntry(p["erole"], Op(p["op"]), parse_trace_number(p["td"]))
             if r.kind == "permission_granted":
                 obj.acl.append(entry)
             elif entry in obj.acl:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .audit import AuditRecord, replay_store
+from .exact import parse_trace_number
 from .model import ENV_ENTITY, PolicyStore, serialize_store
 from .scenario import Scenario
 
@@ -65,7 +66,7 @@ class CheckViolation:
 
 def _tp_of(records: list[AuditRecord]) -> Fraction:
     if records and records[0].kind == "run_started":
-        return Fraction(records[0].payload["tp"])
+        return parse_trace_number(records[0].payload["tp"])
     return Fraction(1, 2)
 
 
@@ -182,7 +183,7 @@ def check_mode_correctness(records: list[AuditRecord]) -> list[CheckViolation]:
                         )
                     )
         if kind == "plan_selected":
-            pv = Fraction(rec.payload["pv"])
+            pv = parse_trace_number(rec.payload["pv"])
             strategy = rec.payload["strategy"]
             if (strategy == "optimal") != (pv > 0):
                 out.append(
@@ -246,7 +247,7 @@ def check_rescission_liveness(records: list[AuditRecord]) -> list[CheckViolation
                 )
                 continue
             queue.pop(0)
-            deadline = Fraction(key[3]) + tp
+            deadline = parse_trace_number(key[3]) + tp
             if rec.ts > deadline:
                 out.append(
                     CheckViolation(
@@ -259,7 +260,7 @@ def check_rescission_liveness(records: list[AuditRecord]) -> list[CheckViolation
         last_ts = records[-1].ts
         for key, queue in sorted(open_grants.items()):
             for grant in queue:
-                if last_ts > Fraction(key[3]) + tp:
+                if last_ts > parse_trace_number(key[3]) + tp:
                     out.append(
                         CheckViolation(
                             "rescission_liveness", grant.seq, f"grant {key} never rescinded"

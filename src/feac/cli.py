@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .audit import AuditFormatError, parse_trace
 from .checks import CheckViolation, check_trace, first_difference
 from .engine import TIME_FIRST
-from .exact import ZERO, format_number, parse_number
+from .exact import ZERO, format_number, parse_number, parse_trace_number
 from .model import validate_store
 from .planner import (
     build_transition_graph,
@@ -176,7 +175,7 @@ def cmd_audit(args, out, err) -> int:
             return 2
         head = records[0].payload
         rerun = run_simulation(
-            scenario, seed=int(head["seed"]), horizon=Fraction(head["horizon"])
+            scenario, seed=int(head["seed"]), horizon=parse_trace_number(head["horizon"])
         )
         violations += check_trace(
             records,

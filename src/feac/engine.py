@@ -7,10 +7,13 @@ ticks of `tp` minutes. Within a tick it:
    cutoffs, absolute deadlines) and due scenario events, interleaved in
    exact time order; successor actions chain at exact completion times so
    executed timelines match planned arithmetic. Occurrences come from a
-   heap of `(time, class, eid)` entries with lazy deletion: every active
-   emergency's current occurrence is in the heap, pushed wherever one of
-   its inputs changes, and a head that no longer equals its eid's current
-   occurrence is stale and dropped;
+   heap of `(key, time, class, eid)` entries with lazy deletion, where
+   `key` is `exact.time_key(time)`, so entries compare as integers unless
+   their keys tie. Wherever an input of an active emergency's occurrence
+   changes, `_push_occurrence` pushes a fresh entry and stores it on the
+   emergency's `ActiveEmergency`; that stored object is its one current
+   entry, and a head that is not it is stale and dropped. Events are keyed
+   the same way once, when `SystemState` sorts them;
 2. reconciles the mode (normal <-> emergency; disaster is terminal);
 3. (re)plans every group with new or changed work: positive-value plans
    are selected optimally, zero-value plans trigger one entity
@@ -56,7 +59,7 @@ from fractions import Fraction
 
 from .audit import AuditLog, encode_acl_entries
 from .constraints import ConstraintExpr, CountCmp, atom_holds, count_holds, evaluate
-from .exact import ZERO
+from .exact import ZERO, time_key
 from .fault import apply_fault_tolerance
 from .model import (
     AclEntry,
@@ -119,20 +122,27 @@ class Assignment:
     end: Fraction | None = None
 
 
+# (time_key(time), time, class, eid); class 0 is a completion, 1 a grant
+# cutoff and 2 a deadline, so at one time they run in that order.
+Occurrence = tuple[int, Fraction, int, str]
+
+
 @dataclass
 class ActiveEmergency:
     """One raise of an emergency, from the raise until it is retired.
 
     `assignment` is its staffing while it has one, and `unavailable_logged`
     records that its lack of a subject was reported since it was last
-    staffed. Retiring the emergency drops the record, so a re-raise starts
-    with neither.
+    staffed. `occurrence` is the occurrence-heap entry last pushed for it,
+    the only one that is current. Retiring the emergency drops the record,
+    so a re-raise starts with none of them.
     """
 
     emergency: Emergency
     deadline: Fraction
     assignment: Assignment | None = None
     unavailable_logged: bool = False
+    occurrence: Occurrence | None = None
 
 
 @dataclass
@@ -156,7 +166,9 @@ class SystemState:
     ):
         self.store = store
         self.emergencies = emergencies
-        self.events = sorted(events, key=lambda ev: (ev.time, ev.index))
+        self.events = sorted(events, key=lambda ev: (time_key(ev.time), ev.time, ev.index))
+        # (time_key(time), time) of each event, in the same order.
+        self.event_keys = [(time_key(ev.time), ev.time) for ev in self.events]
         self.event_cursor = 0
         self.infl = infl
         self.clock: Fraction = ZERO
@@ -164,8 +176,9 @@ class SystemState:
         # Entities that failed or substitute for one (see `fault`).
         self.engaged: set[str] = set()
         self.active: dict[str, ActiveEmergency] = {}
-        # Heap of (time, class, eid); may hold stale entries (see the module doc).
-        self.occurrences: list[tuple[Fraction, int, str]] = []
+        # Heap of `Occurrence` entries. Only the entry stored on an active
+        # emergency's record is current; the rest are stale (see the module doc).
+        self.occurrences: list[Occurrence] = []
         self.plans: dict[str, GroupPlan] = {}
         # The running assignment of each entity's group.
         self.executions: dict[str, Assignment] = {}
@@ -329,7 +342,7 @@ def enable_response_actions(
     ae = world.active[eid]
     ae.assignment = Assignment(step, sid, td, saved)
     ae.unavailable_logged = False
-    _push_occurrence(world, eid)
+    _push_occurrence(world, ae)
     return ae.assignment
 
 
@@ -365,7 +378,7 @@ def rescind_permissions(world: SystemState, eid: str, now: Fraction, reason: str
     store.ort.pop(sid, None)
     world.staffing.refresh(sid)
     world.audit.append("role_restored", now, sid=sid, erole=eid, restored=assignment.saved)
-    _push_occurrence(world, eid)
+    _push_occurrence(world, ae)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +466,7 @@ def _finish_execution(world: SystemState, running: Assignment, now: Fraction) ->
             _expire(world, eid, now, "deadline")
         else:
             world.dirty.add(entity)
-            _push_occurrence(world, eid)
+            _push_occurrence(world, ae)
         return
 
     world.audit.append("action_finished", now, eid=eid, tsid=tsid, sid=sid, outcome="success")
@@ -514,7 +527,8 @@ def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
     if any(gate in world.active for gate in world.store.gates_for(entity)):
         return
     step = plan.steps[plan.cursor]
-    assignment = world.active[step.eid].assignment
+    ae = world.active[step.eid]
+    assignment = ae.assignment
     if assignment is None:
         return
     conflicts = {
@@ -528,7 +542,7 @@ def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
     assignment.end = now + step.t
     world.executions[entity] = assignment
     plan.cursor += 1
-    _push_occurrence(world, step.eid)
+    _push_occurrence(world, ae)
     world.audit.append(
         "action_started",
         now,
@@ -546,41 +560,45 @@ def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _occurrence_of(world: SystemState, eid: str) -> tuple[Fraction, int, str] | None:
-    """The eid's next timed occurrence, or None when it is not active."""
-    ae = world.active.get(eid)
-    if ae is None:
-        return None
+def _occurrence_of(world: SystemState, ae: ActiveEmergency) -> Occurrence:
+    """The active emergency's next timed occurrence."""
+    eid = ae.emergency.eid
     # An emergency is running iff its entity's running assignment is its own.
     running = world.executions.get(ae.emergency.entity)
     if running is not None and running.step.eid == eid:
         if running.end <= running.td:
-            return (running.end, 0, eid)
-        return (running.td, 1, eid)
-    if ae.assignment is not None and ae.assignment.td < ae.deadline:
-        return (ae.assignment.td, 1, eid)
-    return (ae.deadline, 2, eid)
+            time, klass = running.end, 0
+        else:
+            time, klass = running.td, 1
+    elif ae.assignment is not None and ae.assignment.td < ae.deadline:
+        time, klass = ae.assignment.td, 1
+    else:
+        time, klass = ae.deadline, 2
+    return (time_key(time), time, klass, eid)
 
 
-def _push_occurrence(world: SystemState, eid: str) -> None:
-    occurrence = _occurrence_of(world, eid)
-    if occurrence is not None:
-        heapq.heappush(world.occurrences, occurrence)
+def _push_occurrence(world: SystemState, ae: ActiveEmergency) -> None:
+    """Make a fresh entry `ae`'s current one; call it wherever an input of
+    `_occurrence_of` changes for an emergency that stays active."""
+    ae.occurrence = _occurrence_of(world, ae)
+    heapq.heappush(world.occurrences, ae.occurrence)
 
 
-def _next_occurrence(world: SystemState) -> tuple[Fraction, int, str] | None:
+def _next_occurrence(world: SystemState) -> Occurrence | None:
     heap = world.occurrences
+    active = world.active
     while heap:
         head = heap[0]
-        if head == _occurrence_of(world, head[2]):
+        ae = active.get(head[3])
+        if ae is not None and ae.occurrence is head:
             return head
         heapq.heappop(heap)
     return None
 
 
-def _dispatch_occurrence(world: SystemState, occ: tuple[Fraction, int, str]) -> None:
-    when, klass, eid = occ
-    # `_next_occurrence` returns only heads matching `_occurrence_of`, so eid is active.
+def _dispatch_occurrence(world: SystemState, occ: Occurrence) -> None:
+    _, when, klass, eid = occ
+    # `_next_occurrence` returns only current entries, so eid is active.
     running = world.executions.get(world.active[eid].emergency.entity)
     if running is not None and running.step.eid == eid:
         if klass == 0:
@@ -600,10 +618,10 @@ def _dispatch_event(world: SystemState, ev: ScenarioEvent) -> None:
             "emergency_raised", now, eid=eid, entity=em.entity, prio=em.prio, ed=em.ed
         )
         if eid not in world.active:
-            world.active[eid] = ActiveEmergency(em, deadline=now + em.ed)
+            ae = world.active[eid] = ActiveEmergency(em, deadline=now + em.ed)
             world.outcomes[eid] = "unprocessed"
             world.dirty.add(em.entity)
-            _push_occurrence(world, eid)
+            _push_occurrence(world, ae)
     elif ev.kind == "fail":
         entity = ev.args[0]
         world.audit.append("entity_failed", now, entity=entity)
@@ -628,19 +646,24 @@ def _dispatch_event(world: SystemState, ev: ScenarioEvent) -> None:
 
 
 def _drain_due(world: SystemState, until: Fraction) -> None:
-    """Process events and occurrences due by `until`, interleaved by time."""
+    """Process events and occurrences due by `until`, interleaved by time.
+
+    Times compare as `(time_key(time), time)` pairs. An event goes before
+    an occurrence at its time: its 2-tuple is a prefix of the entry.
+    """
+    bound = (time_key(until), until)
+    keys = world.event_keys
     while world.mode != MODE_DISASTER:
-        event = None
-        if world.event_cursor < len(world.events):
-            head = world.events[world.event_cursor]
-            if head.time <= until:
-                event = head
+        cursor = world.event_cursor
+        event_at = keys[cursor] if cursor < len(keys) else None
+        if event_at is not None and event_at > bound:
+            event_at = None
         occurrence = _next_occurrence(world)
-        if occurrence is not None and occurrence[0] > until:
+        if occurrence is not None and occurrence[:2] > bound:
             occurrence = None
-        if event is not None and (occurrence is None or event.time <= occurrence[0]):
+        if event_at is not None and (occurrence is None or event_at <= occurrence):
             world.event_cursor += 1
-            _dispatch_event(world, event)
+            _dispatch_event(world, world.events[cursor])
         elif occurrence is not None:
             _dispatch_occurrence(world, occurrence)
         else:

@@ -5,15 +5,27 @@ package are `fractions.Fraction`. Scenario files only ever contain decimal
 literals, and every operation applied to them (sums, products, complements)
 keeps denominators of the form 2^a * 5^b, so values can always be printed
 back as exact decimals. Floats never enter the arithmetic.
+
+Where the engine orders many times (its occurrence heap, its event queue),
+it orders them by `time_key` first and by the exact value only on a tie,
+so most comparisons are between integers.
 """
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def time_key(t: Fraction) -> int:
+    """floor(t * 2**40): an integer that never orders two values against
+    their exact order (floor is monotone), so `(time_key(t), t)` pairs sort
+    exactly as the values do and compare the values only on a key tie."""
+    return (t.numerator << 40) // t.denominator
 
 
 def parse_number(text: str) -> Fraction:
@@ -23,6 +35,33 @@ def parse_number(text: str) -> Fraction:
     """
     try:
         return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+# The forms `format_number` writes.
+_WRITTEN = re.compile(r"-?[0-9]+(?:\.[0-9]+|/[0-9]+)?").fullmatch
+
+
+def parse_trace_number(text: str) -> Fraction:
+    """`parse_number` for a value read back from a trace.
+
+    A value the engine computed, such as a product of probabilities, can
+    have a part longer than `sys.get_int_max_str_digits()`, which
+    `Fraction(text)` refuses. Text in one of `format_number`'s forms then
+    converts through `Decimal`, which has no such limit; any other text
+    fails as it does in `parse_number`.
+    """
+    try:
+        return parse_number(text)
+    except ValueError:
+        if _WRITTEN(text) is None:
+            raise
+    num, _, den = text.partition("/")
+    if not den:
+        return Fraction(Decimal(num))
+    try:
+        return Fraction(int(Decimal(num)), int(Decimal(den)))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, output routing, file handling."""
 
 import io
+import re
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from mutations import MUTANTS, apply
 from test_sim import GOLDEN
 
 RERAISE = GOLDEN.parent / "reraise_unstaffed.feac"
+LONG_PV = GOLDEN.parent / "long_pv.feac"
 
 DISASTER_SCENARIO = """\
 scenario lone
@@ -482,6 +485,18 @@ class TestAudit:
         for extra in ((), ("--scenario", str(RERAISE))):
             code, out, _ = run_cli("audit", str(trace_file), *extra)
             assert (code, out) == (0, "ok: 13 records, all checks passed\n")
+
+    def test_plan_value_past_the_digit_limit_audits(self, tmp_path):
+        # Each probability fits the digit limit; the plan's pv, their product, does not.
+        trace_file = tmp_path / "long_pv.trace"
+        code, _, _ = run_cli("simulate", str(LONG_PV), "--trace", str(trace_file))
+        assert code == 0
+        (pv,) = re.findall(r"\|plan_selected\|.*,pv=([^,]*),", trace_file.read_text())
+        assert len(pv) > sys.get_int_max_str_digits()
+        for extra in ((), ("--scenario", str(LONG_PV))):
+            code, out, err = run_cli("audit", str(trace_file), *extra)
+            assert (code, err) == (0, ""), err[:200]
+            assert out == "ok: 20 records, all checks passed\n"
 
     def test_substitution_trace_passes(self, substitution_path, tmp_path):
         trace_file = self.write_trace(tmp_path, substitution_path)

@@ -6,14 +6,17 @@ fallback, expiry. Assertions read the audit records the run produced.
 """
 
 import ast
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from feac import constraints, engine, sim
+from feac import constraints, engine, exact, sim
 from feac.constraints import (
     CMP_OPS,
     MAX_DEPTH,
@@ -307,7 +310,8 @@ def random_staffing_store(rng: random.Random) -> PolicyStore:
         store.subjects[sid] = Subject(sid, props)
         held = {r for r in NORMAL_ROLES if rng.random() < 0.4}
         store.srt[sid] = held
-        store.asrt[sid] = {r for r in held if rng.random() < 0.5}
+        # Sorted, so the draws do not follow the set's hash order.
+        store.asrt[sid] = {r for r in sorted(held) if rng.random() < 0.5}
         if rng.random() < 0.25:
             # Already staffed: an emergency-role is active on this subject.
             erole = rng.choice(EMERGENCY_ROLES)
@@ -321,6 +325,32 @@ def random_staffing_store(rng: random.Random) -> PolicyStore:
         if rng.random() < 0.5:
             store.rct[erole] = random_constraint(rng)
     return store
+
+
+def test_random_staffing_stores_do_not_depend_on_the_hash_seed():
+    """A failing case number must rebuild the same store in a new process."""
+    tests = Path(__file__).parent
+    script = (
+        "import random\n"
+        "from feac.model import serialize_store\n"
+        "from test_engine import random_staffing_store\n"
+        "for case in range(50):\n"
+        "    print(serialize_store(random_staffing_store(random.Random(70_000 + case))))\n"
+    )
+    path = os.pathsep.join((str(Path(engine.__file__).parents[1]), str(tests)))
+    dumps = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert dumps[0].count("constraint senior ") == 50
+    assert dumps[0] == dumps[1]
 
 
 def reference_select(store: PolicyStore, erole: str):
@@ -824,7 +854,9 @@ def reference_next_occurrence(world: SystemState):
 
 @pytest.fixture
 def checked_occurrences(monkeypatch):
-    """Every drain step asserts that the heap's answer equals the full scan.
+    """Every drain step asserts that the heap's answer equals the full scan,
+    and that each active emergency's stored entry is still the one
+    `_occurrence_of` computes now: every change of its inputs pushed.
 
     Counts the answers by occurrence class (None when nothing is pending).
     """
@@ -832,9 +864,12 @@ def checked_occurrences(monkeypatch):
     from_heap = engine._next_occurrence
 
     def checked(world):
+        for eid, ae in world.active.items():
+            assert ae.occurrence == engine._occurrence_of(world, ae), (world.clock, eid)
         got = from_heap(world)
-        assert got == reference_next_occurrence(world), (world.clock, got)
-        seen[None if got is None else got[1]] += 1
+        want = reference_next_occurrence(world)
+        assert (None if got is None else got[1:]) == want, (world.clock, got)
+        seen[None if got is None else got[2]] += 1
         return got
 
     monkeypatch.setattr(engine, "_next_occurrence", checked)
@@ -971,7 +1006,7 @@ at 0 force E{n} TS1 success
 
 @pytest.mark.parametrize(
     "module, allowed",
-    [(engine, [("_finish_execution", "float(step.p)")]), (constraints, [])],
+    [(engine, [("_finish_execution", "float(step.p)")]), (constraints, []), (exact, [])],
 )
 def test_engine_source_has_no_true_division_or_float(module, allowed):
     """Policy and staffing arithmetic stays exact: no `/`, and `float` only

@@ -1,8 +1,13 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from feac.exact import ONE, ZERO, format_number, parse_number
+from feac.exact import ONE, ZERO, format_number, parse_number, parse_trace_number, time_key
+
+# Past `sys.get_int_max_str_digits()`, whose default is 4300.
+LONG = 5000
 
 
 def test_parse_decimal_literals():
@@ -58,3 +63,81 @@ def test_round_trip():
         Fraction(-22, 7),
     ):
         assert parse_number(format_number(value)) == value
+
+
+def test_trace_numbers_past_the_digit_limit_convert():
+    """`Fraction(text)` refuses these; a trace holds them when the engine
+    multiplied scenario values out, so the trace side reads them back."""
+    assert LONG > sys.get_int_max_str_digits()
+    values = [
+        Fraction(10**LONG - 1, 10**LONG),
+        -Fraction(10**LONG + 7, 2**13),
+        Fraction(3**10000, 7),
+        Fraction(-1, 3**10000),
+        Fraction(10**LONG),
+    ]
+    for value in values:
+        text = format_number(value)
+        with pytest.raises(ValueError):
+            parse_number(text)
+        assert parse_trace_number(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x", "NaN", "Infinity", "1/0", "1/" + "0" * LONG, "1." + "5" * LONG + "/2", "1e" + "9" * LONG],
+)
+def test_trace_numbers_reject_what_parse_number_rejects(text):
+    with pytest.raises(ValueError):
+        parse_trace_number(text)
+
+
+def test_trace_numbers_within_the_limit_parse_as_scenario_numbers():
+    for text in ("3", "0.25", "-1.5", "22/7", "-0.003", "1e3"):
+        assert parse_trace_number(text) == parse_number(text)
+
+
+def _key_pairs(rng: random.Random):
+    """(a, b) pairs of every kind `time_key` must order correctly."""
+    for _ in range(500):
+        # Both signs and zero, over decimal and other denominators.
+        den = rng.choice((1, 2, 10, 3, 7, 1000, 2**rng.randint(0, 60) * 5**rng.randint(0, 30)))
+        a = Fraction(rng.randint(-(10**6), 10**6) * rng.randint(0, 1), den)
+        b = Fraction(rng.randint(-(10**6), 10**6), rng.choice((den, den * 3, 1)))
+        yield a, b
+        yield a, a
+        # Huge denominators.
+        yield Fraction(rng.randint(-(10**60), 10**60), rng.randint(1, 10**50)), Fraction(
+            rng.randint(-(10**60), 10**60), 3**rng.randint(1, 200)
+        )
+        # Neighbours closer than 2**-40, on either side of a key boundary.
+        step = Fraction(1, 2 ** rng.randint(41, 120))
+        yield a, a + step * rng.choice((1, -1))
+        edge = Fraction(rng.randint(-(2**50), 2**50), 2**40)
+        yield edge, edge - step
+        yield edge - step, edge - 2 * step
+    for _ in range(10):
+        # Parts past the digit limit, as a trace can hold them.
+        big = 10**LONG + rng.randint(0, 10**6)
+        a = Fraction(big + rng.randint(-5, 5), 10**LONG)
+        yield a, a + Fraction(rng.choice((1, -1)), 10**LONG)
+        yield a, parse_trace_number(format_number(a))
+        yield -a, Fraction(rng.randint(-3, 3))
+
+
+def test_time_key_order_agrees_with_exact_order():
+    rng = random.Random(40)
+    seen = set()
+    for a, b in _key_pairs(rng):
+        ka, kb = time_key(a), time_key(b)
+        assert isinstance(ka, int) and isinstance(kb, int)
+        assert (a < b) == ((ka, a) < (kb, b)), (a, b)
+        assert (a == b) == ((ka, a) == (kb, b)), (a, b)
+        if a < b:
+            assert ka <= kb, (a, b)
+        seen.add("negative" if min(a, b) < 0 else "zero" if min(a, b) == 0 else "positive")
+        if a != b and ka == kb:
+            seen.add("distinct values, one key")
+        if max(a.denominator, b.denominator).bit_length() > 3 * LONG:
+            seen.add("past the digit limit")
+    assert seen == {"negative", "zero", "positive", "distinct values, one key", "past the digit limit"}
