@@ -28,34 +28,50 @@ def time_key(t: Fraction) -> int:
     return (t.numerator << 40) // t.denominator
 
 
+# A number: a decimal, or p/q. `\d` is any Unicode decimal digit, as for
+# the scenario lexer and for int().
+_NUMBER = re.compile(r"-?(?:\d+(?:\.\d+)?|\.\d+)|-?\d+/\d+").fullmatch
+
+
 def parse_number(text: str) -> Fraction:
-    """Parse a decimal literal ('3', '0.25', '-1.5') or 'p/q' into an exact Fraction.
+    """Parse a number into an exact Fraction.
 
-    Raises ValueError for anything else, a zero denominator included.
+    The grammar is exactly `-?(D+(.D+)?|.D+)` (a decimal: '3', '0.25',
+    '-1.5', '.5') or `-?D+/D+` ('p/q'), D a decimal digit. Nothing else
+    is a number: no exponent, '+' sign, '_' separator or surrounding
+    whitespace. Raises ValueError for any other text, for a zero
+    denominator, and for a part (whole digits, fraction digits, p or q)
+    longer than `sys.get_int_max_str_digits()`.
     """
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
-# The forms `format_number` writes.
-_WRITTEN = re.compile(r"-?[0-9]+(?:\.[0-9]+|/[0-9]+)?").fullmatch
+    if _NUMBER(text) is None:
+        raise ValueError(f"not a number: {text!r}")
+    negative = text[0] == "-"
+    num, slash, den = (text[1:] if negative else text).partition("/")
+    if slash:
+        q = int(den)
+        if not q:
+            raise ValueError(f"zero denominator in {text!r}")
+        p = int(num)
+    else:
+        whole, _, frac = num.partition(".")
+        q = 10 ** len(frac)
+        p = int(whole or "0") * q + int(frac or "0")
+    return Fraction(-p if negative else p, q)
 
 
 def parse_trace_number(text: str) -> Fraction:
     """`parse_number` for a value read back from a trace.
 
     A value the engine computed, such as a product of probabilities, can
-    have a part longer than `sys.get_int_max_str_digits()`, which
-    `Fraction(text)` refuses. Text in one of `format_number`'s forms then
-    converts through `Decimal`, which has no such limit; any other text
-    fails as it does in `parse_number`.
+    have a part longer than `sys.get_int_max_str_digits()`, which `int()`
+    refuses. Text in the number grammar then converts through `Decimal`,
+    which has no such limit; any other text fails as it does in
+    `parse_number`.
     """
     try:
         return parse_number(text)
     except ValueError:
-        if _WRITTEN(text) is None:
+        if _NUMBER(text) is None:
             raise
     num, _, den = text.partition("/")
     if not den:

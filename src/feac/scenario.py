@@ -8,12 +8,16 @@ returns the compiled scenario plus a list of positioned diagnostics; the
 scenario is only usable when the list is empty. `print_scenario` renders
 a canonical form that reparses to the same scenario.
 
-The lexer makes one `finditer` pass whose last alternative catches any
-unexpected character, and takes each column from the match offset less
-the offset where its line starts.
+The lexer makes one `finditer` pass with one match per token. Each match
+first skips the blanks and comments before its token, then matches the
+token, a newline, the end of the text, or (its last alternative) any
+unexpected character; some alternative always matches after the skip, so
+the skip is never backtracked into. A token's column is its group's start
+less the offset where its line starts.
 
-Parse errors resynchronize at the next line that starts with a top-level
-keyword, so one broken declaration yields one diagnostic, not a cascade.
+Parse errors resynchronize at the next top-level keyword that is the first
+token on its line, so one broken declaration yields one diagnostic, not a
+cascade.
 """
 
 from __future__ import annotations
@@ -120,19 +124,20 @@ class Token(NamedTuple):
     value: str
     line: int
     col: int
-    first_on_line: bool
 
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<nl>\n)
+    (?:[ \t\r]+|\#[^\n]*)*
+    (?:
+      (?P<nl>\n)
     | (?P<string>"[^"\n]*")
     | (?P<number>-?(?:\d+(?:\.\d+)?|\.\d+))
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<punct>->|<=|>=|!=|[{}\[\](),=<>@])
+    | (?P<end>\Z)
     | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -141,24 +146,21 @@ _TOKEN_RE = re.compile(
 def tokenize(text: str, filename: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
+    append = tokens.append
+    # The tuple itself, without the named tuple's Python-level constructor.
+    new_token = tuple.__new__
     line, line_start = 1, 0
-    fresh_line = True
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
         if kind == "nl":
             line += 1
             line_start = match.end()
-            fresh_line = True
         elif kind == "bad":
-            col = match.start() - line_start + 1
-            diags.append(Diagnostic(filename, line, col, f"unexpected character {match.group()!r}"))
-        else:
-            col = match.start() - line_start + 1
-            tokens.append(Token(kind, match.group(), line, col, fresh_line))
-            fresh_line = False
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1, True))
+            col = match.start(kind) - line_start + 1
+            diags.append(Diagnostic(filename, line, col, f"unexpected character {match[kind]!r}"))
+        elif kind != "end":
+            append(new_token(Token, (kind, match[kind], line, match.start(kind) - line_start + 1)))
+    append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens, diags
 
 
@@ -214,6 +216,8 @@ class Parser:
         self.filename = filename
         self.tokens, self.diags = tokenize(text, filename)
         self.pos = 0
+        # Number text -> value, for the texts converted so far.
+        self.numbers: dict[str, Fraction] = {}
 
         self.scenario_name: Token | None = None
         # (key, value, the value's number when it is one)
@@ -250,48 +254,67 @@ class Parser:
         self.error(tok, message)
         raise _Abort()
 
+    # The primitives below step past a token without `advance`'s guard: a
+    # token they accept is a name, a number or has a keyword's or symbol's
+    # text, and the eof token is none of these.
+
     def expect_name(self, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "name":
             self.abort(tok, f"expected {what}, found {_describe(tok)}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     # Keywords and punctuation are told apart by text alone: a string
     # token's text keeps its quotes, and no keyword or symbol is a number.
     def expect(self, text: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.value != text:
             self.abort(tok, f"expected '{text}', found {_describe(tok)}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def match(self, text: str) -> bool:
-        if self.peek().value == text:
-            self.advance()
+        if self.tokens[self.pos].value == text:
+            self.pos += 1
             return True
         return False
 
     def expect_number(self, what: str) -> tuple[Token, Fraction]:
-        """The one place a number token is converted; on error it stays unread."""
-        tok = self.peek()
+        """The one place a number token is converted; on error it stays unread.
+
+        A scenario repeats few number texts many times, so each text is
+        converted once per parse; a text that fails is not remembered.
+        """
+        tok = self.tokens[self.pos]
         if tok.kind != "number":
             self.abort(tok, f"expected {what}, found {_describe(tok)}")
-        try:
-            value = parse_number(tok.value)
-        except ValueError:
-            # A part longer than the interpreter's int() conversion limit.
-            limit = sys.get_int_max_str_digits()
-            self.abort(tok, f"number too long: a part has more than {limit} digits")
-        self.advance()
+        value = self.numbers.get(tok.value)
+        if value is None:
+            try:
+                value = self.numbers[tok.value] = parse_number(tok.value)
+            except ValueError:
+                # A part longer than the interpreter's int() conversion limit.
+                limit = sys.get_int_max_str_digits()
+                self.abort(tok, f"number too long: a part has more than {limit} digits")
+        self.pos += 1
         return tok, value
 
     def resync(self) -> None:
+        """Skip to the end, or to a top-level keyword that is the first
+        token on its line."""
+        tokens = self.tokens
         while True:
-            tok = self.peek()
+            tok = tokens[self.pos]
             if tok.kind == "eof":
                 return
-            if tok.kind == "name" and tok.first_on_line and tok.value in TOPLEVEL:
+            if (
+                tok.kind == "name"
+                and tok.value in TOPLEVEL
+                and (self.pos == 0 or tokens[self.pos - 1].line != tok.line)
+            ):
                 return
-            self.advance()
+            self.pos += 1
 
     # -- shared value forms --------------------------------------------------
 

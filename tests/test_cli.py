@@ -1,11 +1,15 @@
 """Command-line behavior: exit codes, output routing, file handling."""
 
 import io
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import feac
 from feac.cli import main
 from feac.fixtures import hospital_text
 from feac.scenario import parse_scenario
@@ -123,6 +127,11 @@ BAD_NUMBERS = [
     ("simulate", "--until=-1"),
     ("plan", "--at=1/0"),
     ("plan", "--at=-1"),
+    # Text `Fraction` would take but that is no number here.
+    ("simulate", "--until=1e3"),
+    ("simulate", "--until=1_0"),
+    ("plan", "--at=+2"),
+    ("plan", "--at= 3"),
 ]
 
 
@@ -516,6 +525,24 @@ class TestAudit:
         for code, _, err in codes:
             assert code == 2
             assert f"line {line_no}: bad {field} '{value}'" in err
+
+    def test_exponent_td_is_refused_at_once(self, disaster_path, tmp_path):
+        """To `Fraction`, `9e99999999` is an integer of 100 million digits;
+        the audit refuses the text instead, well inside the timeout."""
+        trace_file = self.write_trace(tmp_path, disaster_path)
+        text = trace_file.read_text(encoding="utf-8")
+        assert text.count(",td=10,") == 2
+        trace_file.write_text(text.replace(",td=10,", ",td=9e99999999,"), encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from feac.cli import main; sys.exit(main())"]
+            + ["audit", str(trace_file)],
+            env={**os.environ, "PYTHONPATH": str(Path(feac.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "error: malformed trace: line 6: bad td '9e99999999'\n"
 
     def test_malformed_trace_is_a_usage_error(self, tmp_path):
         bad = tmp_path / "bad.trace"

@@ -264,3 +264,34 @@ def test_whole_text_gives_exactly_its_diagnostic(text, want):
 def test_several_diagnostics_keep_their_order(case, want):
     _, diags = parse_scenario(case + "\n" + BASE, "t.feac")
     assert [str(d) for d in diags] == [f"t.feac:{w}" for w in want]
+
+
+# After a parse error the parser skips to a top-level keyword that is the
+# first token on its line. Each case would add "unknown emergency E9" if it
+# resynchronized at its `at`, and the last three lose it if it did not.
+@pytest.mark.parametrize(
+    "case, want",
+    [
+        ("entity 5 at 0 raise E9", ["1:8: expected an entity name, found '5'"]),
+        (
+            "entity 5\n# a comment-only line\nat 0 raise E9",
+            ["1:8: expected an entity name, found '5'", "3:12: unknown emergency E9"],
+        ),
+        (
+            "entity 5\n$at 0 raise E9",
+            [
+                "1:8: expected an entity name, found '5'",
+                "2:1: unexpected character '$'",
+                "2:13: unknown emergency E9",
+            ],
+        ),
+        (
+            "entity 5 # at 0 raise E8\n  \t at 0 raise E9",
+            ["1:8: expected an entity name, found '5'", "2:16: unknown emergency E9"],
+        ),
+    ],
+    ids=["same-line", "after-comment-line", "after-stray-character", "after-indent"],
+)
+def test_resync_is_at_a_keyword_first_on_its_line(case, want):
+    _, diags = parse_scenario(case + "\n" + BASE, "t.feac")
+    assert [str(d) for d in diags] == [f"t.feac:{w}" for w in want]

@@ -17,9 +17,37 @@ def test_parse_decimal_literals():
     assert parse_number("0.684") == Fraction(171, 250)
 
 
+def test_parse_fractions_and_bare_decimals():
+    assert parse_number("22/7") == Fraction(22, 7)
+    assert parse_number("-4/6") == Fraction(-2, 3)
+    assert parse_number(".5") == Fraction(1, 2)
+    assert parse_number("-.5") == Fraction(-1, 2)
+    assert parse_number("-0") == 0
+    assert parse_number("007.50") == Fraction(15, 2)
+
+
 def test_zero_denominator_is_a_value_error():
     with pytest.raises(ValueError):
         parse_number("1/0")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e3", "+2", "1_0", " 3", "3 ", "1.", "-", "", "1/-2", "1.5/2", "/2", "--1", "inf"],
+)
+def test_parse_number_takes_only_its_grammar(text):
+    """`Fraction(text)` takes several of these; a number is a decimal or p/q."""
+    with pytest.raises(ValueError):
+        parse_number(text)
+
+
+def test_each_part_of_a_number_has_its_own_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    whole, frac = "1" * limit, "2" * limit
+    assert parse_number(f"{whole}.{frac}") == Fraction(f"{whole}.{frac}")
+    for text in (f"{whole}1.5", f"1.{frac}2", f"{whole}1/3", f"3/{whole}1"):
+        with pytest.raises(ValueError):
+            parse_number(text)
 
 
 def test_constants():
@@ -85,7 +113,16 @@ def test_trace_numbers_past_the_digit_limit_convert():
 
 @pytest.mark.parametrize(
     "text",
-    ["x", "NaN", "Infinity", "1/0", "1/" + "0" * LONG, "1." + "5" * LONG + "/2", "1e" + "9" * LONG],
+    [
+        "x",
+        "NaN",
+        "Infinity",
+        "1/0",
+        "1/" + "0" * LONG,
+        "1." + "5" * LONG + "/2",
+        "1e" + "9" * LONG,
+        "1e3",
+    ],
 )
 def test_trace_numbers_reject_what_parse_number_rejects(text):
     with pytest.raises(ValueError):
@@ -93,7 +130,7 @@ def test_trace_numbers_reject_what_parse_number_rejects(text):
 
 
 def test_trace_numbers_within_the_limit_parse_as_scenario_numbers():
-    for text in ("3", "0.25", "-1.5", "22/7", "-0.003", "1e3"):
+    for text in ("3", "0.25", "-1.5", "22/7", "-0.003", ".5"):
         assert parse_trace_number(text) == parse_number(text)
 
 
