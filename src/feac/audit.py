@@ -10,8 +10,8 @@ Two runs with equal inputs and seed produce byte-identical traces.
 
 The log is its lines: `AuditLog.append` formats each record once, straight
 into its line, and keeps nothing else. Records (`AuditRecord`) exist only
-as the result of `parse_trace`, so a log's `records` and a trace file's
-records come from the same parser.
+as the result of `parse_trace`, the one decoder of trace text: each holds
+its raw payload and the value of every field that `FIELD_PARSERS` decodes.
 
 Records carry enough payload to rebuild every policy-store mutation, so
 replaying a trace against the run's initial store reproduces its final
@@ -21,10 +21,11 @@ store exactly; that replay is the non-repudiation check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
-from .exact import format_number, parse_trace_number
+from .exact import format_number, parse_integer, parse_trace_number
 from .model import AclEntry, Op, PolicyStore, SystemObject
 
 # Fixed payload layout per kind. Appending with any other keys is an error.
@@ -51,29 +52,33 @@ KIND_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _parse_list(text: str) -> list[str]:
-    return [] if text == "-" else text.split(";")
+def _parse_list(text: str) -> tuple[str, ...]:
+    return () if text == "-" else tuple(text.split(";"))
 
 
-def _parse_acl(text: str) -> list[AclEntry]:
+def _parse_acl(text: str) -> tuple[AclEntry, ...]:
     entries = []
     for chunk in _parse_list(text):
         role, op, td = chunk.split(":")
         entries.append(AclEntry(role, Op(op), None if td == "-" else parse_trace_number(td)))
-    return entries
+    return tuple(entries)
 
 
 # The payload fields some consumer converts, by name, with the conversion it
-# applies. parse_trace runs each one, so checkers and replay only ever meet
-# values they can convert.
+# applies. parse_trace runs each one and keeps the value on the record, so
+# checkers and replay only ever meet converted values.
 FIELD_PARSERS = {
     "td": parse_trace_number,
     "pv": parse_trace_number,
     "tp": parse_trace_number,
     "horizon": parse_trace_number,
-    "seed": int,
+    "seed": parse_integer,
     "op": Op,
     "acl": _parse_acl,
+    "saved": _parse_list,
+    "restored": _parse_list,
+    "roles": _parse_list,
+    "resources": _parse_list,
 }
 
 
@@ -90,10 +95,15 @@ class AuditFormatError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class AuditRecord:
+    """`payload` holds the raw texts and `decoded` the value of each field that
+    `FIELD_PARSERS` decodes (lists as tuples), which only `parse_trace` fills;
+    it is read-only, shared by records with equal texts, and not compared."""
+
     seq: int
     ts: Fraction
     kind: str
     payload: dict[str, str]
+    decoded: dict[str, object] = field(default_factory=dict, compare=False, repr=False)
 
 
 def fmt_value(value) -> str:
@@ -125,6 +135,7 @@ _TEMPLATES = {
 _TYPED_FIELDS = {
     kind: tuple(f for f in fields if f in FIELD_PARSERS) for kind, fields in KIND_FIELDS.items()
 }
+_TYPED_TEXTS = {kind: itemgetter(*typed) for kind, typed in _TYPED_FIELDS.items() if typed}
 
 
 class AuditLog:
@@ -185,9 +196,9 @@ def parse_trace(text: str) -> list[AuditRecord]:
     records: list[AuditRecord] = []
     # A run stamps many records with each clock value, and repeats most
     # typed values (an op, a td) many times: each distinct timestamp text is
-    # converted once and each distinct (key, text) checked once.
+    # converted once and each kind's distinct typed texts decoded once.
     stamps: dict[str, Fraction] = {}
-    checked: set[tuple[str, str]] = set()
+    shared: dict[object, dict[str, object]] = {}
     last_text: str | None = None
     last_ts = None
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -198,7 +209,7 @@ def parse_trace(text: str) -> list[AuditRecord]:
             raise AuditFormatError(line_no, "expected seq|timestamp|kind|payload")
         seq_text, ts_text, kind, payload_text = parts
         try:
-            seq = int(seq_text)
+            seq = parse_integer(seq_text)
         except ValueError:
             raise AuditFormatError(line_no, f"bad sequence number {seq_text!r}") from None
         ts = stamps.get(ts_text)
@@ -223,15 +234,17 @@ def parse_trace(text: str) -> list[AuditRecord]:
             # A repeated key the dict folded into its first place.
             keys = tuple(chunk.partition("=")[0] for chunk in chunks)
             raise AuditFormatError(line_no, f"payload keys {keys} != {fields}")
-        for key in _TYPED_FIELDS[kind]:
-            value = payload[key]
-            if (key, value) in checked:
-                continue
-            try:
-                FIELD_PARSERS[key](value)
-            except ValueError:
-                raise AuditFormatError(line_no, f"bad {key} {value!r}") from None
-            checked.add((key, value))
+        texts_of = _TYPED_TEXTS.get(kind)
+        texts = (kind, texts_of(payload)) if texts_of else kind
+        decoded = shared.get(texts)
+        if decoded is None:
+            decoded = shared[texts] = {}
+            for key in _TYPED_FIELDS[kind]:
+                value = payload[key]
+                try:
+                    decoded[key] = FIELD_PARSERS[key](value)
+                except ValueError:
+                    raise AuditFormatError(line_no, f"bad {key} {value!r}") from None
         if seq != len(records) + 1:
             raise AuditFormatError(line_no, f"sequence {seq} out of order")
         if ts_text != last_text:
@@ -239,7 +252,7 @@ def parse_trace(text: str) -> list[AuditRecord]:
             if records and ts < last_ts:
                 raise AuditFormatError(line_no, "timestamps must be non-decreasing")
             last_text, last_ts = ts_text, ts
-        records.append(AuditRecord(seq, ts, kind, payload))
+        records.append(AuditRecord(seq, ts, kind, payload, decoded))
     return records
 
 
@@ -252,15 +265,15 @@ def replay_store(initial: PolicyStore, records: list[AuditRecord]) -> PolicyStor
     """Apply every store mutation in `records` to a copy of `initial`."""
     store = initial.clone()
     for r in records:
-        p = r.payload
+        p, d = r.payload, r.decoded
         if r.kind == "role_assigned":
             sid, erole = p["sid"], p["erole"]
-            store.ort[sid] = tuple(_parse_list(p["saved"]))
+            store.ort[sid] = d["saved"]
             store.srt.setdefault(sid, set()).add(erole)
             store.asrt[sid] = {erole}
         elif r.kind == "role_restored":
             sid, erole = p["sid"], p["erole"]
-            store.asrt[sid] = set(_parse_list(p["restored"]))
+            store.asrt[sid] = set(d["restored"])
             store.srt.get(sid, set()).discard(erole)
             store.ort.pop(sid, None)
         elif r.kind in ("permission_granted", "permission_rescinded"):
@@ -269,20 +282,18 @@ def replay_store(initial: PolicyStore, records: list[AuditRecord]) -> PolicyStor
             obj = store.objects.get(p["oid"])
             if obj is None:
                 continue
-            entry = AclEntry(p["erole"], Op(p["op"]), parse_trace_number(p["td"]))
+            entry = AclEntry(p["erole"], d["op"], d["td"])
             if r.kind == "permission_granted":
                 obj.acl.append(entry)
             elif entry in obj.acl:
                 obj.acl.remove(entry)
         elif r.kind == "ft_substitution":
             target = p["to"]
-            entries = _parse_acl(p["acl"])
-            if entries:
-                store.objects.setdefault(target, SystemObject(target)).acl.extend(entries)
-            roles = _parse_list(p["roles"])
-            if roles:
-                store.srt.setdefault(target, set()).update(roles)
-                store.asrt.setdefault(target, set()).update(roles)
+            if d["acl"]:
+                store.objects.setdefault(target, SystemObject(target)).acl.extend(d["acl"])
+            if d["roles"]:
+                store.srt.setdefault(target, set()).update(d["roles"])
+                store.asrt.setdefault(target, set()).update(d["roles"])
     return store
 
 

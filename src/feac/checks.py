@@ -1,8 +1,8 @@
 """Trace checkers: each one verifies a run-wide guarantee on an audit trace.
 
-All checkers consume parsed audit records (payload values are the raw
-strings from the trace) and return violations instead of raising, so a
-single pass can report every breach at once. The guarantees:
+All checkers consume records from `parse_trace` (raw text plus decoded
+values) and return violations instead of raising, so a single pass can
+report every breach at once. The guarantees:
 
 - responsiveness: every newly raised emergency gets a subject assignment,
   an explicit subject_unavailable, or a terminal outcome within one
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .audit import AuditRecord, replay_store
-from .exact import parse_trace_number
 from .model import ENV_ENTITY, PolicyStore, serialize_store
 from .scenario import Scenario
 
@@ -42,6 +41,9 @@ STAFFING_KINDS = {
     "subject_notified",
     "action_started",
 }
+
+# The polling period of a trace without a run_started header.
+DEFAULT_TP = Fraction(1, 2)
 
 LEGAL_TRANSITIONS = {
     ("normal", "emergency"),
@@ -64,15 +66,9 @@ class CheckViolation:
         return f"{self.check} at #{self.seq}: {self.message}"
 
 
-def _tp_of(records: list[AuditRecord]) -> Fraction:
-    if records and records[0].kind == "run_started":
-        return parse_trace_number(records[0].payload["tp"])
-    return Fraction(1, 2)
-
-
 def check_responsiveness(records: list[AuditRecord]) -> list[CheckViolation]:
     out: list[CheckViolation] = []
-    tp = _tp_of(records)
+    tp = records[0].decoded.get("tp", DEFAULT_TP) if records else DEFAULT_TP
     pending: dict[str, AuditRecord] = {}
     active: set[str] = set()
 
@@ -183,9 +179,8 @@ def check_mode_correctness(records: list[AuditRecord]) -> list[CheckViolation]:
                         )
                     )
         if kind == "plan_selected":
-            pv = parse_trace_number(rec.payload["pv"])
             strategy = rec.payload["strategy"]
-            if (strategy == "optimal") != (pv > 0):
+            if (strategy == "optimal") != (rec.decoded["pv"] > 0):
                 out.append(
                     CheckViolation(
                         "mode_correctness",
@@ -231,7 +226,7 @@ def check_grant_security(records: list[AuditRecord]) -> list[CheckViolation]:
 
 def check_rescission_liveness(records: list[AuditRecord]) -> list[CheckViolation]:
     out: list[CheckViolation] = []
-    tp = _tp_of(records)
+    tp = records[0].decoded.get("tp", DEFAULT_TP) if records else DEFAULT_TP
     open_grants: dict[tuple[str, str, str, str], list[AuditRecord]] = {}
     for rec in records:
         if rec.kind == "permission_granted":
@@ -246,8 +241,7 @@ def check_rescission_liveness(records: list[AuditRecord]) -> list[CheckViolation
                     )
                 )
                 continue
-            queue.pop(0)
-            deadline = parse_trace_number(key[3]) + tp
+            deadline = queue.pop(0).decoded["td"] + tp
             if rec.ts > deadline:
                 out.append(
                     CheckViolation(
@@ -260,7 +254,7 @@ def check_rescission_liveness(records: list[AuditRecord]) -> list[CheckViolation
         last_ts = records[-1].ts
         for key, queue in sorted(open_grants.items()):
             for grant in queue:
-                if last_ts > parse_trace_number(key[3]) + tp:
+                if last_ts > grant.decoded["td"] + tp:
                     out.append(
                         CheckViolation(
                             "rescission_liveness", grant.seq, f"grant {key} never rescinded"
@@ -309,10 +303,7 @@ def check_resource_exclusivity(records: list[AuditRecord]) -> list[CheckViolatio
     for rec in records:
         if rec.kind == "action_started":
             eid = rec.payload["eid"]
-            resources = rec.payload["resources"]
-            if resources == "-":
-                continue
-            for resource in resources.split(";"):
+            for resource in rec.decoded["resources"]:
                 holder = in_use.get(resource)
                 if holder is not None:
                     out.append(

@@ -14,7 +14,7 @@ import sys
 from .audit import AuditFormatError, parse_trace
 from .checks import CheckViolation, check_trace, first_difference
 from .engine import TIME_FIRST
-from .exact import ZERO, format_number, parse_number, parse_trace_number
+from .exact import ZERO, format_number, parse_integer, parse_number
 from .model import validate_store
 from .planner import (
     build_transition_graph,
@@ -173,10 +173,8 @@ def cmd_audit(args, out, err) -> int:
         if not records or records[0].kind != "run_started":
             print("error: trace has no run_started record", file=err)
             return 2
-        head = records[0].payload
-        rerun = run_simulation(
-            scenario, seed=int(head["seed"]), horizon=parse_trace_number(head["horizon"])
-        )
+        head = records[0].decoded
+        rerun = run_simulation(scenario, seed=head["seed"], horizon=head["horizon"])
         violations += check_trace(
             records,
             scenario=scenario,
@@ -228,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a scenario and emit its audit trace")
     p_sim.add_argument("scenario")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the configured seed")
+    p_sim.add_argument("--seed", type=parse_integer, help="override the configured seed")
     p_sim.add_argument(
         "--until", type=parse_number, default=None, help="override the configured horizon"
     )

@@ -59,6 +59,17 @@ def parse_number(text: str) -> Fraction:
     return Fraction(-p if negative else p, q)
 
 
+def parse_integer(text: str) -> int:
+    """Parse an integer written exactly as `-?D+`, D a decimal digit as in
+    `parse_number` (`str.isdecimal` is true for exactly the characters `\\d`
+    matches): no '+' sign, '_' separator or surrounding whitespace, all of
+    which `int()` takes. Raises ValueError for any other text and for more
+    digits than `sys.get_int_max_str_digits()`."""
+    if not (text[1:] if text[:1] == "-" else text).isdecimal():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_trace_number(text: str) -> Fraction:
     """`parse_number` for a value read back from a trace.
 

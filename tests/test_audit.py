@@ -16,7 +16,7 @@ from feac.audit import (
     parse_trace,
     replay_store,
 )
-from feac.exact import format_number
+from feac.exact import format_number, parse_integer
 from feac.model import AclEntry, Op, PolicyStore, Subject, SystemObject, serialize_store
 
 from test_sim import GOLDEN
@@ -160,19 +160,35 @@ class TestAppend:
         assert log.lines == ["1|1|entity_failed|entity=P1"]
 
     def test_every_kind_has_a_field_list(self):
+        # Every field holds "1" except op, which must name an Op, acl, whose
+        # chunks are role:op:td, and the list fields; each typed field
+        # decodes to the value beside its text.
+        special = {"op": "use", "acl": "R1:use:1;R2:read:-", "saved": "R1;R2",
+                   "restored": "R3", "roles": "E1;E2", "resources": "-"}
+        decoded = {
+            "td": F(1), "pv": F(1), "tp": F(1), "horizon": F(1), "seed": 1, "op": Op.USE,
+            "acl": (AclEntry("R1", Op.USE, F(1)), AclEntry("R2", Op.READ, None)),
+            "saved": ("R1", "R2"), "restored": ("R3",), "roles": ("E1", "E2"), "resources": (),
+        }
+        assert set(decoded) == set(FIELD_PARSERS)
         log = AuditLog()
         for kind, fields in KIND_FIELDS.items():
-            # Every field holds "1" except op, which must name an Op, and
-            # acl, whose chunks are role:op:td.
-            special = {"op": "use", "acl": "R1:use:1"}
             payload = {(f + "_" if f == "from" else f): special.get(f, "1") for f in fields}
             log.append(kind, F(0), **payload)
         text = log.to_text()
         assert len(text.splitlines()) == len(KIND_FIELDS)
-        assert parse_trace(text) == [
+        records = parse_trace(text)
+        assert records == [
             AuditRecord(seq, F(0), kind, {f: special.get(f, "1") for f in fields})
             for seq, (kind, fields) in enumerate(KIND_FIELDS.items(), start=1)
         ]
+        for record, fields in zip(records, KIND_FIELDS.values()):
+            want = {f: decoded[f] for f in fields if f in decoded}
+            assert record.decoded == want, record.kind
+            # Equal values of another type would pass `==`: 1 == F(1).
+            assert {f: type(v) for f, v in record.decoded.items()} == {
+                f: type(v) for f, v in want.items()
+            }, record.kind
 
 
 # The records of TestParseTrace.roundtrip_log, written out.
@@ -230,9 +246,11 @@ class TestParseTrace:
             parse_trace("1|0|entity_failed\n")
         assert err.value.line_no == 1
 
-    def test_bad_sequence_number(self):
-        with pytest.raises(AuditFormatError):
-            parse_trace("x|0|entity_failed|entity=P1\n")
+    @pytest.mark.parametrize("seq", ["x", "+1", "1_0", " 1"])
+    def test_bad_sequence_number(self, seq):
+        with pytest.raises(AuditFormatError) as err:
+            parse_trace(f"{seq}|0|entity_failed|entity=P1\n")
+        assert str(err.value) == f"line 1: bad sequence number {seq!r}"
 
     def test_bad_timestamp(self):
         with pytest.raises(AuditFormatError):
@@ -363,7 +381,7 @@ def reference_parse_trace(text: str) -> list[AuditRecord]:
             raise AuditFormatError(line_no, "expected seq|timestamp|kind|payload")
         seq_text, ts_text, kind, payload_text = parts
         try:
-            seq = int(seq_text)
+            seq = parse_integer(seq_text)
         except ValueError:
             raise AuditFormatError(line_no, f"bad sequence number {seq_text!r}") from None
         try:

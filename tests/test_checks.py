@@ -3,6 +3,7 @@ quiet on the hospital run."""
 
 from fractions import Fraction
 
+from feac import audit, checks, cli, exact
 from feac.audit import AuditLog, parse_trace
 from feac.checks import (
     check_gating,
@@ -17,6 +18,8 @@ from feac.checks import (
 )
 from feac.constraints import Lit
 from feac.model import serialize_store
+
+from test_sim import GOLDEN
 
 F = Fraction
 
@@ -44,6 +47,38 @@ def test_hospital_run_is_clean(hospital, hospital_run):
         initial_store=hospital_run.initial_store,
         final_store=hospital_run.final_store,
     )
+    assert violations == []
+
+
+def test_checking_a_parsed_trace_decodes_nothing(hospital, hospital_run, monkeypatch):
+    """Replay and the checkers read the values `parse_trace` decoded: with
+    every number, Op and list decoder that audit, checks and cli reach made
+    to raise, the golden trace still checks clean."""
+    records = parse_trace(GOLDEN.read_text(encoding="utf-8"))
+    calls = []
+
+    def refuse(name):
+        def decoder(*args):
+            calls.append((name, args))
+            raise AssertionError(f"{name}{args}: trace text decoded again")
+
+        return decoder
+
+    names = ("parse_number", "parse_trace_number", "parse_integer", "Op", "_parse_list",
+             "_parse_acl")
+    for module in (audit, checks, cli, exact):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    for key in audit.FIELD_PARSERS:
+        monkeypatch.setitem(audit.FIELD_PARSERS, key, refuse(key))
+    violations = check_trace(
+        records,
+        scenario=hospital,
+        initial_store=hospital_run.initial_store,
+        final_store=hospital_run.final_store,
+    )
+    assert calls == []
     assert violations == []
 
 

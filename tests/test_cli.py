@@ -111,6 +111,8 @@ UNCONVERTIBLE_FIELDS = [
     ("hospital_path", "plan_selected", "pv", "S1"),
     ("hospital_path", "run_started", "tp", "x"),
     ("hospital_path", "run_started", "seed", "x"),
+    ("hospital_path", "run_started", "seed", "0_7"),
+    ("hospital_path", "run_started", "seed", "+7"),
     ("hospital_path", "run_started", "horizon", "x"),
     ("hospital_path", "permission_granted", "td", "-"),
     ("substitution_path", "ft_substitution", "acl", "a:b"),
@@ -132,6 +134,10 @@ BAD_NUMBERS = [
     ("simulate", "--until=1_0"),
     ("plan", "--at=+2"),
     ("plan", "--at= 3"),
+    # Text `int` would take but that is no integer here.
+    ("simulate", "--seed=1_0"),
+    ("simulate", "--seed=+2"),
+    ("simulate", "--seed= 3"),
 ]
 
 

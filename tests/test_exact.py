@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from feac.exact import ONE, ZERO, format_number, parse_number, parse_trace_number, time_key
+from feac.exact import (
+    ONE,
+    ZERO,
+    format_number,
+    parse_integer,
+    parse_number,
+    parse_trace_number,
+    time_key,
+)
 
 # Past `sys.get_int_max_str_digits()`, whose default is 4300.
 LONG = 5000
@@ -39,6 +47,16 @@ def test_parse_number_takes_only_its_grammar(text):
     """`Fraction(text)` takes several of these; a number is a decimal or p/q."""
     with pytest.raises(ValueError):
         parse_number(text)
+
+
+def test_parse_integer_takes_digits_with_an_optional_minus():
+    # U+0663 is ARABIC-INDIC DIGIT THREE: a decimal digit to `\d` and int().
+    for text, value in (("7", 7), ("-12", -12), ("007", 7), ("\u0663", 3)):
+        assert parse_integer(text) == parse_number(text) == value
+        assert type(parse_integer(text)) is int
+    for text in ("+2", "1_0", " 3", "3 ", "", "-", "--1", "1.0", "1e3", "0x1", "\u00b2"):
+        with pytest.raises(ValueError):
+            parse_integer(text)
 
 
 def test_each_part_of_a_number_has_its_own_digit_limit():
