@@ -28,7 +28,6 @@ from .planner import (
     PlanStep,
     build_transition_graph,
     compute_p_value,
-    count_admissible_orders,
     select_optimal_path,
 )
 from .scenario import Diagnostic, Scenario, load_scenario, parse_scenario, print_scenario
@@ -69,7 +68,6 @@ __all__ = [
     "build_transition_graph",
     "check_trace",
     "compute_p_value",
-    "count_admissible_orders",
     "engine_tick",
     "find_substitute",
     "load_scenario",

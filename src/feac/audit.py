@@ -14,8 +14,8 @@ as the result of `parse_trace`, the one decoder of trace text: each holds
 its raw payload and the value of every field that `FIELD_PARSERS` decodes.
 
 Records carry enough payload to rebuild every policy-store mutation, so
-replaying a trace against the run's initial store reproduces its final
-store exactly; that replay is the non-repudiation check.
+replaying a trace against the scenario's store, where its run started,
+reproduces its final store exactly: the non-repudiation check.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ def parse_trace(text: str) -> list[AuditRecord]:
     records: list[AuditRecord] = []
     # A run stamps many records with each clock value, and repeats most
     # typed values (an op, a td) many times: each distinct timestamp text is
-    # converted once and each kind's distinct typed texts decoded once.
+    # converted once, and typed fields with equal names and texts decoded
+    # once, whatever their kind.
     stamps: dict[str, Fraction] = {}
     shared: dict[object, dict[str, object]] = {}
     last_text: str | None = None
@@ -208,10 +209,12 @@ def parse_trace(text: str) -> list[AuditRecord]:
         if len(parts) != 4:
             raise AuditFormatError(line_no, "expected seq|timestamp|kind|payload")
         seq_text, ts_text, kind, payload_text = parts
-        try:
-            seq = parse_integer(seq_text)
-        except ValueError:
-            raise AuditFormatError(line_no, f"bad sequence number {seq_text!r}") from None
+        seq = len(records) + 1
+        if seq_text != str(seq):
+            try:
+                seq = parse_integer(seq_text)
+            except ValueError:
+                raise AuditFormatError(line_no, f"bad sequence number {seq_text!r}") from None
         ts = stamps.get(ts_text)
         if ts is None:
             try:
@@ -235,7 +238,7 @@ def parse_trace(text: str) -> list[AuditRecord]:
             keys = tuple(chunk.partition("=")[0] for chunk in chunks)
             raise AuditFormatError(line_no, f"payload keys {keys} != {fields}")
         texts_of = _TYPED_TEXTS.get(kind)
-        texts = (kind, texts_of(payload)) if texts_of else kind
+        texts = (_TYPED_FIELDS[kind], texts_of(payload)) if texts_of else ()
         decoded = shared.get(texts)
         if decoded is None:
             decoded = shared[texts] = {}

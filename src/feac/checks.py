@@ -1,8 +1,10 @@
 """Trace checkers: each one verifies a run-wide guarantee on an audit trace.
 
 All checkers consume records from `parse_trace` (raw text plus decoded
-values) and return violations instead of raising, so a single pass can
-report every breach at once. The guarantees:
+values) and return violations instead of raising. Each is one forward
+pass that keeps only what is still open (unhandled raises, open grants,
+held roles and resources, substitutions awaiting a plan), so its work is
+linear in the trace. The guarantees:
 
 - responsiveness: every newly raised emergency gets a subject assignment,
   an explicit subject_unavailable, or a terminal outcome within one
@@ -20,8 +22,8 @@ report every breach at once. The guarantees:
 - resource exclusivity: two running actions never share a resource;
 - gating (needs the scenario): no gated group starts an action while one
   of its environment gates is still open;
-- replay fidelity (needs both store snapshots): replaying the trace over
-  the initial store reproduces the final store byte for byte.
+- replay fidelity (needs the scenario and the final store): replaying the
+  trace over the scenario's store reproduces the final store byte for byte.
 """
 
 from __future__ import annotations
@@ -122,11 +124,17 @@ def check_responsiveness(records: list[AuditRecord]) -> list[CheckViolation]:
 
 
 def check_mode_correctness(records: list[AuditRecord]) -> list[CheckViolation]:
-    out: list[CheckViolation] = []
+    out: list[CheckViolation | None] = []
     mode = "normal"
     failed_entities: set[str] = set()
-    for index, rec in enumerate(records):
+    # Per entity, the indices in `out` of the violations of substitutions at
+    # `awaiting_ts` that the entity's next plan at that time may still clear.
+    awaiting: dict[str, list[int]] = {}
+    awaiting_ts = None
+    for rec in records:
         kind = rec.kind
+        if awaiting and rec.ts != awaiting_ts:
+            awaiting.clear()
         if kind == "state_transition":
             came, went = rec.payload["from"], rec.payload["to"]
             if came != mode:
@@ -160,26 +168,16 @@ def check_mode_correctness(records: list[AuditRecord]) -> list[CheckViolation]:
                     )
                 )
             if entity not in failed_entities:
-                follow = next(
-                    (
-                        r
-                        for r in itertools.islice(records, index + 1, None)
-                        if r.kind == "plan_selected"
-                        and r.payload["entity"] == entity
-                        and r.ts == rec.ts
-                    ),
-                    None,
-                )
-                if follow is None or follow.payload["strategy"] == "optimal":
-                    out.append(
-                        CheckViolation(
-                            "mode_correctness",
-                            rec.seq,
-                            "substitution not followed by a fallback plan",
-                        )
-                    )
+                awaiting_ts = rec.ts
+                awaiting.setdefault(entity, []).append(len(out))
+                message = "substitution not followed by a fallback plan"
+                out.append(CheckViolation("mode_correctness", rec.seq, message))
         if kind == "plan_selected":
             strategy = rec.payload["strategy"]
+            slots = awaiting.pop(rec.payload["entity"], ())
+            if strategy != "optimal":
+                for slot in slots:
+                    out[slot] = None
             if (strategy == "optimal") != (rec.decoded["pv"] > 0):
                 out.append(
                     CheckViolation(
@@ -188,78 +186,69 @@ def check_mode_correctness(records: list[AuditRecord]) -> list[CheckViolation]:
                         f"strategy {strategy} inconsistent with pv={rec.payload['pv']}",
                     )
                 )
-    return out
+    return [violation for violation in out if violation is not None]
 
 
 def _grant_key(payload: dict[str, str]) -> tuple[str, str, str, str]:
     return (payload["erole"], payload["oid"], payload["op"], payload["td"])
 
 
-def check_grant_security(records: list[AuditRecord]) -> list[CheckViolation]:
-    out: list[CheckViolation] = []
-    open_count: dict[tuple[str, str, str, str], int] = {}
+def _match_grants(records: list[AuditRecord], ledger: dict[tuple, list]):
+    """Pair each record with the oldest open grant it rescinds, or None.
+    `ledger` holds the open grants: per (erole, oid, op, td) text key, its
+    unrescinded grants oldest first; a key goes with its last grant. A list
+    serves as the queue: a key of an engine trace holds one or two open
+    grants, so `pop(0)` is cheap, where a deque takes a 64-slot block."""
     for rec in records:
+        grant = None
         if rec.kind == "permission_granted":
-            key = _grant_key(rec.payload)
-            open_count[key] = open_count.get(key, 0) + 1
+            ledger.setdefault(_grant_key(rec.payload), []).append(rec)
         elif rec.kind == "permission_rescinded":
             key = _grant_key(rec.payload)
-            count = open_count.get(key, 0)
-            if count <= 0:
-                out.append(
-                    CheckViolation("grant_security", rec.seq, f"rescind without grant {key}")
-                )
-            else:
-                open_count[key] = count - 1
+            queue = ledger.get(key)
+            if queue:
+                grant = queue.pop(0)
+                if not queue:
+                    del ledger[key]
+        yield rec, grant
+
+
+def check_grant_security(records: list[AuditRecord]) -> list[CheckViolation]:
+    out: list[CheckViolation] = []
+    ledger: dict[tuple, list] = {}
+    for rec, grant in _match_grants(records, ledger):
+        if rec.kind == "permission_rescinded" and grant is None:
+            key = _grant_key(rec.payload)
+            out.append(CheckViolation("grant_security", rec.seq, f"rescind without grant {key}"))
         elif rec.kind == "state_transition" and rec.payload["to"] in ("normal", "disaster"):
-            leftovers = sorted(k for k, v in open_count.items() if v > 0)
-            for key in leftovers:
-                out.append(
-                    CheckViolation(
-                        "grant_security",
-                        rec.seq,
-                        f"grant {key} still open entering {rec.payload['to']}",
-                    )
-                )
+            for key in sorted(ledger):
+                message = f"grant {key} still open entering {rec.payload['to']}"
+                out.append(CheckViolation("grant_security", rec.seq, message))
     return out
 
 
 def check_rescission_liveness(records: list[AuditRecord]) -> list[CheckViolation]:
     out: list[CheckViolation] = []
     tp = records[0].decoded.get("tp", DEFAULT_TP) if records else DEFAULT_TP
-    open_grants: dict[tuple[str, str, str, str], list[AuditRecord]] = {}
-    for rec in records:
-        if rec.kind == "permission_granted":
-            open_grants.setdefault(_grant_key(rec.payload), []).append(rec)
-        elif rec.kind == "permission_rescinded":
+    ledger: dict[tuple, list] = {}
+    for rec, grant in _match_grants(records, ledger):
+        if rec.kind == "permission_rescinded":
             key = _grant_key(rec.payload)
-            queue = open_grants.get(key)
-            if not queue:
-                out.append(
-                    CheckViolation(
-                        "rescission_liveness", rec.seq, f"rescind without open grant {key}"
-                    )
-                )
+            if grant is None:
+                message = f"rescind without open grant {key}"
+                out.append(CheckViolation("rescission_liveness", rec.seq, message))
                 continue
-            deadline = queue.pop(0).decoded["td"] + tp
+            deadline = grant.decoded["td"] + tp
             if rec.ts > deadline:
-                out.append(
-                    CheckViolation(
-                        "rescission_liveness",
-                        rec.seq,
-                        f"grant {key} rescinded at {rec.ts}, after td+tp={deadline}",
-                    )
-                )
+                message = f"grant {key} rescinded at {rec.ts}, after td+tp={deadline}"
+                out.append(CheckViolation("rescission_liveness", rec.seq, message))
     if records:
         last_ts = records[-1].ts
-        for key, queue in sorted(open_grants.items()):
+        for key, queue in sorted(ledger.items()):
             for grant in queue:
                 if last_ts > grant.decoded["td"] + tp:
-                    out.append(
-                        CheckViolation(
-                            "rescission_liveness", grant.seq, f"grant {key} never rescinded"
-                        )
-                    )
+                    message = f"grant {key} never rescinded"
+                    out.append(CheckViolation("rescission_liveness", grant.seq, message))
     return out
 
 
@@ -300,9 +289,12 @@ def check_subject_exclusivity(records: list[AuditRecord]) -> list[CheckViolation
 def check_resource_exclusivity(records: list[AuditRecord]) -> list[CheckViolation]:
     out: list[CheckViolation] = []
     in_use: dict[str, str] = {}
+    # Per eid, the resources its starts took since it last ended (some may have been taken over).
+    taken: dict[str, list[str]] = {}
     for rec in records:
         if rec.kind == "action_started":
             eid = rec.payload["eid"]
+            mine = taken.setdefault(eid, [])
             for resource in rec.decoded["resources"]:
                 holder = in_use.get(resource)
                 if holder is not None:
@@ -314,10 +306,12 @@ def check_resource_exclusivity(records: list[AuditRecord]) -> list[CheckViolatio
                         )
                     )
                 in_use[resource] = eid
+                mine.append(resource)
         elif rec.kind in ("action_finished", "action_failed"):
             eid = rec.payload["eid"]
-            for resource in [r for r, holder in in_use.items() if holder == eid]:
-                del in_use[resource]
+            for resource in taken.pop(eid, ()):
+                if in_use.get(resource) == eid:
+                    del in_use[resource]
     return out
 
 
@@ -380,10 +374,10 @@ def check_replay_fidelity(
 def check_trace(
     records: list[AuditRecord],
     scenario: Scenario | None = None,
-    initial_store: PolicyStore | None = None,
     final_store: PolicyStore | None = None,
 ) -> list[CheckViolation]:
-    """Run every checker that its inputs allow and pool the violations."""
+    """Run every checker that its inputs allow and pool the violations; replay
+    fidelity replays from `scenario.store`, which a run leaves unchanged."""
     out: list[CheckViolation] = []
     if not records:
         return [CheckViolation("structure", 0, "empty trace")]
@@ -397,6 +391,6 @@ def check_trace(
     out += check_resource_exclusivity(records)
     if scenario is not None:
         out += check_gating(records, scenario)
-    if initial_store is not None and final_store is not None:
-        out += check_replay_fidelity(records, initial_store, final_store)
+    if scenario is not None and final_store is not None:
+        out += check_replay_fidelity(records, scenario.store, final_store)
     return out

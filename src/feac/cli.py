@@ -17,9 +17,9 @@ from .engine import TIME_FIRST
 from .exact import ZERO, format_number, parse_integer, parse_number
 from .model import validate_store
 from .planner import (
+    ResponseGraph,
     build_transition_graph,
     compute_p_value,
-    path_count,
     plan_to_text,
     prob_first_select,
     select_optimal_path,
@@ -114,13 +114,22 @@ def cmd_plan(args, out, err) -> int:
         strategy = scenario.config.fallback_strategy
         path = (time_first_select if strategy == TIME_FIRST else prob_first_select)(graph)
     print(
-        f"group={args.group} orders={graph.order_count} paths={path_count(graph)} "
+        f"group={args.group} orders={graph.order_count} "
+        f"paths={_path_count(graph, scenario.config.planner.k_cap)} "
         f"sampled={'yes' if graph.sampled else 'no'} "
         f"gate={format_number(graph.root.elapsed)}",
         file=out,
     )
     out.write(plan_to_text(pv, path, strategy))
     return 0
+
+
+def _path_count(graph: ResponseGraph, k: int) -> int:
+    """`graph`'s root-to-terminal paths, read off its build: none when some
+    emergency has no task set, the `k` drawn orders if sampled, else one per order."""
+    if not graph.root.edges:
+        return 0
+    return k if graph.sampled else graph.order_count
 
 
 def cmd_simulate(args, out, err) -> int:
@@ -175,12 +184,7 @@ def cmd_audit(args, out, err) -> int:
             return 2
         head = records[0].decoded
         rerun = run_simulation(scenario, seed=head["seed"], horizon=head["horizon"])
-        violations += check_trace(
-            records,
-            scenario=scenario,
-            initial_store=rerun.initial_store,
-            final_store=rerun.final_store,
-        )
+        violations += check_trace(records, scenario=scenario, final_store=rerun.final_store)
         lines, rerun_lines = text.splitlines(), rerun.trace_text.splitlines()
         if lines != rerun_lines:
             where = first_difference(lines, rerun_lines, "trace", "re-run")

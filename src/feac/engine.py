@@ -113,12 +113,11 @@ class ScenarioEvent:
 @dataclass
 class Assignment:
     """`sid` holds emergency role `step.eid` and the step's permissions until
-    `td`, with its own roles `saved`; `end` is set when the action starts."""
+    `td`, its own roles saved in ORT; `end` is set when the action starts."""
 
     step: PlanStep
     sid: str
     td: Fraction
-    saved: tuple[str, ...]
     end: Fraction | None = None
 
 
@@ -340,7 +339,7 @@ def enable_response_actions(
     world.audit.append("subject_notified", now, sid=sid, eid=eid, erole=eid)
 
     ae = world.active[eid]
-    ae.assignment = Assignment(step, sid, td, saved)
+    ae.assignment = Assignment(step, sid, td)
     ae.unavailable_logged = False
     _push_occurrence(world, ae)
     return ae.assignment
@@ -373,11 +372,11 @@ def rescind_permissions(world: SystemState, eid: str, now: Fraction, reason: str
             reason=reason,
             eid=eid,
         )
-    store.asrt[sid] = set(assignment.saved)
+    saved = store.ort.pop(sid)
+    store.asrt[sid] = set(saved)
     store.srt.get(sid, set()).discard(eid)
-    store.ort.pop(sid, None)
     world.staffing.refresh(sid)
-    world.audit.append("role_restored", now, sid=sid, erole=eid, restored=assignment.saved)
+    world.audit.append("role_restored", now, sid=sid, erole=eid, restored=saved)
     _push_occurrence(world, ae)
 
 

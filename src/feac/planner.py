@@ -305,10 +305,6 @@ def _blocks(group: list[Emergency], tdt_pairs: set[tuple[str, str]]) -> list[lis
     return classes
 
 
-def count_admissible_orders(group: list[Emergency], tdt_pairs: set[tuple[str, str]]) -> int:
-    return _order_count(_blocks(group, tdt_pairs))
-
-
 def _order_count(classes: list[list[_Block]]) -> int:
     total = 1
     for cls in classes:
@@ -560,14 +556,6 @@ def prob_first_select(graph: ResponseGraph) -> PlanPath:
 def time_first_select(graph: ResponseGraph) -> PlanPath:
     """Fallback: ignore deadlines, minimize total adjusted time."""
     return _best_path(graph, require_valid=False, time_first=True) or _NO_PATH
-
-
-def path_count(graph: ResponseGraph) -> int:
-    """Number of root-to-terminal paths."""
-    counts: dict[GraphNode, int] = {}
-    for node in reversed(graph.nodes.values()):
-        counts[node] = sum(counts[e.child] for e in node.edges.values()) if node.remaining else 1
-    return counts[graph.root]
 
 
 def plan_to_text(graph_pv: Fraction, path: PlanPath, strategy: str) -> str:

@@ -16,13 +16,13 @@ from .scenario import Scenario
 
 @dataclass
 class SimTrace:
-    """Everything a run produced: the trace, both store snapshots, outcomes.
+    """Everything a run produced: the trace, the final store, outcomes. The
+    run leaves its scenario's store unchanged, so replay starts from there.
 
     `records` is parsed from `trace_text` on first use and then kept.
     """
 
     trace_text: str
-    initial_store: PolicyStore
     final_store: PolicyStore
     final_mode: str
     final_clock: Fraction
@@ -49,7 +49,6 @@ def run_simulation(
             cfg, planner=dataclasses.replace(cfg.planner, seed=effective_seed)
         )
 
-    initial_store = sc.store.clone()
     world = SystemState(
         sc.store.clone(),
         sc.emergencies,
@@ -82,7 +81,6 @@ def run_simulation(
 
     return SimTrace(
         trace_text=world.audit.to_text(),
-        initial_store=initial_store,
         final_store=world.store,
         final_mode=world.mode,
         final_clock=world.clock,

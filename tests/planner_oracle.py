@@ -10,14 +10,17 @@ admissibility predicate stated directly over the ordering rules:
 
 Each admissible order is then priced by a straight-line walk that redoes
 the influence and deadline arithmetic from scratch. Nothing here calls
-into feac.planner except for the shared data types; `iter_paths` only
-walks a graph the planner built, so its paths can be compared with these
-orders.
+into feac.planner except for the shared data types; `iter_paths` and
+`path_count` only walk a graph the planner built, so its paths can be
+compared with these orders, and `count_admissible_orders` counts them by
+formula where enumerating them would take too long.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 from feac.model import Emergency, TaskSet
@@ -83,6 +86,21 @@ def oracle_orders(group: list[Emergency], tdt_pairs) -> list[tuple[str, ...]]:
         for perm in itertools.permutations(eids)
         if oracle_admissible(perm, group, tdt_pairs)
     ]
+
+
+def count_admissible_orders(group: list[Emergency], tdt_pairs) -> int:
+    """How many orders `oracle_admissible` accepts, without enumerating them:
+    components with equal best priority may come in any order, and so may a
+    component's members of equal priority."""
+    prio = {em.eid: em.prio for em in group}
+    comps = set(_components(list(prio), tdt_pairs).values())
+    count = 1
+    for n in Counter(min(prio[eid] for eid in comp) for comp in comps).values():
+        count *= math.factorial(n)
+    for comp in comps:
+        for n in Counter(prio[eid] for eid in comp).values():
+            count *= math.factorial(n)
+    return count
 
 
 def _combined_sigmas(influenced: str, others, pairs) -> tuple[Fraction, Fraction, Fraction]:
@@ -216,3 +234,12 @@ def iter_paths(graph):
             yield from walk(node.edges[eid].child, prefix + (eid,))
 
     yield from walk(graph.root, ())
+
+
+def path_count(graph) -> int:
+    """Number of root-to-terminal paths of a built graph, counted children
+    first over `graph.nodes`."""
+    counts = {}
+    for node in reversed(graph.nodes.values()):
+        counts[node] = sum(counts[e.child] for e in node.edges.values()) if node.remaining else 1
+    return counts[graph.root]

@@ -5,13 +5,16 @@
 without diagnostics and always reaches quiescence, disaster, or expiry
 before its horizon, so traces stay bounded. Both draw every choice from a
 caller-seeded Random, making each case reproducible from one integer.
+`clean_scenario_texts` lists every scenario the tests expect to be clean.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
+from feac.fixtures import hospital_text
 from feac.model import Emergency, TaskSet
 from feac.planner import InfluencePair, InfluenceSpec
 
@@ -257,3 +260,13 @@ def generate_scenario_text(seed: int) -> str:
         lines.append(f"at {_fmt(when)} {body}")
     lines.append("")
     return "\n".join(lines)
+
+
+def clean_scenario_texts() -> list[tuple[str, str]]:
+    """(name, text) of each scenario that parses without diagnostics: the
+    hospital fixture, tests/data/*.feac and the 60-run acceptance sweep."""
+    data = Path(__file__).parent / "data"
+    texts = [("hospital", hospital_text())]
+    texts += [(path.name, path.read_text(encoding="utf-8")) for path in sorted(data.glob("*.feac"))]
+    texts += [(f"sweep {seed}", generate_scenario_text(seed)) for seed in range(60)]
+    return texts

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -550,3 +551,39 @@ class TestReplay:
         log.append("disaster", F(2), entity="P1", reason="no_substitute")
         replayed = replay_store(store, log.records)
         assert serialize_store(replayed) == serialize_store(store)
+
+
+def test_each_typed_text_is_decoded_once_across_kinds(monkeypatch):
+    # A grant and its rescind carry the same (op, td) texts and share one
+    # decoded dict, and a seq written as expected is never converted.
+    calls = Counter()
+
+    def counting(name, parse):
+        def counted(text):
+            calls[name] += 1
+            return parse(text)
+
+        return counted
+
+    for key, parse in list(FIELD_PARSERS.items()):
+        monkeypatch.setitem(FIELD_PARSERS, key, counting(key, parse))
+    monkeypatch.setattr(audit, "parse_integer", counting("seq", parse_integer))
+    records = parse_trace(GOLDEN.read_text(encoding="utf-8"))
+    grants = [r for r in records if r.kind in ("permission_granted", "permission_rescinded")]
+    pairs = {(r.payload["op"], r.payload["td"]) for r in grants}
+    assert calls["td"] == len(pairs) < len(grants) // 2
+    assert calls["seq"] == 0
+    shared = {(r.payload["op"], r.payload["td"]): r.decoded for r in grants}
+    assert all(r.decoded is shared[r.payload["op"], r.payload["td"]] for r in grants)
+
+
+def test_a_seq_text_other_than_the_expected_one_is_still_read_as_a_number():
+    records = parse_trace("01|0|entity_failed|entity=P1\n2|0|entity_failed|entity=P2\n")
+    assert [r.seq for r in records] == [1, 2]
+    # A payload error still wins over the sequence number's order.
+    with pytest.raises(AuditFormatError) as err:
+        parse_trace("1|0|entity_failed|entity=P1\n3|0|entity_failed|entity\n")
+    assert str(err.value) == "line 2: bad payload chunk 'entity'"
+    with pytest.raises(AuditFormatError) as err:
+        parse_trace("1|0|entity_failed|entity=P1\n3|0|entity_failed|entity=P2\n")
+    assert str(err.value) == "line 2: sequence 3 out of order"

@@ -1,7 +1,10 @@
 """Trace checkers: each one must flag a synthesized bad trace and stay
 quiet on the hospital run."""
 
+import sys
 from fractions import Fraction
+
+import pytest
 
 from feac import audit, checks, cli, exact
 from feac.audit import AuditLog, parse_trace
@@ -42,10 +45,7 @@ HEADER = (
 
 def test_hospital_run_is_clean(hospital, hospital_run):
     violations = check_trace(
-        hospital_run.records,
-        scenario=hospital,
-        initial_store=hospital_run.initial_store,
-        final_store=hospital_run.final_store,
+        hospital_run.records, scenario=hospital, final_store=hospital_run.final_store
     )
     assert violations == []
 
@@ -72,12 +72,7 @@ def test_checking_a_parsed_trace_decodes_nothing(hospital, hospital_run, monkeyp
                 monkeypatch.setattr(module, name, refuse(name))
     for key in audit.FIELD_PARSERS:
         monkeypatch.setitem(audit.FIELD_PARSERS, key, refuse(key))
-    violations = check_trace(
-        records,
-        scenario=hospital,
-        initial_store=hospital_run.initial_store,
-        final_store=hospital_run.final_store,
-    )
+    violations = check_trace(records, scenario=hospital, final_store=hospital_run.final_store)
     assert calls == []
     assert violations == []
 
@@ -367,36 +362,30 @@ class TestGating:
 
 
 class TestReplayFidelity:
-    def test_dropped_rescind_is_detected(self, hospital_run):
+    def test_dropped_rescind_is_detected(self, hospital, hospital_run):
         dropped = [
             r for r in hospital_run.records
             if not (r.kind == "permission_rescinded" and r.seq == 56)
         ]
-        violations = check_replay_fidelity(
-            dropped, hospital_run.initial_store, hospital_run.final_store
-        )
+        violations = check_replay_fidelity(dropped, hospital.store, hospital_run.final_store)
         assert len(violations) == 1
         assert violations[0].check == "replay_fidelity"
         assert "stores differ" in violations[0].message
 
-    def test_a_longer_store_names_its_first_extra_line(self, hospital_run):
+    def test_a_longer_store_names_its_first_extra_line(self, hospital, hospital_run):
         # The constraints come last in the dump, so one more only appends a line.
         actual = hospital_run.final_store.clone()
         actual.constraints["zz"] = Lit(True)
         count = len(serialize_store(hospital_run.final_store).splitlines())
-        violations = check_replay_fidelity(
-            hospital_run.records, hospital_run.initial_store, actual
-        )
+        violations = check_replay_fidelity(hospital_run.records, hospital.store, actual)
         assert [v.message for v in violations] == [
             f"stores differ at line {count + 1}: the replayed store is shorter "
             f"({count} lines), actual store has 'constraint zz true'"
         ]
 
-    def test_intact_trace_replays_exactly(self, hospital_run):
+    def test_intact_trace_replays_exactly(self, hospital, hospital_run):
         assert (
-            check_replay_fidelity(
-                hospital_run.records, hospital_run.initial_store, hospital_run.final_store
-            )
+            check_replay_fidelity(hospital_run.records, hospital.store, hospital_run.final_store)
             == []
         )
 
@@ -414,3 +403,83 @@ def test_tampered_grant_window_is_caught(hospital, hospital_run):
     violations = check_trace(records, scenario=hospital)
     assert violations
     assert all(v.check in ("grant_security", "rescission_liveness") for v in violations)
+
+
+def crafted_trace(n: int) -> str:
+    """The golden trace's header, then n of each shape that once cost a
+    checker a rescan per record: substitutions at one time that no plan
+    follows, normal -> emergency -> normal round trips with one grant each,
+    and starts followed by failures of other emergencies. CI builds the same
+    trace with awk."""
+    lines = [GOLDEN.read_text(encoding="utf-8").splitlines()[0]]
+
+    def add(ts, kind, payload):
+        lines.append(f"{len(lines) + 1}|{ts}|{kind}|{payload}")
+
+    for i in range(1, n + 1):
+        add(0, "ft_substitution", f"from=P{i},to=Q{i},acl=-,roles=-,notified=-")
+    for i in range(1, n + 1):
+        add(i, "state_transition", "from=normal,to=emergency")
+        add(i, "permission_granted", f"erole=E,oid=O,op=read,td={i},eid=E,sid=S")
+        add(i, "permission_rescinded", f"erole=E,oid=O,op=read,td={i},reason=solved,eid=E")
+        add(i, "state_transition", "from=emergency,to=normal")
+    add(n, "state_transition", "from=normal,to=emergency")
+    for i in range(1, n + 1):
+        add(n, "action_started", f"eid=A{i},tsid=T,sid=S,start={n},end={n + 1},resources=R{i}")
+    for i in range(1, n + 1):
+        add(n, "action_failed", f"eid=B{i},tsid=T,sid=S,reason=x")
+    return "\n".join(lines) + "\n"
+
+
+def lines_run(checker, records) -> int:
+    """How many lines of checks.py `checker` runs on `records`, each turn of
+    a loop or comprehension counted again."""
+    count = 0
+
+    def in_frame(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return in_frame
+
+    def on_call(frame, event, arg):
+        return in_frame if frame.f_code.co_filename == checks.__file__ else None
+
+    before = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        checker(records)
+    finally:
+        sys.settrace(before)
+    return count
+
+
+@pytest.mark.parametrize(
+    "checker",
+    [
+        check_responsiveness,
+        check_mode_correctness,
+        check_grant_security,
+        check_rescission_liveness,
+        check_subject_exclusivity,
+        check_resource_exclusivity,
+    ],
+    ids=lambda checker: checker.__name__,
+)
+def test_checker_work_is_linear_on_crafted_traces(checker):
+    small, large = (parse_trace(crafted_trace(n)) for n in (50, 200))
+    # Four times the records may cost four times the lines; a rescan of the
+    # trace or of closed state per record would cost sixteen.
+    assert lines_run(checker, large) <= 4 * lines_run(checker, small)
+
+
+def test_crafted_trace_breaks_only_the_substitution_rule():
+    violations = check_trace(parse_trace(crafted_trace(3)))
+    assert [str(v) for v in violations] == [
+        line
+        for seq in (2, 3, 4)
+        for line in (
+            f"mode_correctness at #{seq}: substitution outside fault_tolerant mode "
+            "without an entity failure",
+            f"mode_correctness at #{seq}: substitution not followed by a fallback plan",
+        )
+    ]

@@ -398,7 +398,13 @@ def random_write(world: SystemState, rng: random.Random) -> str:
         erole = rng.choice(EMERGENCY_ROLES)
         if erole in staffed:
             return "skipped"
-        sid = select_subject(world.staffing, erole) or rng.choice(sorted(store.subjects))
+        # ORT keeps one saved role set per subject, so only a subject that
+        # holds no emergency role may be enabled, eligible or not.
+        emergency = set(EMERGENCY_ROLES)
+        idle = [sid for sid in sorted(store.subjects) if not store.asrt.get(sid, set()) & emergency]
+        if not idle:
+            return "skipped"
+        sid = select_subject(world.staffing, erole) or rng.choice(idle)
         ts = TaskSet("T1", (), F(1), F(1))
         # The engine staffs only active emergencies; this one's entity is no
         # subject, so it joins no group a substitution reads.

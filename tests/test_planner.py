@@ -14,16 +14,18 @@ from pathlib import Path
 
 import pytest
 from planner_oracle import (
+    count_admissible_orders,
     iter_paths,
     oracle_admissible,
     oracle_best,
     oracle_fallback,
     oracle_orders,
     oracle_walk,
+    path_count,
 )
 from scenario_gen import random_group
 
-from feac import planner
+from feac import cli, planner
 from feac.model import Emergency, Op, TaskSet
 from feac.planner import (
     InfluencePair,
@@ -33,8 +35,6 @@ from feac.planner import (
     build_transition_graph,
     complement_product,
     compute_p_value,
-    count_admissible_orders,
-    path_count,
     plan_to_text,
     prob_first_select,
     select_optimal_path,
@@ -639,3 +639,22 @@ def test_planner_source_has_no_true_division_or_float():
     for node in ast.walk(tree):
         assert not isinstance(getattr(node, "op", None), ast.Div), node.lineno
         assert not (isinstance(node, ast.Name) and node.id == "float"), node.lineno
+
+
+def test_feac_plan_counts_paths_without_walking_the_graph():
+    # `feac plan` reads paths= off how the graph was built. It must equal the
+    # walked count on exhaustive, sampled and bare-root graphs; a group whose
+    # resources are all locked starves to a bare root.
+    seen = Counter()
+    for case in range(150):
+        rng = random.Random(210_000 + case)
+        group, tdt, infl = random_group(rng, max_size=6)
+        available = rng.choice([None, frozenset(), frozenset({"R1"}), frozenset({"R1", "R2"})])
+        orders = count_admissible_orders(group, tdt)
+        k_cap = rng.randint(1, orders - 1) if orders > 1 and rng.random() < 0.5 else orders
+        cfg = PlannerConfig(k_cap=k_cap, seed=case)
+        graph = build_transition_graph(group, tdt, infl, cfg, available_resources=available)
+        walked = path_count(graph)
+        assert cli._path_count(graph, k_cap) == walked, case
+        seen["bare root" if walked == 0 else "sampled" if graph.sampled else "exhaustive"] += 1
+    assert min(seen.values()) >= 20, seen

@@ -20,12 +20,11 @@ from feac.planner import (
     build_transition_graph,
     complement_product,
     compute_p_value,
-    count_admissible_orders,
 )
 from feac.scenario import parse_scenario, print_scenario
 from feac.sim import run_simulation
 
-from planner_oracle import iter_paths, oracle_best, oracle_orders
+from planner_oracle import count_admissible_orders, iter_paths, oracle_best, oracle_orders
 from scenario_gen import generate_scenario_text, random_group
 
 F = Fraction
@@ -219,10 +218,5 @@ class TestSimulationInvariants:
         sc, diags = parse_scenario(generate_scenario_text(seed))
         assert not diags
         trace = run_simulation(sc)
-        violations = check_trace(
-            trace.records,
-            scenario=sc,
-            initial_store=trace.initial_store,
-            final_store=trace.final_store,
-        )
+        violations = check_trace(trace.records, scenario=sc, final_store=trace.final_store)
         assert violations == [], (seed, [str(v) for v in violations])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from feac.fixtures import hospital_text
+from feac.model import validate_store
 from feac.scenario import (
     Diagnostic,
     Token,
@@ -18,7 +19,7 @@ from feac.scenario import (
 from feac.sim import run_simulation
 
 from mutations import MUTANTS, apply
-from scenario_gen import generate_scenario_text
+from scenario_gen import clean_scenario_texts, generate_scenario_text
 
 F = Fraction
 
@@ -212,3 +213,12 @@ class TestPrinter:
             reparsed, diags = parse_scenario(printed)
             assert not diags, (seed, diags)
             assert print_scenario(reparsed) == printed, seed
+
+
+def test_validate_store_finds_nothing_in_clean_scenarios():
+    # The resolver already enforces every rule `feac validate` checks again
+    # with validate_store, so a scenario without diagnostics has no violation.
+    for name, text in clean_scenario_texts():
+        sc, diags = parse_scenario(text)
+        assert not diags, name
+        assert validate_store(sc.store, list(sc.emergencies.values())) == [], name

@@ -5,7 +5,10 @@ import pathlib
 from fractions import Fraction
 
 from feac.model import serialize_store
+from feac.scenario import parse_scenario
 from feac.sim import run_simulation
+
+from scenario_gen import clean_scenario_texts
 
 F = Fraction
 
@@ -42,10 +45,19 @@ class TestHospitalGolden:
             ("E7", "7", "8"),
         ]
 
-    def test_store_is_restored_after_a_clean_run(self, hospital_run):
-        assert serialize_store(hospital_run.final_store) == serialize_store(
-            hospital_run.initial_store
-        )
+    def test_store_is_restored_after_a_clean_run(self, hospital, hospital_run):
+        assert serialize_store(hospital_run.final_store) == serialize_store(hospital.store)
+
+
+def test_a_run_leaves_its_scenario_store_unchanged():
+    # Replay fidelity starts from the scenario's store, so a run must work on
+    # its own copy.
+    for name, text in clean_scenario_texts():
+        sc, diags = parse_scenario(text)
+        assert not diags, name
+        before = serialize_store(sc.store)
+        run_simulation(sc)
+        assert serialize_store(sc.store) == before, name
 
 
 class TestDeterminism:
