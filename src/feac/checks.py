@@ -193,30 +193,35 @@ def _grant_key(payload: dict[str, str]) -> tuple[str, str, str, str]:
     return (payload["erole"], payload["oid"], payload["op"], payload["td"])
 
 
-def _match_grants(records: list[AuditRecord], ledger: dict[tuple, list]):
+def _match_grants(records: list[AuditRecord], ledger: dict[tuple, list], heads: dict[tuple, int]):
     """Pair each record with the oldest open grant it rescinds, or None.
     `ledger` holds the open grants: per (erole, oid, op, td) text key, its
-    unrescinded grants oldest first; a key goes with its last grant. A list
-    serves as the queue: a key of an engine trace holds one or two open
-    grants, so `pop(0)` is cheap, where a deque takes a 64-slot block."""
+    grants oldest first, of which those from `heads[key]` (0 when absent)
+    on are unrescinded; a key goes with its last open grant. A rescind moves
+    the head, so a key opened N times drains in O(N), and a key of an engine
+    trace, opened once or twice, costs one short list where a deque takes a
+    64-slot block."""
     for rec in records:
         grant = None
         if rec.kind == "permission_granted":
             ledger.setdefault(_grant_key(rec.payload), []).append(rec)
         elif rec.kind == "permission_rescinded":
             key = _grant_key(rec.payload)
-            queue = ledger.get(key)
-            if queue:
-                grant = queue.pop(0)
-                if not queue:
+            grants = ledger.get(key)
+            if grants:
+                head = heads.pop(key, 0) if len(grants) > 1 else 0
+                grant = grants[head]
+                if head + 1 == len(grants):
                     del ledger[key]
+                else:
+                    heads[key] = head + 1
         yield rec, grant
 
 
 def check_grant_security(records: list[AuditRecord]) -> list[CheckViolation]:
     out: list[CheckViolation] = []
     ledger: dict[tuple, list] = {}
-    for rec, grant in _match_grants(records, ledger):
+    for rec, grant in _match_grants(records, ledger, {}):
         if rec.kind == "permission_rescinded" and grant is None:
             key = _grant_key(rec.payload)
             out.append(CheckViolation("grant_security", rec.seq, f"rescind without grant {key}"))
@@ -231,7 +236,8 @@ def check_rescission_liveness(records: list[AuditRecord]) -> list[CheckViolation
     out: list[CheckViolation] = []
     tp = records[0].decoded.get("tp", DEFAULT_TP) if records else DEFAULT_TP
     ledger: dict[tuple, list] = {}
-    for rec, grant in _match_grants(records, ledger):
+    heads: dict[tuple, int] = {}
+    for rec, grant in _match_grants(records, ledger, heads):
         if rec.kind == "permission_rescinded":
             key = _grant_key(rec.payload)
             if grant is None:
@@ -244,8 +250,8 @@ def check_rescission_liveness(records: list[AuditRecord]) -> list[CheckViolation
                 out.append(CheckViolation("rescission_liveness", rec.seq, message))
     if records:
         last_ts = records[-1].ts
-        for key, queue in sorted(ledger.items()):
-            for grant in queue:
+        for key, grants in sorted(ledger.items()):
+            for grant in grants[heads.get(key, 0) :]:
                 if last_ts > grant.decoded["td"] + tp:
                     message = f"grant {key} never rescinded"
                     out.append(CheckViolation("rescission_liveness", grant.seq, message))

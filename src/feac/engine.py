@@ -318,8 +318,14 @@ def select_subject(staffing: StaffingIndex, erole: str) -> str | None:
 def enable_response_actions(
     world: SystemState, step: PlanStep, sid: str, now: Fraction
 ) -> Assignment:
-    """Grant, alternate roles, notify: the enablement of one active emergency's step."""
+    """Grant, alternate roles, notify: the enablement of one active emergency's step.
+
+    Raises ValueError, before it writes anything, when `sid` already holds
+    an emergency role: ORT keeps one saved role set per subject.
+    """
     store = world.store
+    if sid in store.ort:
+        raise ValueError(f"{sid} already holds an emergency role")
     eid = step.eid  # also the emergency role
     td = now + step.ed
     saved = tuple(sorted(store.asrt.get(sid, set())))

@@ -29,19 +29,23 @@ sampled graph instead stays a prefix trie over the K drawn orders, since
 merging its states would admit orders that were never drawn. Either way
 the number of root-to-terminal paths equals the number of orders taken.
 
-Influence, and so every adjusted metric, depends only on which
-emergencies are still pending. Each remaining set is therefore priced once
-per build: p', t' and Ed' of every member under the others, and the set's
-deadline bound, the least of those Ed'. Pricing is incremental and works
-on integer pairs (numerator, denominator) that are never reduced: a
-member's product of pair complements (1 - sigma) under a set is its
-product under that set less one member, times one pair's complements, and
-a complement of exactly 1 is skipped. Each of p', t' and Ed' then becomes
-one Fraction over its whole formula. An edge out of a
-node takes its metrics from its remaining set's price and is valid when
-its completion clock stays within that set's bound, which is exactly "no
-overshoot of its own adjusted deadline, nor of any other pending
-emergency's". A group with an emergency that has no executable task set
+Inside a build everything is a Python int. A remaining set is a bitmask
+whose bit i is the i-th member in eid order, and each distinct set gets
+one frozenset, for `GraphNode.remaining`. Influence, and so every adjusted
+metric, depends only on which emergencies are still pending, so `Pricing`
+prices each remaining set once: p', t' and Ed' of every member under the
+others. A member's product of complements (1 - sigma) under a set is its
+product under that set less its highest other member, times that member's
+complements, as unreduced integer pairs memoized per (member, set). All
+clocks count ticks of one time unit per build: the build's `scale` is a
+common multiple of the gate's denominator and, per member, of alpha's,
+its time's and its influencers' sigma_t complement denominators, so every
+t' and every elapsed clock is a whole number of ticks. A set's deadline
+bound is the least floor(Ed' * scale) of its members, and an edge is
+valid when its completion tick is at most its set's bound. For integer
+ticks that is exactly "no overshoot of its own adjusted deadline, nor of
+any other pending emergency's", Ed' <= 0 included. p' is a reduced
+integer pair. A group with an emergency that has no executable task set
 completes no order, so its graph is the bare root.
 
 The success value of the graph follows a max-product recursion: a
@@ -52,9 +56,13 @@ best all-valid path as a plan, and the graph keeps it: the value and the
 optimal path are both read from it. Fallback selection and path counting
 each visit the nodes once more. Every builder inserts a node before its
 children, so each of these passes visits the nodes in reverse insertion
-order. They carry each node's best product and time as integer pairs,
-rank them by cross-multiplication, and make Fractions only for the path
-they return.
+order. They carry each node's best product as an integer pair and its
+time in ticks, and rank by cross-multiplication.
+
+Fractions are made only for what leaves the planner: the values of a
+returned path, a node's `elapsed` and an edge's `metrics`, each when it is
+first read. An edge's metrics are made once per (member, set) and shared
+by every edge that processes that member from that set.
 """
 
 from __future__ import annotations
@@ -64,16 +72,16 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import ONE, ZERO, format_number
 from .model import Emergency, TaskSet
 
 
-# An exact value as an integer pair (numerator, denominator > 0), never
-# reduced; one such pair per property p, t, Ed.
-Ratio = tuple[int, int]
-Keep = tuple[Ratio, Ratio, Ratio]
-UNIT: Keep = ((1, 1), (1, 1), (1, 1))
+# Products of complements (1 - sigma) as unreduced integer pairs, one pair
+# per property: (p num, p den, t num, t den, Ed num, Ed den).
+Keep = tuple[int, int, int, int, int, int]
+UNIT: Keep = (1, 1, 1, 1, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -96,18 +104,25 @@ class InfluenceSpec:
 
     pairs: dict[tuple[str, str], InfluencePair] = field(default_factory=dict)
 
-    def complements(self, eids) -> dict[tuple[str, str], Keep]:
-        """(1 - sigma_p, 1 - sigma_t, 1 - sigma_ed) of every influencing pair
-        among `eids`, each an integer pair (numerator, denominator)."""
-        out = {}
-        for a in eids:
-            for b in eids:
+    def complements(self, eids: list[str]) -> list[dict[int, Keep]]:
+        """Per member i of `eids`, the complements (1 - sigma_p, 1 - sigma_t,
+        1 - sigma_ed) of each influencer j among `eids`, keyed by j."""
+        out = []
+        for b in eids:
+            comps = {}
+            for j, a in enumerate(eids):
                 pair = self.pairs.get((a, b))
                 if pair is not None:
-                    out[a, b] = tuple(
-                        (s.denominator - s.numerator, s.denominator)
-                        for s in (pair.sigma_p, pair.sigma_t, pair.sigma_ed)
+                    sp, st, se = pair.sigma_p, pair.sigma_t, pair.sigma_ed
+                    comps[j] = (
+                        sp.denominator - sp.numerator,
+                        sp.denominator,
+                        st.denominator - st.numerator,
+                        st.denominator,
+                        se.denominator - se.numerator,
+                        se.denominator,
                     )
+            out.append(comps)
         return out
 
 
@@ -119,7 +134,7 @@ class PlannerConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdjustedMetrics:
     """Task-set metrics after influence adjustment: p' shrinks, t' grows, Ed' shrinks."""
 
@@ -129,27 +144,65 @@ class AdjustedMetrics:
     ed: Fraction
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
+class Price:
+    """One member's adjusted metrics under one remaining set, in integers:
+    p' = pn/pd reduced, t' = ticks/scale and Ed' = edn/edd."""
+
+    ts: TaskSet
+    pn: int
+    pd: int
+    ticks: int
+    scale: int
+    edn: int
+    edd: int
+    # The same values as Fractions: a task set's own when nothing pending
+    # influences the member, else made on the first read of `metrics`.
+    made: AdjustedMetrics | None = None
+
+    @property
+    def metrics(self) -> AdjustedMetrics:
+        if self.made is None:
+            self.made = AdjustedMetrics(
+                self.ts,
+                Fraction(self.pn, self.pd),
+                Fraction(self.ticks, self.scale),
+                Fraction(self.edn, self.edd),
+            )
+        return self.made
+
+
+@dataclass(slots=True, eq=False)
 class GraphEdge:
-    metrics: AdjustedMetrics
+    price: Price
     valid: bool
     # Shared nodes would make a recursive repr print every path below.
     child: GraphNode = field(repr=False)
 
+    @property
+    def metrics(self) -> AdjustedMetrics:
+        return self.price.metrics
+
 
 # Compared and hashed by identity: valuation keys its tables on nodes.
-@dataclass(eq=False)
+@dataclass(slots=True, eq=False)
 class GraphNode:
     remaining: frozenset[str]
-    elapsed: Fraction
+    # The elapsed clock in ticks of the build's time unit, 1/scale.
+    ticks: int
+    scale: int
     edges: dict[str, GraphEdge] = field(default_factory=dict)
 
+    @property
+    def elapsed(self) -> Fraction:
+        return Fraction(self.ticks, self.scale)
 
-@dataclass
+
+@dataclass(slots=True)
 class ResponseGraph:
     root: GraphNode
-    # Keyed on (remaining, elapsed) when every order is inserted, on the
-    # order prefix when the orders are sampled.
+    # Keyed on (remaining bitmask, elapsed ticks) when every order is
+    # inserted, on the order prefix when the orders are sampled.
     nodes: dict[tuple, GraphNode]
     order_count: int
     sampled: bool
@@ -190,67 +243,134 @@ def select_task_set(em: Emergency, available_resources: frozenset[str] | None) -
     when every task set needs something unavailable; the caller treats the
     emergency as unprocessable on that branch.
     """
-    executable = [
-        ts
-        for ts in em.task_sets
-        if available_resources is None or ts.resources <= available_resources
-    ]
-    if not executable:
-        return None
-    return min(executable, key=lambda ts: (-ts.prob, ts.time, ts.tsid))
+    best = None
+    for ts in em.task_sets:
+        if available_resources is not None and not ts.resources <= available_resources:
+            continue
+        if (
+            best is None
+            or ts.prob > best.prob
+            or (ts.prob == best.prob and (ts.time, ts.tsid) < (best.time, best.tsid))
+        ):
+            best = ts
+    return best
 
 
-def complement_product(
-    memo: dict, comps: dict[tuple[str, str], Keep], eid: str, remaining: frozenset[str]
-) -> Keep:
-    """Product of the complements `comps` of every pair (other, eid), other
-    in `remaining` (which holds eid), memoized in `memo` on (eid, remaining).
-    A complement of exactly 1 is skipped, so an uninfluenced property stays
-    (1, 1).
+class Pricing:
+    """Adjusted metrics of one group's members under each remaining set.
+
+    `group` is sorted by eid and `task_sets` holds each member's chosen
+    task set; a remaining set is a bitmask over `group`. Every scenario
+    value is read as an integer pair once, here. For member e under
+    influencers whose complement products are keep_p, keep_t, keep_ed:
+
+        p'  = keep_p * p
+        t'  = (1 + alpha * (1 - keep_t)) * t
+        Ed' = (1 - beta * (1 - keep_ed)) * Ed
+
+    A member that nothing pending influences keeps one Price, its task
+    set's own values, under every set.
     """
-    key = (eid, remaining)
-    keep = memo.get(key)
-    if keep is None:
-        others = remaining - {eid}
-        if not others:
-            keep = UNIT
-        else:
-            other = max(others)
-            keep = complement_product(memo, comps, eid, remaining - {other})
-            comp = comps.get((other, eid))
-            if comp is not None:
-                keep = tuple(
-                    k if cn == cd else (k[0] * cn, k[1] * cd) for k, (cn, cd) in zip(keep, comp)
-                )
-        memo[key] = keep
-    return keep
 
+    __slots__ = ("members", "comps", "memo", "rows", "weights", "scale", "gate_ticks")
 
-def adjust_metrics(em: Emergency, ts: TaskSet, keep: Keep, cfg: PlannerConfig) -> AdjustedMetrics:
-    """Apply the combined influence `keep`, a `complement_product`, to (p, t, Ed).
-
-    p' = keep_p * p, t' = (1 + alpha * (1 - keep_t)) * t,
-    Ed' = (1 - beta * (1 - keep_ed)) * Ed.
-    """
-    (pn, pd), (tn, td), (en, ed) = keep
-    # Each value is one Fraction over the whole formula in integers. A
-    # complement product of exactly 1 leaves its value as is, which matters
-    # when most properties go uninfluenced.
-    p = ts.prob
-    if pn != pd:
-        p = Fraction(pn * p.numerator, pd * p.denominator)
-    t = ts.time
-    if tn != td:
-        # 1 + (an / ad) * (td - tn) / td = (ad * td + an * (td - tn)) / (ad * td)
+    def __init__(
+        self,
+        group: list[Emergency],
+        task_sets: list[TaskSet],
+        infl: InfluenceSpec,
+        cfg: PlannerConfig,
+        gate_release: Fraction,
+    ):
+        self.comps = comps = infl.complements([em.eid for em in group])
         an, ad = cfg.alpha.numerator, cfg.alpha.denominator
-        t = Fraction((ad * td + an * (td - tn)) * t.numerator, ad * td * t.denominator)
-    deadline = em.ed
-    if en != ed:
-        bn, bd = cfg.beta.numerator, cfg.beta.denominator
-        deadline = Fraction(
-            (bd * ed - bn * (ed - en)) * deadline.numerator, bd * ed * deadline.denominator
-        )
-    return AdjustedMetrics(ts=ts, p=p, t=t, ed=deadline)
+        self.weights = (an, ad, cfg.beta.numerator, cfg.beta.denominator)
+        # Every t' of member i has a denominator that divides ad * (its
+        # time's) * (each influencer's sigma_t complement's), the whole
+        # product of its influencers standing in for any subset's.
+        scale = gate_release.denominator
+        for i, ts in enumerate(task_sets):
+            unit = ad * ts.time.denominator
+            for comp in comps[i].values():
+                unit *= comp[3]
+            scale = math.lcm(scale, unit)
+        self.scale = scale
+        self.gate_ticks = gate_release.numerator * (scale // gate_release.denominator)
+        self.members = []
+        for i, (em, ts) in enumerate(zip(group, task_sets)):
+            prob, time, ed = ts.prob, ts.time, em.ed
+            base = Price(
+                ts,
+                prob.numerator,
+                prob.denominator,
+                time.numerator * (scale // time.denominator),
+                scale,
+                ed.numerator,
+                ed.denominator,
+                AdjustedMetrics(ts, prob, time, ed),
+            )
+            floor_ed = base.edn * scale // base.edd
+            self.members.append((1 << i, base, floor_ed, bool(comps[i])))
+        self.memo: list[dict[int, Keep]] = [{} for _ in group]
+        self.rows: dict[int, tuple[list[Price | None], int]] = {}
+
+    def fold(self, i: int, mask: int) -> Keep:
+        """Member i's complement product under the others in `mask` (which
+        holds i): its product under `mask` less the highest other member,
+        times that member's complements on i."""
+        memo = self.memo[i]
+        keep = memo.get(mask)
+        if keep is None:
+            others = mask ^ (1 << i)
+            if not others:
+                keep = UNIT
+            else:
+                top = others.bit_length() - 1
+                keep = self.fold(i, mask ^ (1 << top))
+                comp = self.comps[i].get(top)
+                if comp is not None:
+                    pn, pd, tn, td, en, ed = keep
+                    cpn, cpd, ctn, ctd, cen, ced = comp
+                    keep = (pn * cpn, pd * cpd, tn * ctn, td * ctd, en * cen, ed * ced)
+            memo[mask] = keep
+        return keep
+
+    def price(self, mask: int) -> tuple[list[Price | None], int]:
+        """(each member's Price under `mask`, indexed by member and None
+        outside it; the least floor(Ed' * scale) of its members)."""
+        got = self.rows.get(mask)
+        if got is not None:
+            return got
+        an, ad, bn, bd = self.weights
+        scale = self.scale
+        row: list[Price | None] = [None] * len(self.members)
+        bound = None
+        for i, (bit, price, floor_ed, influenced) in enumerate(self.members):
+            if not mask & bit:
+                continue
+            if influenced:
+                kpn, kpd, ktn, ktd, ken, ked = self.fold(i, mask)
+                # A complement product of exactly 1 leaves its value as is,
+                # which matters when most properties go uninfluenced.
+                if kpn != kpd or ktn != ktd or ken != ked:
+                    pn, pd, ticks, edn, edd = price.pn, price.pd, price.ticks, price.edn, price.edd
+                    if kpn != kpd:
+                        pn, pd = kpn * pn, kpd * pd
+                        g = math.gcd(pn, pd)
+                        pn, pd = pn // g, pd // g
+                    if ktn != ktd:
+                        # t' * scale = (1 + (an/ad) * (ktd - ktn)/ktd) * ticks, an integer.
+                        ticks = (ad * ktd + an * (ktd - ktn)) * ticks // (ad * ktd)
+                    if ken != ked:
+                        edn = (bd * ked - bn * (ked - ken)) * edn
+                        edd = bd * ked * edd
+                        floor_ed = edn * scale // edd
+                    price = Price(price.ts, pn, pd, ticks, scale, edn, edd)
+            row[i] = price
+            if bound is None or floor_ed < bound:
+                bound = floor_ed
+        got = self.rows[mask] = (row, bound)
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -258,51 +378,48 @@ def adjust_metrics(em: Emergency, ts: TaskSet, keep: Keep, cfg: PlannerConfig) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Block:
-    """One TDT-connected component: priority levels, each level unordered."""
+class _Block(NamedTuple):
+    """One TDT-connected component: priority levels, each level unordered.
+    Members are indices into the eid-sorted group."""
 
     key: int
-    levels: tuple[tuple[str, ...], ...]
-    members: frozenset[str]
-
-    @property
-    def first_eid(self) -> str:
-        return self.levels[0][0]
+    levels: tuple[tuple[int, ...], ...]
+    mask: int
+    level_masks: tuple[int, ...]
 
 
 def _blocks(group: list[Emergency], tdt_pairs: set[tuple[str, str]]) -> list[list[_Block]]:
-    """Blocks grouped into key-priority classes, classes sorted best-first."""
-    parent = {em.eid: em.eid for em in group}
+    """Blocks of the eid-sorted `group` grouped into key-priority classes,
+    classes sorted best-first."""
+    index = {em.eid: i for i, em in enumerate(group)}
+    parent = list(range(len(group)))
 
-    def find(x: str) -> str:
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
     for a, b in tdt_pairs:
-        if a in parent and b in parent:
-            parent[find(a)] = find(b)
+        if a in index and b in index:
+            parent[find(index[a])] = find(index[b])
 
-    members: dict[str, list[Emergency]] = {}
-    for em in group:
-        members.setdefault(find(em.eid), []).append(em)
+    components: dict[int, list[int]] = {}
+    for i in range(len(group)):
+        components.setdefault(find(i), []).append(i)
 
     blocks: list[_Block] = []
-    for component in members.values():
-        component.sort(key=lambda em: (em.prio, em.eid))
-        levels: list[tuple[str, ...]] = []
-        for _, level in itertools.groupby(component, key=lambda em: em.prio):
-            levels.append(tuple(em.eid for em in level))
-        eids = frozenset(em.eid for em in component)
-        blocks.append(_Block(key=component[0].prio, levels=tuple(levels), members=eids))
+    for members in components.values():
+        # Stable, so each level keeps eid order.
+        members.sort(key=lambda i: group[i].prio)
+        levels = tuple(
+            tuple(level) for _, level in itertools.groupby(members, key=lambda i: group[i].prio)
+        )
+        level_masks = tuple(sum(1 << i for i in level) for level in levels)
+        blocks.append(_Block(group[members[0]].prio, levels, sum(level_masks), level_masks))
 
-    blocks.sort(key=lambda b: (b.key, b.first_eid))
-    classes: list[list[_Block]] = []
-    for _, cls in itertools.groupby(blocks, key=lambda b: b.key):
-        classes.append(list(cls))
-    return classes
+    blocks.sort(key=lambda b: (b.key, b.levels[0][0]))
+    return [list(cls) for _, cls in itertools.groupby(blocks, key=lambda b: b.key)]
 
 
 def _order_count(classes: list[list[_Block]]) -> int:
@@ -315,9 +432,9 @@ def _order_count(classes: list[list[_Block]]) -> int:
     return total
 
 
-def _next_eids(classes: list[list[_Block]], remaining: frozenset[str]) -> list[str]:
-    """Emergencies an admissible order may take next once every member
-    outside `remaining` is processed.
+def _next_mask(classes: list[list[_Block]], remaining: int) -> int:
+    """Members an admissible order may take next once every member outside
+    the bitmask `remaining` is processed, as a bitmask.
 
     The first priority class with members left decides: an open (partly
     processed) block continues with the members left of its first
@@ -325,41 +442,41 @@ def _next_eids(classes: list[list[_Block]], remaining: frozenset[str]) -> list[s
     with a member of its first level.
     """
     for cls in classes:
-        starts: list[str] = []
+        starts = 0
         for block in cls:
-            if block.members <= remaining:
-                starts.extend(block.levels[0])
-            elif not block.members.isdisjoint(remaining):
-                for level in block.levels:
-                    left = [eid for eid in level if eid in remaining]
-                    if left:
-                        return left
+            left = block.mask & remaining
+            if left == block.mask:
+                starts |= block.level_masks[0]
+            elif left:
+                for level in block.level_masks:
+                    if level & remaining:
+                        return level & remaining
         if starts:
             return starts
-    return []
+    return 0
 
 
 def sample_admissible_orders(
     classes: list[list[_Block]], k: int, rng: random.Random
-) -> list[tuple[str, ...]]:
+) -> list[tuple[int, ...]]:
     """Exactly `k` distinct admissible orders of `classes` (from `_blocks`)
-    drawn uniformly at random.
+    drawn uniformly at random, as member indices.
 
     The caller guarantees k is strictly less than the total count, so
     rejection of duplicates terminates.
     """
-    seen: set[tuple[str, ...]] = set()
-    out: list[tuple[str, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    out: list[tuple[int, ...]] = []
     while len(out) < k:
-        order: list[str] = []
+        order: list[int] = []
         for cls in classes:
             blocks = list(cls)
             rng.shuffle(blocks)
             for block in blocks:
                 for level in block.levels:
-                    eids = list(level)
-                    rng.shuffle(eids)
-                    order.extend(eids)
+                    members = list(level)
+                    rng.shuffle(members)
+                    order.extend(members)
         candidate = tuple(order)
         if candidate not in seen:
             seen.add(candidate)
@@ -391,84 +508,93 @@ def build_transition_graph(
     if len(entities) != 1:
         raise ValueError(f"group spans entities {sorted(entities)}")
     group = sorted(group, key=lambda em: em.eid)
-    by_eid = {em.eid: em for em in group}
+    eids = [em.eid for em in group]
 
     classes = _blocks(group, tdt_pairs)
     total = _order_count(classes)
     sampled = total > cfg.k_cap
-    root = GraphNode(remaining=frozenset(by_eid), elapsed=gate_release)
-    nodes: dict[tuple, GraphNode] = {() if sampled else (root.remaining, root.elapsed): root}
-    graph = ResponseGraph(root=root, nodes=nodes, order_count=total, sampled=sampled)
-    task_sets = {eid: select_task_set(em, available_resources) for eid, em in by_eid.items()}
-    if None in task_sets.values():
+    full = (1 << len(group)) - 1
+    task_sets = [select_task_set(em, available_resources) for em in group]
+    if None in task_sets:
         # An emergency no task set can serve lets no order complete.
-        return graph
+        root = GraphNode(frozenset(eids), gate_release.numerator, gate_release.denominator)
+        nodes = {() if sampled else (full, root.ticks): root}
+        return ResponseGraph(root=root, nodes=nodes, order_count=total, sampled=sampled)
 
-    comps = infl.complements(by_eid)
-    keeps: dict = {}
-    # Remaining set -> (adjusted metrics of each member, least member Ed').
-    prices: dict[frozenset[str], tuple[dict[str, AdjustedMetrics], Fraction]] = {}
-
-    def price(remaining: frozenset[str]) -> tuple[dict[str, AdjustedMetrics], Fraction]:
-        got = prices.get(remaining)
-        if got is None:
-            members = {
-                e: adjust_metrics(
-                    by_eid[e], task_sets[e], complement_product(keeps, comps, e, remaining), cfg
-                )
-                for e in remaining
-            }
-            got = prices[remaining] = (members, min(m.ed for m in members.values()))
-        return got
-
+    pricing = Pricing(group, task_sets, infl, cfg, gate_release)
+    root = GraphNode(frozenset(eids), pricing.gate_ticks, pricing.scale)
+    nodes: dict[tuple, GraphNode] = {() if sampled else (full, root.ticks): root}
+    graph = ResponseGraph(root=root, nodes=nodes, order_count=total, sampled=sampled)
     if sampled:
         key = "{}|{}|{}|{}".format(
-            cfg.seed, group[0].entity, format_number(gate_release), ",".join(sorted(by_eid))
+            cfg.seed, group[0].entity, format_number(gate_release), ",".join(eids)
         )
         orders = sample_admissible_orders(classes, cfg.k_cap, random.Random(key))
-        _insert_orders(nodes, root, orders, price)
+        _insert_orders(nodes, root, eids, orders, pricing)
     else:
-        _expand_states(nodes, root, classes, price)
+        _expand_states(nodes, root, eids, classes, pricing)
     graph.optimal = _best_path(graph, require_valid=True, time_first=False)
     return graph
 
 
-def _insert_orders(nodes: dict[tuple, GraphNode], root: GraphNode, orders, price) -> None:
+def _insert_orders(
+    nodes: dict[tuple, GraphNode], root: GraphNode, eids: list[str], orders, pricing: Pricing
+) -> None:
     """Prefix trie over `orders`: a node per distinct order prefix."""
+    sets = {}
     for order in orders:
-        node = root
-        for depth, eid in enumerate(order, start=1):
+        node, mask = root, (1 << len(eids)) - 1
+        for depth, i in enumerate(order, start=1):
+            eid = eids[i]
+            rest = mask ^ (1 << i)
             edge = node.edges.get(eid)
             if edge is None:
-                members, bound = price(node.remaining)
-                metrics = members[eid]
-                elapsed = node.elapsed + metrics.t
-                child = nodes[order[:depth]] = GraphNode(node.remaining - {eid}, elapsed)
-                edge = node.edges[eid] = GraphEdge(metrics, elapsed <= bound, child)
-            node = edge.child
+                row, bound = pricing.price(mask)
+                price = row[i]
+                ticks = node.ticks + price.ticks
+                remaining = sets.get(rest)
+                if remaining is None:
+                    remaining = sets[rest] = node.remaining - {eid}
+                child = nodes[order[:depth]] = GraphNode(remaining, ticks, root.scale)
+                edge = node.edges[eid] = GraphEdge(price, ticks <= bound, child)
+            node, mask = edge.child, rest
 
 
 def _expand_states(
-    nodes: dict[tuple, GraphNode], root: GraphNode, classes: list[list[_Block]], price
+    nodes: dict[tuple, GraphNode],
+    root: GraphNode,
+    eids: list[str],
+    classes: list[list[_Block]],
+    pricing: Pricing,
 ) -> None:
     """Every state reachable from `root` by admissible steps, a node per
     (remaining, elapsed), expanded one layer of equal remaining count at a
     time so that each remaining set is priced and stepped from once."""
-    layer = {root.remaining: [root]}
-    for _ in range(len(root.remaining)):
-        below: dict[frozenset[str], list[GraphNode]] = {}
-        for remaining, states in layer.items():
-            members, bound = price(remaining)
-            for eid in _next_eids(classes, remaining):
-                metrics = members[eid]
-                rest = remaining - {eid}
+    scale = root.scale
+    layer = {(1 << len(eids)) - 1: (root.remaining, [root])}
+    for _ in eids:
+        below: dict[int, tuple[frozenset[str], list[GraphNode]]] = {}
+        for mask, (remaining, states) in layer.items():
+            row, bound = pricing.price(mask)
+            step = _next_mask(classes, mask)
+            for i, eid in enumerate(eids):
+                bit = 1 << i
+                if not step & bit:
+                    continue
+                price = row[i]
+                t = price.ticks
+                rest = mask ^ bit
+                got = below.get(rest)
+                if got is None:
+                    got = below[rest] = (remaining - {eid}, [])
+                rest_set, children = got
                 for node in states:
-                    elapsed = node.elapsed + metrics.t
-                    child = nodes.get((rest, elapsed))
+                    ticks = node.ticks + t
+                    child = nodes.get((rest, ticks))
                     if child is None:
-                        child = nodes[rest, elapsed] = GraphNode(rest, elapsed)
-                        below.setdefault(rest, []).append(child)
-                    node.edges[eid] = GraphEdge(metrics, elapsed <= bound, child)
+                        child = nodes[rest, ticks] = GraphNode(rest_set, ticks, scale)
+                        children.append(child)
+                    node.edges[eid] = GraphEdge(price, ticks <= bound, child)
         layer = below
 
 
@@ -482,27 +608,31 @@ def _best_path(graph: ResponseGraph, require_valid: bool, time_first: bool) -> P
     `require_valid`; None when no such path completes.
 
     Paths rank by (-product, time, eids), or by (time, -product, eids) when
-    `time_first`. Each node keeps its best suffix as integer pairs
-    (product, time) plus the eid of its first step; the edges out of a node
-    process distinct emergencies, so their suffixes' eids differ in the
-    first place.
+    `time_first`. Each node keeps its best suffix as its product's integer
+    pair, its time in ticks and the eid of its first step; the edges out of
+    a node process distinct emergencies, so their suffixes' eids differ in
+    the first place. An edge with p' = 0 makes every suffix's product 0, so
+    behind it the quickest suffix (`_quickest`) is the best one.
     """
     best: dict[GraphNode, tuple | None] = {}
+    quickest: dict[GraphNode, tuple | None] = {}
     # Children first: `_expand_states` inserts layer by layer, and
     # `_insert_orders` inserts a child only after its parent.
     for node in reversed(graph.nodes.values()):
         if not node.remaining:
-            best[node] = (1, 1, 0, 1, "")
+            best[node] = (1, 1, 0, "")
             continue
         top = None
         for eid, edge in node.edges.items():
             child = best[edge.child]
             if child is None or (require_valid and not edge.valid):
                 continue
-            cpn, cpd, ctn, ctd, _ = child
-            p, t = edge.metrics.p, edge.metrics.t
-            tn, td = t.numerator, t.denominator
-            here = (p.numerator * cpn, p.denominator * cpd, tn * ctd + ctn * td, td * ctd, eid)
+            price = edge.price
+            if price.pn:
+                here = (price.pn * child[0], price.pd * child[1], price.ticks + child[2], eid)
+            else:
+                quick = _quickest(edge.child, require_valid, quickest)
+                here = (0, 1, price.ticks + quick[0], eid)
             if top is None or _ranks_before(here, top, time_first):
                 top = here
         best[node] = top
@@ -510,25 +640,45 @@ def _best_path(graph: ResponseGraph, require_valid: bool, time_first: bool) -> P
     if top is None:
         return None
     steps = []
-    node = graph.root
+    node, zeroed = graph.root, False
     while node.remaining:
-        eid = best[node][4]
+        eid = quickest[node][1] if zeroed else best[node][3]
         edge = node.edges[eid]
+        zeroed = zeroed or not edge.price.pn
         m = edge.metrics
         node = edge.child
         steps.append(PlanStep(eid, m.ts, m.p, m.t, m.ed, end_elapsed=node.elapsed))
-    return PlanPath(tuple(steps), Fraction(top[0], top[1]), Fraction(top[2], top[3]))
+    return PlanPath(tuple(steps), Fraction(top[0], top[1]), Fraction(top[2], node.scale))
+
+
+def _quickest(node: GraphNode, require_valid: bool, memo: dict) -> tuple | None:
+    """(time in ticks, first eid) of the least (time, eids) path from
+    `node` to the terminal, memoized in `memo`; None when none completes."""
+    if not node.remaining:
+        return (0, "")
+    if node in memo:
+        return memo[node]
+    top = None
+    for eid, edge in node.edges.items():
+        if require_valid and not edge.valid:
+            continue
+        child = _quickest(edge.child, require_valid, memo)
+        if child is not None:
+            here = (edge.price.ticks + child[0], eid)
+            if top is None or here < top:
+                top = here
+    memo[node] = top
+    return top
 
 
 def _ranks_before(a: tuple, b: tuple, time_first: bool) -> bool:
     """Whether suffix `a` ranks before `b`, both as `_best_path` keeps
-    them, by cross-multiplying their positive denominators."""
-    # a's product is the larger when pb < pa, its time the smaller when ta < tb.
+    them, by cross-multiplying their positive product denominators."""
+    # a's product is the larger when pb < pa.
     pa, pb = a[0] * b[1], b[0] * a[1]
-    ta, tb = a[2] * b[3], b[2] * a[3]
     if time_first:
-        return (ta, pb, a[4]) < (tb, pa, b[4])
-    return (pb, ta, a[4]) < (pa, tb, b[4])
+        return (a[2], pb, a[3]) < (b[2], pa, b[3])
+    return (pb, a[2], a[3]) < (pa, b[2], b[3])
 
 
 _NO_PATH = PlanPath(steps=(), product=ZERO, total_time=ZERO)

@@ -54,38 +54,45 @@ def _components(eids: list[str], tdt_pairs) -> dict[str, frozenset[str]]:
     return comp_of
 
 
-def oracle_admissible(order, group: list[Emergency], tdt_pairs) -> bool:
+def _admissibility(group: list[Emergency], tdt_pairs):
+    """The predicate `oracle_admissible` applies, for one group."""
     by_eid = {em.eid: em for em in group}
-    if sorted(order) != sorted(by_eid):
-        return False
+    eids = sorted(by_eid)
     comp_of = _components(list(by_eid), tdt_pairs)
+    comps = set(comp_of.values())
 
-    position = {eid: idx for idx, eid in enumerate(order)}
-    for comp in set(comp_of.values()):
-        spots = sorted(position[eid] for eid in comp)
-        if spots[-1] - spots[0] != len(spots) - 1:
+    def admissible(order) -> bool:
+        if sorted(order) != eids:
             return False
-        prios = [by_eid[order[idx]].prio for idx in spots]
-        if any(a > b for a, b in zip(prios, prios[1:])):
-            return False
+        position = {eid: idx for idx, eid in enumerate(order)}
+        for comp in comps:
+            spots = sorted(position[eid] for eid in comp)
+            if spots[-1] - spots[0] != len(spots) - 1:
+                return False
+            prios = [by_eid[order[idx]].prio for idx in spots]
+            if any(a > b for a, b in zip(prios, prios[1:])):
+                return False
 
-    comp_keys: list[int] = []
-    seen_comps = set()
-    for eid in order:
-        comp = comp_of[eid]
-        if comp not in seen_comps:
-            seen_comps.add(comp)
-            comp_keys.append(min(by_eid[member].prio for member in comp))
-    return all(a <= b for a, b in zip(comp_keys, comp_keys[1:]))
+        comp_keys: list[int] = []
+        seen_comps = set()
+        for eid in order:
+            comp = comp_of[eid]
+            if comp not in seen_comps:
+                seen_comps.add(comp)
+                comp_keys.append(min(by_eid[member].prio for member in comp))
+        return all(a <= b for a, b in zip(comp_keys, comp_keys[1:]))
+
+    return admissible
+
+
+def oracle_admissible(order, group: list[Emergency], tdt_pairs) -> bool:
+    return _admissibility(group, tdt_pairs)(order)
 
 
 def oracle_orders(group: list[Emergency], tdt_pairs) -> list[tuple[str, ...]]:
+    admissible = _admissibility(group, tdt_pairs)
     eids = sorted(em.eid for em in group)
-    return [
-        perm
-        for perm in itertools.permutations(eids)
-        if oracle_admissible(perm, group, tdt_pairs)
-    ]
+    return [perm for perm in itertools.permutations(eids) if admissible(perm)]
 
 
 def count_admissible_orders(group: list[Emergency], tdt_pairs) -> int:

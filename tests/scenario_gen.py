@@ -28,12 +28,14 @@ def _frac(rng: random.Random, lo: int, hi: int, halves: bool = True) -> Fraction
     return value
 
 
-def random_group(rng: random.Random, max_size: int = 5):
+def random_group(rng: random.Random, max_size: int = 5, sigma_denominators=None):
     """(group, tdt_pairs, InfluenceSpec) for one synthetic entity.
 
     Priorities are drawn from a narrow range so equal-priority freedom (and
     with it multi-order graphs) shows up often; deadlines are drawn tight
-    enough that some orders die on the deadline checks.
+    enough that some orders die on the deadline checks. Sigmas are tenths up
+    to 0.8, or with `sigma_denominators` a denominator drawn from it and any
+    numerator below it.
     """
     size = rng.randint(1, max_size)
     eids = [f"E{i}" for i in range(1, size + 1)]
@@ -74,11 +76,18 @@ def random_group(rng: random.Random, max_size: int = 5):
             if a.prio < b.prio and rng.random() < 0.2:
                 tdt_pairs.add((a.eid, b.eid))
 
+    def pick() -> Fraction:
+        if rng.random() >= 0.6:
+            return Fraction(0)
+        if sigma_denominators is None:
+            return Fraction(rng.randint(0, 8), 10)
+        den = rng.choice(sigma_denominators)
+        return Fraction(rng.randint(0, den - 1), den)
+
     pairs: dict[tuple[str, str], InfluencePair] = {}
     for a in eids:
         for b in eids:
             if a != b and rng.random() < 0.25:
-                pick = lambda: Fraction(rng.randint(0, 8), 10) if rng.random() < 0.6 else Fraction(0)
                 pairs[(a, b)] = InfluencePair(sigma_p=pick(), sigma_t=pick(), sigma_ed=pick())
     return group, tdt_pairs, InfluenceSpec(pairs=pairs)
 

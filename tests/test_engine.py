@@ -428,6 +428,26 @@ def random_write(world: SystemState, rng: random.Random) -> str:
     return "substituted with roles" if copied else "substituted"
 
 
+def test_enabling_a_subject_that_holds_an_emergency_role_is_refused():
+    # ORT keeps one saved role set per subject; a second enablement would
+    # overwrite it, and the second rescind would then find none.
+    world = random_staffing_world(random.Random(5))
+    sid = sorted(world.store.subjects)[0]
+    ts = TaskSet("T1", (), F(1), F(1))
+    for erole in EMERGENCY_ROLES[:2]:
+        world.active[erole] = ActiveEmergency(Emergency(erole, "ward", 1, F(5), False, (ts,)), F(5))
+    first = PlanStep(EMERGENCY_ROLES[0], ts, F(1), F(1), F(5), F(1))
+    enable_response_actions(world, first, sid, world.clock)
+    before = (world.audit.to_text(), repr(world.store))
+    second = PlanStep(EMERGENCY_ROLES[1], ts, F(1), F(1), F(5), F(1))
+    with pytest.raises(ValueError, match="already holds an emergency role"):
+        enable_response_actions(world, second, sid, world.clock)
+    assert (world.audit.to_text(), repr(world.store)) == before
+    assert world.active[EMERGENCY_ROLES[1]].assignment is None
+    rescind_permissions(world, EMERGENCY_ROLES[0], world.clock, "solved")
+    assert sid not in world.store.ort
+
+
 def test_select_subject_matches_reference_on_random_stores():
     """The index answers as the full scan does, on fresh stores and after
     enable, rescind and substitution steps on the same index."""

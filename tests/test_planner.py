@@ -31,9 +31,8 @@ from feac.planner import (
     InfluencePair,
     InfluenceSpec,
     PlannerConfig,
-    adjust_metrics,
+    Pricing,
     build_transition_graph,
-    complement_product,
     compute_p_value,
     plan_to_text,
     prob_first_select,
@@ -97,15 +96,23 @@ class TestSelectTaskSet:
         assert select_task_set(e, frozenset()) is None
 
 
-def keep_under(infl, influenced, others):
-    """The planner's complement product of `others` acting on `influenced`,
-    as integer pairs (numerator, denominator)."""
-    remaining = frozenset(others) | {influenced}
-    return complement_product({}, infl.complements(remaining), influenced, remaining)
+def priced_under(infl, member, others, cfg=PlannerConfig()):
+    """The kernel's (Price, complement product) of emergency `member` while
+    `others` are pending, each of them a placeholder emergency."""
+    group = [member] + [em(eid, 1, 9, (1, "0.5", ())) for eid in others]
+    group.sort(key=lambda e: e.eid)
+    pricing = Pricing(group, [e.task_sets[0] for e in group], infl, cfg, F(0))
+    i, mask = group.index(member), (1 << len(group)) - 1
+    return pricing.price(mask)[0][i], pricing.fold(i, mask)
+
+
+def adjusted(infl, member, others, cfg):
+    return priced_under(infl, member, others, cfg)[0].metrics
 
 
 def combined_sigmas(infl, influenced, others):
-    return tuple(1 - F(num, den) for num, den in keep_under(infl, influenced, others))
+    keep = priced_under(infl, em(influenced, 1, 9, (1, "0.5", ())), others)[1]
+    return tuple(1 - F(keep[k], keep[k + 1]) for k in (0, 2, 4))
 
 
 class TestInfluenceArithmetic:
@@ -115,7 +122,7 @@ class TestInfluenceArithmetic:
             pairs={("E2", "E1"): InfluencePair(sigma_p=F(1, 4), sigma_t=F(3, 10), sigma_ed=F(1, 10))}
         )
         cfg = PlannerConfig(alpha=F(2), beta=F(1))
-        m = adjust_metrics(e, e.task_sets[0], keep_under(infl, "E1", {"E2"}), cfg)
+        m = adjusted(infl, e, ["E2"], cfg)
         assert m.p == F(3, 4) * F(4, 5)
         assert m.t == (1 + 2 * F(3, 10)) * 2 == F(16, 5)
         assert m.ed == F(9, 10) * 10 == 9
@@ -127,19 +134,19 @@ class TestInfluenceArithmetic:
                 ("B", "X"): InfluencePair(sigma_p=F(1, 2)),
             }
         )
-        sigma_p, sigma_t, sigma_ed = combined_sigmas(infl, "X", {"A", "B"})
+        sigma_p, sigma_t, sigma_ed = combined_sigmas(infl, "X", ["A", "B"])
         assert sigma_p == 1 - F(4, 5) * F(1, 2) == F(3, 5)
         assert sigma_t == 0 and sigma_ed == 0
 
     def test_non_influencers_do_nothing(self):
         infl = InfluenceSpec(pairs={("A", "X"): InfluencePair(sigma_t=F(1, 2))})
-        assert combined_sigmas(infl, "X", {"B", "C"}) == (0, 0, 0)
+        assert combined_sigmas(infl, "X", ["B", "C"]) == (0, 0, 0)
 
     def test_adjusted_deadline_uses_beta(self):
         e = em("E1", 1, 20, (1, "0.5", ()))
         infl = InfluenceSpec(pairs={("E2", "E1"): InfluencePair(sigma_ed=F(1, 4))})
         cfg = PlannerConfig(beta=F(2))
-        ed = adjust_metrics(e, e.task_sets[0], keep_under(infl, "E1", {"E2"}), cfg).ed
+        ed = adjusted(infl, e, ["E2"], cfg).ed
         assert ed == (1 - 2 * F(1, 4)) * 20 == 10
 
 
@@ -422,14 +429,14 @@ def test_each_remaining_set_is_priced_once(k_cap, sampled, monkeypatch):
     # complement products for six emergencies, whether all 720 orders or 100
     # drawn ones reach them.
     folds = []
-    fold = planner.complement_product
+    fold = planner.Pricing.fold
 
-    def counting(memo, comps, eid, remaining):
-        if (eid, remaining) not in memo:
-            folds.append((eid, remaining))
-        return fold(memo, comps, eid, remaining)
+    def counting(pricing, i, mask):
+        if mask not in pricing.memo[i]:
+            folds.append((i, mask))
+        return fold(pricing, i, mask)
 
-    monkeypatch.setattr(planner, "complement_product", counting)
+    monkeypatch.setattr(planner.Pricing, "fold", counting)
     group, infl = all_pairs_group(6)
     graph = build_transition_graph(group, set(), infl, PlannerConfig(k_cap=k_cap))
     assert graph.sampled is sampled
@@ -483,13 +490,23 @@ class TestGraphShape:
             build_transition_graph(group, set(), InfluenceSpec(), PlannerConfig())
 
 
+# Sigma and gate denominators beyond the scenario's decimals, and betas
+# that can take Ed' to 0 or below it.
+WIDE_DENOMINATORS = (3, 7, 10)
+WIDE_BETAS = [F(1, 2), F(1), F(2), F(5, 3)]
+
+
+def wide_gate(rng):
+    return F(rng.randint(0, 8), rng.choice([1, 2, 3, 7]))
+
+
 def test_matches_oracle_on_random_groups():
     for case in range(120):
         rng = random.Random(40_000 + case)
-        group, tdt, infl = random_group(rng)
+        group, tdt, infl = random_group(rng, sigma_denominators=WIDE_DENOMINATORS)
         alpha = rng.choice([F(1), F(2)])
-        beta = rng.choice([F(1), F(1, 2)])
-        gate = F(rng.randint(0, 4))
+        beta = rng.choice(WIDE_BETAS)
+        gate = wide_gate(rng)
         cfg = PlannerConfig(alpha=alpha, beta=beta, k_cap=120, seed=1)
         graph = build_transition_graph(group, tdt, infl, cfg, gate_release=gate)
         pv = compute_p_value(graph)
@@ -504,9 +521,11 @@ def test_matches_oracle_on_random_groups():
 def test_merged_graphs_match_oracle():
     # Every order inserted, so equal (remaining, elapsed) states merge.
     shared = 0
+    sizes = Counter()
     for case in range(100):
         rng = random.Random(90_000 + case)
-        group, tdt, infl = random_group(rng, max_size=7)
+        group, tdt, infl = random_group(rng, max_size=8)
+        sizes[len(group)] += 1
         orders = count_admissible_orders(group, tdt)
         graph = build_transition_graph(group, tdt, infl, PlannerConfig(k_cap=orders))
         assert not graph.sampled
@@ -518,6 +537,7 @@ def test_merged_graphs_match_oracle():
         children = [e.child for node in graph.nodes.values() for e in node.edges.values()]
         shared += len({id(child) for child in children}) < len(children)
     assert shared
+    assert sizes[8] and sizes[7], sizes
 
 
 def test_every_path_is_priced_like_the_oracle():
@@ -527,10 +547,10 @@ def test_every_path_is_priced_like_the_oracle():
     seen = Counter()
     for case in range(200):
         rng = random.Random(120_000 + case)
-        group, tdt, infl = random_group(rng, max_size=6)
+        group, tdt, infl = random_group(rng, max_size=6, sigma_denominators=WIDE_DENOMINATORS)
         alpha = rng.choice([F(1, 2), F(1), F(2)])
-        beta = rng.choice([F(1, 2), F(1)])
-        gate = F(rng.randint(0, 8), 2)
+        beta = rng.choice(WIDE_BETAS)
+        gate = wide_gate(rng)
         available = rng.choice([None, frozenset({"R1"}), frozenset({"R1", "R2"})])
         orders = count_admissible_orders(group, tdt)
         k_cap = rng.randint(1, orders - 1) if orders > 1 and rng.random() < 0.5 else orders
@@ -547,6 +567,7 @@ def test_every_path_is_priced_like_the_oracle():
                 valid = valid and edge.valid
                 product *= edge.metrics.p
                 total += edge.metrics.t
+                seen["Ed' <= 0"] += edge.metrics.ed <= 0
                 node = edge.child
             priced = oracle_walk(order, group, infl.pairs, alpha, beta, gate, available)
             assert valid == (priced is not None), (case, order)
@@ -556,6 +577,89 @@ def test_every_path_is_priced_like_the_oracle():
     assert min(seen.values()) >= 40, seen
 
 
+def test_zero_success_influence_matches_oracle():
+    # sigma_p = 1 takes p' to 0 while the influencer is pending, so many
+    # orders tie on a product of 0 and time, then eids, must decide.
+    seen = Counter()
+    for case in range(120):
+        rng = random.Random(230_000 + case)
+        group, tdt, infl = random_group(rng, max_size=6)
+        eids = sorted(em.eid for em in group)
+        if len(eids) < 2:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.sample(eids, 2)
+            infl.pairs[a, b] = InfluencePair(sigma_p=F(1), sigma_t=F(rng.randint(0, 2), 3))
+        orders = count_admissible_orders(group, tdt)
+        graph = build_transition_graph(group, tdt, infl, PlannerConfig(k_cap=orders))
+        want_pv, want_order = oracle_best(group, tdt, infl.pairs)
+        assert compute_p_value(graph) == want_pv, case
+        path = select_optimal_path(graph)
+        assert (None if path is None else path.eids) == want_order, case
+        for select, time_first in ((prob_first_select, False), (time_first_select, True)):
+            path = select(graph)
+            want = oracle_fallback(group, tdt, infl.pairs, time_first)
+            assert (path.eids, path.product, path.total_time) == want, (case, time_first)
+        walks = [oracle_walk(p, group, infl.pairs, 1, 1, deadlines=False) for p in iter_paths(graph)]
+        seen["tied at product 0"] += sum(product == 0 for product, _ in walks) > 1
+        seen["optimal"] += want_order is not None
+    assert min(seen.values()) >= 10, seen
+
+
+def test_completing_exactly_at_the_bound_is_valid():
+    # Under beta = 7/6, A's sigma_ed of 1/7 takes B's deadline to 5/6 of
+    # itself: 4/3 for Ed = 8/5. From the root either member completes at
+    # gate 1/3 plus 1, exactly at that bound, so both edges are valid; with
+    # Ed a millionth less, both are dead. Only B then A can go on to finish.
+    for ed, valid in ((F(8, 5), True), (F(8, 5) - F(1, 10**6), False)):
+        group = [em("A", 1, 10, (1, "0.9", ())), em("B", 1, ed, (1, "0.8", ()))]
+        infl = InfluenceSpec({("A", "B"): InfluencePair(sigma_ed=F(1, 7))})
+        cfg = PlannerConfig(beta=F(7, 6))
+        graph = build_transition_graph(group, set(), infl, cfg, gate_release=F(1, 3))
+        assert graph.root.edges["B"].metrics.ed == ed * F(5, 6)
+        for eid in ("A", "B"):
+            edge = graph.root.edges[eid]
+            assert edge.child.elapsed == F(4, 3)
+            assert edge.valid is valid, (ed, eid)
+        walked = oracle_walk(("B", "A"), group, infl.pairs, 1, F(7, 6), F(1, 3))
+        assert (walked is not None) is valid
+        assert oracle_walk(("A", "B"), group, infl.pairs, 1, F(7, 6), F(1, 3)) is None
+        path = select_optimal_path(graph)
+        assert (path.eids if valid else path) == (("B", "A") if valid else None)
+
+
+def test_exhaustive_builds_make_fractions_per_path_not_per_edge():
+    # Inside a build the planner works on ints; a Fraction is made only for
+    # the values of the returned path (p', t', Ed' and the clock per step,
+    # then the product and total time), however many edges the graph has.
+    made = Counter()
+    new = Fraction.__dict__["__new__"]
+    coprime = Fraction.__dict__.get("_from_coprime_ints")
+
+    def counting(cls, *args, **kwargs):
+        made["fractions"] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    for n in (4, 5, 6):
+        group, infl = all_pairs_group(n)
+        made.clear()
+        Fraction.__new__ = staticmethod(counting)
+        if coprime is not None:  # how 3.12 and later build arithmetic results
+            Fraction._from_coprime_ints = classmethod(
+                lambda cls, num, den: counting(cls, num, den)
+            )
+        try:
+            graph = build_transition_graph(group, set(), infl, PlannerConfig(k_cap=720))
+        finally:
+            Fraction.__new__ = new
+            if coprime is not None:
+                Fraction._from_coprime_ints = coprime
+        edges = sum(len(node.edges) for node in graph.nodes.values())
+        assert not graph.sampled
+        assert len(graph.optimal.steps) == n
+        assert made["fractions"] <= 4 * n + 2 < edges, (n, made, edges)
+
+
 @pytest.mark.parametrize("time_first", [False, True])
 def test_fallback_selectors_match_oracle(time_first):
     # The fallbacks ignore deadlines, so every admissible order competes.
@@ -563,12 +667,15 @@ def test_fallback_selectors_match_oracle(time_first):
     sizes = Counter()
     for case in range(80):
         rng = random.Random(150_000 + case)
-        group, tdt, infl = random_group(rng, max_size=7)
+        group, tdt, infl = random_group(rng, max_size=7, sigma_denominators=WIDE_DENOMINATORS)
         alpha = rng.choice([F(1, 2), F(1), F(2)])
+        beta = rng.choice(WIDE_BETAS)
         available = rng.choice([None, frozenset({"R1"}), frozenset({"R1", "R2"})])
         orders = count_admissible_orders(group, tdt)
-        cfg = PlannerConfig(alpha=alpha, k_cap=orders)
-        graph = build_transition_graph(group, tdt, infl, cfg, available_resources=available)
+        cfg = PlannerConfig(alpha=alpha, beta=beta, k_cap=orders)
+        graph = build_transition_graph(
+            group, tdt, infl, cfg, gate_release=wide_gate(rng), available_resources=available
+        )
         assert not graph.sampled
         path = select(graph)
         want = oracle_fallback(group, tdt, infl.pairs, time_first, alpha, available)

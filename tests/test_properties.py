@@ -16,9 +16,8 @@ from feac.planner import (
     InfluencePair,
     InfluenceSpec,
     PlannerConfig,
-    adjust_metrics,
+    Pricing,
     build_transition_graph,
-    complement_product,
     compute_p_value,
 )
 from feac.scenario import parse_scenario, print_scenario
@@ -34,11 +33,24 @@ sigmas = st.fractions(min_value=0, max_value=F(99, 100), max_denominator=100)
 weights = st.sampled_from([F(1, 2), F(1), F(2)])
 
 
+def placeholder(eid):
+    ts = TaskSet("TS1", (("O1", Op.USE),), time=F(1), prob=F(1, 2))
+    return Emergency(eid, "P1", 2, F(9), True, (ts,))
+
+
+def priced_under(spec, member, others, cfg=PlannerConfig()):
+    """The kernel's (Price, complement product) of emergency `member` while
+    placeholder emergencies `others` are pending."""
+    group = sorted([member] + [placeholder(eid) for eid in others], key=lambda em: em.eid)
+    pricing = Pricing(group, [em.task_sets[0] for em in group], spec, cfg, F(0))
+    i, mask = group.index(member), (1 << len(group)) - 1
+    return pricing.price(mask)[0][i], pricing.fold(i, mask)
+
+
 def combined_sigmas(spec, influenced, others):
     """(sigma_p, sigma_t, sigma_ed) the planner applies to `influenced` under `others`."""
-    remaining = frozenset(others) | {influenced}
-    keep = complement_product({}, spec.complements(remaining), influenced, remaining)
-    return tuple(1 - F(num, den) for num, den in keep)
+    keep = priced_under(spec, placeholder(influenced), others)[1]
+    return tuple(1 - F(keep[k], keep[k + 1]) for k in (0, 2, 4))
 
 
 class TestExactNumbers:
@@ -91,9 +103,7 @@ class TestInfluenceComposition:
         spec = InfluenceSpec(
             pairs={(x, "E1"): InfluencePair(*sigma) for x, sigma in zip(others, influences)}
         )
-        remaining = frozenset(others) | {"E1"}
-        keep = complement_product({}, spec.complements(remaining), "E1", remaining)
-        got = adjust_metrics(em, ts, keep, PlannerConfig(alpha=alpha, beta=beta))
+        got = priced_under(spec, em, others, PlannerConfig(alpha=alpha, beta=beta))[0].metrics
         keep_p = keep_t = keep_ed = F(1)
         for sigma_p, sigma_t, sigma_ed in influences:
             keep_p *= 1 - sigma_p
@@ -111,8 +121,7 @@ class TestInfluenceComposition:
         spec = InfluenceSpec(
             pairs={("X", "E1"): InfluencePair(sigma_p=sp, sigma_t=st_, sigma_ed=sed)}
         )
-        keep = complement_product({}, spec.complements(["X", "E1"]), "E1", frozenset({"X", "E1"}))
-        adjusted = adjust_metrics(em, ts, keep, PlannerConfig())
+        adjusted = priced_under(spec, em, ["X"])[0].metrics
         assert 0 < adjusted.p <= ts.prob
         assert adjusted.t >= ts.time
         assert adjusted.ed <= em.ed
