@@ -148,10 +148,6 @@ class AuditLog:
         self._stamp: tuple[int, int] | None = None
         self._ts_text = ""
 
-    @property
-    def records(self) -> list[AuditRecord]:
-        return parse_trace(self.to_text())
-
     def append(self, kind: str, ts: Fraction, **payload) -> None:
         names = _ARG_NAMES.get(kind)
         if names is None:

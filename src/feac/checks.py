@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .audit import AuditRecord, replay_store
+from .engine import EngineConfig
 from .model import ENV_ENTITY, PolicyStore, serialize_store
 from .scenario import Scenario
 
@@ -45,7 +45,7 @@ STAFFING_KINDS = {
 }
 
 # The polling period of a trace without a run_started header.
-DEFAULT_TP = Fraction(1, 2)
+DEFAULT_TP = EngineConfig().tp
 
 LEGAL_TRANSITIONS = {
     ("normal", "emergency"),

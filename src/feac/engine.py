@@ -19,8 +19,10 @@ ticks of `tp` minutes. Within a tick it:
    are selected optimally, zero-value plans trigger one entity
    substitution attempt and then a fallback heuristic selection;
 4. eagerly staffs every planned step: subject selection via the role
-   mapping hierarchy, timed permission grants (td = now + Ed'), role
-   alternation with the originals saved for restoration, notification.
+   mapping hierarchy, timed permission grants, role alternation with the
+   originals saved for restoration, notification. A grant lasts until
+   td = max(now, now + Ed'): it never ends before it starts, although
+   Ed' is below 0 when a `beta` above 1 shrinks a window past nothing.
    Selection reads a run-scoped staffing index (`StaffingIndex`, on
    `SystemState.staffing`): the idle holders of each role in id order,
    per-role counts of active holders, and each property-only atom's truth
@@ -185,7 +187,7 @@ class SystemState:
         self.staffing = StaffingIndex(store)
         self.audit = AuditLog()
         self.rng = random.Random(seed)
-        self.forces: dict[tuple[str, str], tuple[Fraction, str]] = {}
+        self.forces: dict[tuple[str, str], str] = {}
         self.outcomes: dict[str, str] = {}
         self.dirty: set[str] = set()
         self.blocked: set[str] = set()
@@ -327,7 +329,7 @@ def enable_response_actions(
     if sid in store.ort:
         raise ValueError(f"{sid} already holds an emergency role")
     eid = step.eid  # also the emergency role
-    td = now + step.ed
+    td = max(now, now + step.ed)
     saved = tuple(sorted(store.asrt.get(sid, set())))
 
     world.audit.append("role_assigned", now, sid=sid, erole=eid, eid=eid, saved=saved)
@@ -460,8 +462,8 @@ def _finish_execution(world: SystemState, running: Assignment, now: Fraction) ->
     _release_locks(world, running)
 
     forced = world.forces.get((eid, tsid))
-    if forced is not None and forced[0] <= now:
-        success = forced[1] == "success"
+    if forced is not None:
+        success = forced == "success"
     else:
         success = world.rng.random() < float(step.p)
 
@@ -635,7 +637,7 @@ def _dispatch_event(world: SystemState, ev: ScenarioEvent) -> None:
     elif ev.kind == "force":
         eid, tsid, outcome = ev.args
         world.audit.append("outcome_forced", now, eid=eid, tsid=tsid, outcome=outcome)
-        world.forces[(eid, tsid)] = (now, outcome)
+        world.forces[(eid, tsid)] = outcome
     elif ev.kind == "request":
         sid, oid, op_text = ev.args
         decision = acl_check(world.store, sid, oid, Op(op_text), now)

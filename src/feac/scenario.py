@@ -18,13 +18,18 @@ less the offset where its line starts.
 Parse errors resynchronize at the next top-level keyword that is the first
 token on its line, so one broken declaration yields one diagnostic, not a
 cascade.
+
+A value is checked at its token when the parser reads it, and the parser
+reports unknown, repeated (the first value stays) and missing fields. A
+name is checked by the resolver, so the raw declarations the parser hands
+it hold plain values, and tokens only for the names still to resolve.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -65,28 +70,20 @@ from .model import (
 )
 from .planner import InfluencePair, InfluenceSpec, PlannerConfig
 
-TOPLEVEL = {
-    "scenario",
-    "config",
-    "entity",
-    "role",
-    "constraint",
-    "subject",
-    "object",
-    "emergency",
-    "map",
-    "fallbackmap",
-    "depends",
-    "influence",
-    "fgroup",
-    "at",
-}
-
 CMP_TOKENS = frozenset(CMP_OPS)
 OP_NAMES = {op.value: op for op in Op}
 OUTCOMES = {"success", "failure"}
 STRATEGIES = {PROBABILITY_FIRST, TIME_FIRST}
+# Each event kind's arguments, as "expected ..." names them.
+EVENT_ARGS = {
+    "raise": ("an emergency id",),
+    "fail": ("an entity name",),
+    "force": ("an emergency id", "a task-set id", "'success' or 'failure'"),
+    "request": ("a subject name", "an object name", "an operation"),
+}
 CONFIG_KEYS = ("tp", "alpha", "beta", "k", "seed", "fallback", "horizon")
+# The one config default that `EngineConfig` and `PlannerConfig` do not hold.
+DEFAULT_HORIZON = Fraction(20)
 
 
 @dataclass(frozen=True)
@@ -171,39 +168,56 @@ def _describe(tok: Token) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Raw declaration holders (positions kept for resolution diagnostics)
+# Raw declaration holders (tokens kept for the names still to resolve)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _RawTaskSet:
-    tsid: Token
-    actions: list[tuple[Token, Op]]
-    time: tuple[Token, Fraction]
-    prob: tuple[Token, Fraction]
-    resources: list[Token]
 
 
 @dataclass
 class _RawEmergency:
     eid: Token
     entity: Token
-    prio: tuple[Token, Fraction]
-    ed: tuple[Token, Fraction]
+    prio: int
+    ed: Fraction
     ft: bool
-    task_sets: list[_RawTaskSet]
+    # (task-set id, the object of each action, the task set)
+    task_sets: list[tuple[Token, list[Token], TaskSet]]
 
 
-@dataclass
-class _ExprInfo:
-    """Names an expression uses, kept with positions for late checking."""
+class _Block(NamedTuple):
+    """One kind of `{ ... }` block, as `Parser.parse_fields` reads it."""
 
-    refs: list[Token] = field(default_factory=list)
-    count_roles: list[Token] = field(default_factory=list)
+    what: str  # a field name, as "expected ..." calls it
+    unknown: str  # the diagnostic for an unknown field, given its name
+    readers: dict  # field name -> reader of its value, called with the parser and name
+    required: tuple[str, ...] = ()  # reported missing in this order
+    missing: str = ""  # the diagnostic for a missing field, given owner and field
+    assign: bool = False  # fields are `name = value`, each with an optional comma
+    lists: tuple[str, ...] = ()  # fields that may repeat, every value kept in order
 
 
 class _Abort(Exception):
     pass
+
+
+def _positive(value: Fraction) -> bool:
+    return value > 0
+
+
+def _config_problem(key: str, value: Fraction | str) -> str | None:
+    """What is wrong with `value` as config `key`'s value, if anything."""
+    if key == "fallback":
+        if value in STRATEGIES:
+            return None
+        return "fallback must be probability_first or time_first"
+    if isinstance(value, str):
+        return f"config key '{key}' needs a number"
+    if key in ("k", "seed") and value.denominator != 1:
+        return f"config key '{key}' must be an integer"
+    if key in ("tp", "horizon", "k") and value <= 0:
+        return f"config key '{key}' must be positive"
+    if key in ("alpha", "beta") and value < 0:
+        return f"config key '{key}' must not be negative"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +234,25 @@ class Parser:
         self.numbers: dict[str, Fraction] = {}
 
         self.scenario_name: Token | None = None
-        # (key, value, the value's number when it is one)
-        self.configs: list[tuple[Token, Token, Fraction | None]] = []
+        # Each config key given, with its first value, or None if that was bad.
+        self.config: dict[str, Fraction | str | None] = {}
         self.entities: list[Token] = []
         self.role_decls: list[Token] = []
-        self.constraint_decls: list[tuple[Token, ConstraintExpr, _ExprInfo]] = []
-        self.subject_decls: list[tuple[Token, list[tuple[Token, object]]]] = []
+        self.constraint_decls: list[tuple[Token, ConstraintExpr]] = []
+        # (subject, property -> value), a role list's value holding its tokens
+        self.subject_decls: list[tuple[Token, dict[str, object]]] = []
         self.object_decls: list[tuple[Token, list[tuple[Token, Op, Fraction | None]]]] = []
         self.emergency_decls: list[_RawEmergency] = []
-        self.map_decls: list[tuple[Token, list[Token], ConstraintExpr | None, _ExprInfo]] = []
-        self.fallback_decls: list[tuple[Token, ConstraintExpr, _ExprInfo]] = []
+        self.map_decls: list[tuple[Token, list[Token], ConstraintExpr | None]] = []
+        self.fallback_decls: list[tuple[Token, ConstraintExpr]] = []
+        # The `@` references and `count` roles of every kept expression.
+        self.refs: list[Token] = []
+        self.count_roles: list[Token] = []
         self.depends_env: list[tuple[Token, Token]] = []
         self.depends_time: list[tuple[Token, Token]] = []
-        self.influences: list[tuple[Token, Token, dict[str, tuple[Token, Fraction]]]] = []
+        self.influences: list[tuple[Token, Token, InfluencePair]] = []
         self.fgroups: list[tuple[Token, Token]] = []
-        self.raw_events: list[tuple[Token, Fraction, str, list[Token]]] = []
+        self.raw_events: list[tuple[Fraction, str, list[Token]]] = []
 
     # -- token plumbing ----------------------------------------------------
 
@@ -300,6 +318,13 @@ class Parser:
         self.pos += 1
         return tok, value
 
+    def expect_checked(self, what: str, ok, message: str) -> Fraction:
+        """A number; `message` is reported at it unless `ok(value)`."""
+        tok, value = self.expect_number(what)
+        if not ok(value):
+            self.error(tok, message)
+        return value
+
     def resync(self) -> None:
         """Skip to the end, or to a top-level keyword that is the first
         token on its line."""
@@ -310,7 +335,7 @@ class Parser:
                 return
             if (
                 tok.kind == "name"
-                and tok.value in TOPLEVEL
+                and tok.value in self.HANDLERS
                 and (self.pos == 0 or tokens[self.pos - 1].line != tok.line)
             ):
                 return
@@ -359,25 +384,39 @@ class Parser:
                 return items
             self.expect(",")
 
+    def parse_fields(self, block: _Block, owner: Token) -> dict[str, object]:
+        """The fields of the `block` that declares `owner`. An unknown field
+        aborts; a repeated one is reported, its value read and dropped; a
+        missing one aborts, reported at `owner`."""
+        readers, lists = block.readers, block.lists
+        fields: dict[str, object] = {}
+        self.expect("{")
+        while not self.match("}"):
+            name = self.expect_name(block.what)
+            key = name.value
+            read = readers.get(key)
+            if read is None:
+                self.abort(name, block.unknown.format(key))
+            if key in fields and key not in lists:
+                self.error(name, f"field '{key}' given twice")
+            if block.assign:
+                self.expect("=")
+            value = read(self, name)
+            if key in lists:
+                fields.setdefault(key, []).append(value)
+            else:
+                fields.setdefault(key, value)
+            if block.assign:
+                self.match(",")
+        for key in block.required:
+            if key not in fields:
+                self.abort(owner, block.missing.format(owner.value, key))
+        return fields
+
     # -- top level ---------------------------------------------------------
 
     def parse(self) -> None:
-        handlers = {
-            "scenario": self.parse_scenario_line,
-            "config": self.parse_config,
-            "entity": self.parse_entity,
-            "role": self.parse_role,
-            "constraint": self.parse_constraint,
-            "subject": self.parse_subject,
-            "object": self.parse_object,
-            "emergency": self.parse_emergency,
-            "map": self.parse_map,
-            "fallbackmap": self.parse_fallbackmap,
-            "depends": self.parse_depends,
-            "influence": self.parse_influence,
-            "fgroup": self.parse_fgroup,
-            "at": self.parse_event,
-        }
+        handlers = self.HANDLERS
         while True:
             tok = self.peek()
             if tok.kind == "eof":
@@ -387,9 +426,12 @@ class Parser:
                 self.advance()
                 self.resync()
                 continue
+            names = len(self.refs), len(self.count_roles)
             try:
-                handlers[tok.value]()
+                handlers[tok.value](self)
             except _Abort:
+                # A dropped declaration's names are not resolved.
+                del self.refs[names[0] :], self.count_roles[names[1] :]
                 self.resync()
 
     def parse_scenario_line(self) -> None:
@@ -404,15 +446,24 @@ class Parser:
         self.advance()
         key = self.expect_name("a config key")
         self.expect("=")
-        value = self.peek()
-        number = None
-        if value.kind == "number":
-            _, number = self.expect_number("a config value")
-        elif value.kind == "name":
-            self.advance()
+        tok = self.peek()
+        if tok.kind == "number":
+            _, value = self.expect_number("a config value")
+        elif tok.kind == "name":
+            value = self.advance().value
         else:
-            self.abort(value, f"expected a config value, found {_describe(value)}")
-        self.configs.append((key, value, number))
+            self.abort(tok, f"expected a config value, found {_describe(tok)}")
+        name = key.value
+        if name not in CONFIG_KEYS:
+            self.error(key, f"unknown config key '{name}'")
+            return
+        if name in self.config:
+            self.error(key, f"config key '{name}' given twice")
+        problem = _config_problem(name, value)
+        if problem is not None:
+            self.error(tok, problem)
+            value = None
+        self.config.setdefault(name, value)
 
     def parse_entity(self) -> None:
         self.advance()
@@ -426,14 +477,17 @@ class Parser:
         self.advance()
         name = self.expect_name("a constraint name")
         self.expect("=")
-        info = _ExprInfo()
-        expr = self.parse_expr(info)
-        self.constraint_decls.append((name, expr, info))
+        self.constraint_decls.append((name, self.parse_expr()))
 
     def parse_subject(self) -> None:
         self.advance()
         sid = self.expect_name("a subject name")
-        self.subject_decls.append((sid, self.parse_list(self.parse_property, "{}")))
+        properties: dict[str, object] = {}
+        for key, value in self.parse_list(self.parse_property, "{}"):
+            if key.value in properties:
+                self.error(key, f"property {key.value} given twice")
+            properties.setdefault(key.value, value)
+        self.subject_decls.append((sid, properties))
 
     def parse_property(self) -> tuple[Token, object]:
         key = self.expect_name("a property name")
@@ -460,88 +514,84 @@ class Parser:
             rows.append((role, op, td))
         self.object_decls.append((oid, rows))
 
-    def parse_emergency(self) -> None:
-        self.advance()
-        eid = self.expect_name("an emergency id")
-        self.expect("{")
-        # Required fields in the order a missing one is reported.
-        readers = {
-            "entity": lambda: self.expect_name("an entity name"),
-            "prio": lambda: self.expect_number("a priority"),
-            "ed": lambda: self.expect_number("a deadline"),
-            "ft": self.parse_flag,
-        }
-        fields: dict[str, object] = {}
-        task_sets: list[_RawTaskSet] = []
-        while not self.match("}"):
-            word = self.expect_name("an emergency field")
-            if word.value == "ts":
-                task_sets.append(self.parse_task_set())
-                continue
-            read = readers.get(word.value)
-            if read is None:
-                self.abort(word, f"unknown emergency field '{word.value}'")
-            if word.value in fields:
-                self.error(word, f"field '{word.value}' given twice")
-            fields[word.value] = read()
-        missing = [name for name in readers if name not in fields]
-        if missing:
-            self.abort(eid, f"emergency {eid.value} is missing field '{missing[0]}'")
-        self.emergency_decls.append(_RawEmergency(eid, task_sets=task_sets, **fields))
-
     def parse_flag(self) -> bool:
         flag = self.expect_name("'true' or 'false'")
         if flag.value not in ("true", "false"):
             self.abort(flag, f"expected 'true' or 'false', found {_describe(flag)}")
         return flag.value == "true"
 
-    def parse_task_set(self) -> _RawTaskSet:
-        tsid = self.expect_name("a task-set id")
-        self.expect("{")
-        readers = {
-            "actions": lambda: self.parse_list(
-                lambda: (self.expect_name("an object name"), self.expect_op())
+    TASK_SET = _Block(
+        what="a task-set field",
+        unknown="unknown task-set field '{}'",
+        readers={
+            "actions": lambda p, _: p.parse_list(
+                lambda: (p.expect_name("an object name"), p.expect_op())
             ),
-            "time": lambda: self.expect_number("a duration"),
-            "prob": lambda: self.expect_number("a probability"),
-            "resources": lambda: self.parse_list(lambda: self.expect_name("a resource name")),
-        }
-        fields: dict[str, object] = {}
-        while not self.match("}"):
-            key = self.expect_name("a task-set field")
-            self.expect("=")
-            read = readers.get(key.value)
-            if read is None:
-                self.abort(key, f"unknown task-set field '{key.value}'")
-            if key.value in fields:
-                self.error(key, f"field '{key.value}' given twice")
-            # The repeat's value is still read, then dropped: the first one stays.
-            fields.setdefault(key.value, read())
-            self.match(",")
-        missing = [name for name in ("actions", "time", "prob") if name not in fields]
-        if missing:
-            self.abort(tsid, f"task set {tsid.value} is missing field '{missing[0]}'")
-        fields.setdefault("resources", [])
-        return _RawTaskSet(tsid, **fields)
+            "time": lambda p, _: p.expect_checked("a duration", _positive, "time must be positive"),
+            "prob": lambda p, _: p.expect_checked(
+                "a probability", lambda v: ZERO < v <= ONE, "prob must be in (0, 1]"
+            ),
+            "resources": lambda p, _: p.parse_list(lambda: p.expect_name("a resource name")),
+        },
+        required=("actions", "time", "prob"),
+        missing="task set {} is missing field '{}'",
+        assign=True,
+    )
+
+    def parse_task_set(self) -> tuple[Token, list[Token], TaskSet]:
+        tsid = self.expect_name("a task-set id")
+        fields = self.parse_fields(self.TASK_SET, tsid)
+        actions = fields["actions"]
+        if not actions:
+            self.error(tsid, f"task set {tsid.value} has no actions")
+        resources = frozenset(tok.value for tok in fields.get("resources", ()))
+        pairs = tuple((oid.value, op) for oid, op in actions)
+        task_set = TaskSet(tsid.value, pairs, fields["time"], fields["prob"], resources)
+        return tsid, [oid for oid, _ in actions], task_set
+
+    EMERGENCY = _Block(
+        what="an emergency field",
+        unknown="unknown emergency field '{}'",
+        readers={
+            "entity": lambda p, _: p.expect_name("an entity name"),
+            "prio": lambda p, _: p.expect_checked(
+                "a priority",
+                lambda v: v.denominator == 1 and v >= 1,
+                "prio must be a positive integer",
+            ),
+            "ed": lambda p, _: p.expect_checked("a deadline", _positive, "ed must be positive"),
+            "ft": lambda p, _: p.parse_flag(),
+            "ts": lambda p, _: p.parse_task_set(),
+        },
+        required=("entity", "prio", "ed", "ft"),
+        missing="emergency {} is missing field '{}'",
+        lists=("ts",),
+    )
+
+    def parse_emergency(self) -> None:
+        self.advance()
+        eid = self.expect_name("an emergency id")
+        fields = self.parse_fields(self.EMERGENCY, eid)
+        task_sets = fields.pop("ts", [])
+        if not task_sets:
+            self.error(eid, f"emergency {eid.value} declares no task sets")
+        # A bad priority reads as the nearest valid one.
+        fields["prio"] = max(1, int(fields["prio"]))
+        self.emergency_decls.append(_RawEmergency(eid, task_sets=task_sets, **fields))
 
     def parse_map(self) -> None:
         self.advance()
         erole = self.expect_name("an emergency id")
         self.expect("->")
         roles = self.parse_list(lambda: self.expect_name("a role name"))
-        constraint = None
-        info = _ExprInfo()
-        if self.match("where"):
-            constraint = self.parse_expr(info)
-        self.map_decls.append((erole, roles, constraint, info))
+        constraint = self.parse_expr() if self.match("where") else None
+        self.map_decls.append((erole, roles, constraint))
 
     def parse_fallbackmap(self) -> None:
         self.advance()
         erole = self.expect_name("an emergency id")
         self.expect("where")
-        info = _ExprInfo()
-        expr = self.parse_expr(info)
-        self.fallback_decls.append((erole, expr, info))
+        self.fallback_decls.append((erole, self.parse_expr()))
 
     def parse_depends(self) -> None:
         self.advance()
@@ -559,24 +609,28 @@ class Parser:
         else:
             self.abort(kind, f"expected 'env' or 'time', found {_describe(kind)}")
 
+    def parse_sigma(self, name: Token) -> Fraction:
+        """Sigma field `name`'s value; a bad one is reported at `name`, read as 0."""
+        _, sigma = self.expect_number("a sigma value")
+        if ZERO <= sigma < ONE:
+            return sigma
+        self.error(name, f"{name.value} must be in [0, 1)")
+        return ZERO
+
+    INFLUENCE = _Block(
+        what="a sigma name",
+        unknown="unknown influence field '{}'",
+        readers=dict.fromkeys(("sigma_p", "sigma_t", "sigma_ed"), parse_sigma),
+        assign=True,
+    )
+
     def parse_influence(self) -> None:
         self.advance()
         source = self.expect_name("an emergency id")
         self.expect("->")
         target = self.expect_name("an emergency id")
-        self.expect("{")
-        sigmas: dict[str, tuple[Token, Fraction]] = {}
-        while not self.match("}"):
-            key = self.expect_name("a sigma name")
-            if key.value not in ("sigma_p", "sigma_t", "sigma_ed"):
-                self.abort(key, f"unknown influence field '{key.value}'")
-            if key.value in sigmas:
-                self.error(key, f"field '{key.value}' given twice")
-            self.expect("=")
-            _, value = self.expect_number("a sigma value")
-            sigmas[key.value] = (key, value)
-            self.match(",")
-        self.influences.append((source, target, sigmas))
+        sigmas = self.parse_fields(self.INFLUENCE, source)
+        self.influences.append((source, target, InfluencePair(**sigmas)))
 
     def parse_fgroup(self) -> None:
         self.advance()
@@ -591,29 +645,39 @@ class Parser:
         if when < 0:
             self.error(at, "event time must not be negative")
         kind = self.expect_name("an event kind")
-        if kind.value == "raise":
-            args = [self.expect_name("an emergency id")]
-        elif kind.value == "fail":
-            args = [self.expect_name("an entity name")]
-        elif kind.value == "force":
-            args = [
-                self.expect_name("an emergency id"),
-                self.expect_name("a task-set id"),
-                self.expect_name("'success' or 'failure'"),
-            ]
-            if args[2].value not in OUTCOMES:
-                self.error(args[2], f"unknown outcome '{args[2].value}'")
-        elif kind.value == "request":
-            args = [
-                self.expect_name("a subject name"),
-                self.expect_name("an object name"),
-                self.expect_name("an operation"),
-            ]
-            if args[2].value not in OP_NAMES:
-                self.error(args[2], f"unknown operation '{args[2].value}'")
-        else:
+        whats = EVENT_ARGS.get(kind.value)
+        if whats is None:
             self.abort(kind, f"unknown event kind '{kind.value}'")
-        self.raw_events.append((at, when, kind.value, args))
+        args = [self.expect_name(what) for what in whats]
+        # The last argument of a force or a request is a value; an event
+        # with a bad one is dropped.
+        last = args[-1]
+        if kind.value == "force" and last.value not in OUTCOMES:
+            self.error(last, f"unknown outcome '{last.value}'")
+        elif kind.value == "request" and last.value not in OP_NAMES:
+            self.error(last, f"unknown operation '{last.value}'")
+        else:
+            self.raw_events.append((when, kind.value, args))
+
+    # The parser of each top-level keyword's declaration. These are plain
+    # functions: bound methods kept on a parser would make it a reference
+    # cycle, which only the cyclic collector frees, later and at a cost.
+    HANDLERS = {
+        "scenario": parse_scenario_line,
+        "config": parse_config,
+        "entity": parse_entity,
+        "role": parse_role,
+        "constraint": parse_constraint,
+        "subject": parse_subject,
+        "object": parse_object,
+        "emergency": parse_emergency,
+        "map": parse_map,
+        "fallbackmap": parse_fallbackmap,
+        "depends": parse_depends,
+        "influence": parse_influence,
+        "fgroup": parse_fgroup,
+        "at": parse_event,
+    }
 
     # -- constraint expressions ---------------------------------------------
 
@@ -622,30 +686,30 @@ class Parser:
     # parser's stack; and a parsed expression is at most MAX_DEPTH levels
     # deep, so evaluating it alone never reaches the evaluator's cut-off.
 
-    def parse_expr(self, info: _ExprInfo) -> ConstraintExpr:
+    def parse_expr(self) -> ConstraintExpr:
         start = self.peek()
-        expr = self.parse_or(info, 0)
+        expr = self.parse_or(0)
         if nesting_depth(expr) > MAX_DEPTH:
             self.abort(start, f"constraint nested deeper than {MAX_DEPTH} levels")
         return expr
 
-    def parse_or(self, info: _ExprInfo, depth: int) -> ConstraintExpr:
-        items = [self.parse_and(info, depth)]
+    def parse_or(self, depth: int) -> ConstraintExpr:
+        items = [self.parse_and(depth)]
         while self.match("or"):
-            items.append(self.parse_and(info, depth))
+            items.append(self.parse_and(depth))
         return items[0] if len(items) == 1 else Or(tuple(items))
 
-    def parse_and(self, info: _ExprInfo, depth: int) -> ConstraintExpr:
-        items = [self.parse_not(info, depth)]
+    def parse_and(self, depth: int) -> ConstraintExpr:
+        items = [self.parse_not(depth)]
         while self.match("and"):
-            items.append(self.parse_not(info, depth))
+            items.append(self.parse_not(depth))
         return items[0] if len(items) == 1 else And(tuple(items))
 
-    def parse_not(self, info: _ExprInfo, depth: int) -> ConstraintExpr:
+    def parse_not(self, depth: int) -> ConstraintExpr:
         tok = self.peek()
         if self.match("not"):
-            return Not(self.parse_not(info, self.nested(tok, depth)))
-        return self.parse_atom(info, depth)
+            return Not(self.parse_not(self.nested(tok, depth)))
+        return self.parse_atom(depth)
 
     def nested(self, tok: Token, depth: int) -> int:
         if depth == MAX_DEPTH:
@@ -659,15 +723,15 @@ class Parser:
             return tok.value
         self.abort(tok, f"expected a comparison operator, found {_describe(tok)}")
 
-    def parse_atom(self, info: _ExprInfo, depth: int) -> ConstraintExpr:
+    def parse_atom(self, depth: int) -> ConstraintExpr:
         tok = self.peek()
         if self.match("("):
-            inner = self.parse_or(info, self.nested(tok, depth))
+            inner = self.parse_or(self.nested(tok, depth))
             self.expect(")")
             return inner
         if self.match("@"):
             name = self.expect_name("a constraint name")
-            info.refs.append(name)
+            self.refs.append(name)
             return Ref(name.value)
         if tok.kind != "name":
             self.abort(tok, f"expected a condition, found {_describe(tok)}")
@@ -693,7 +757,7 @@ class Parser:
             limit_tok, limit = self.expect_number("a count limit")
             if limit.denominator != 1:
                 self.abort(limit_tok, "count limit must be an integer")
-            info.count_roles.append(role)
+            self.count_roles.append(role)
             return CountCmp(role.value, op, int(limit))
         prop = self.advance()
         op = self.parse_cmp_op()
@@ -708,10 +772,7 @@ class Parser:
 class _Resolver:
     def __init__(self, parser: Parser):
         self.p = parser
-        self.filename = parser.filename
-
-    def error(self, tok: Token, message: str) -> None:
-        self.p.diags.append(Diagnostic(self.filename, tok.line, tok.col, message))
+        self.error = parser.error
 
     def known(self, tok: Token, table, what: str) -> bool:
         """Whether `tok` names a key of `table`; reports an unknown name."""
@@ -726,6 +787,25 @@ class _Resolver:
             return True
         self.error(tok, f"{what} {tok.value} declared twice")
         return False
+
+    def emergency_pair(
+        self, first: Token, second: Token, emergencies, declared, what: str, spans: str
+    ) -> tuple[Emergency, Emergency] | None:
+        """The two emergencies of a pair declaration, if both are known, on
+        one entity, and not yet a pair of `declared`; reports which is not."""
+        if not (
+            self.known(first, emergencies, "emergency")
+            and self.known(second, emergencies, "emergency")
+        ):
+            return None
+        a, b = emergencies[first.value], emergencies[second.value]
+        if a.entity != b.entity:
+            self.error(first, spans)
+            return None
+        if (a.eid, b.eid) in declared:
+            self.error(first, f"{what} {a.eid} -> {b.eid} declared twice")
+            return None
+        return a, b
 
     def resolve(self) -> Scenario:
         p = self.p
@@ -744,7 +824,7 @@ class _Resolver:
             store.roles[tok.value] = RoleKind.NORMAL
         normal = set(store.roles)
 
-        for name, expr, _ in p.constraint_decls:
+        for name, expr in p.constraint_decls:
             if self.fresh(name, store.constraints, "constraint"):
                 store.constraints[name.value] = expr
 
@@ -762,25 +842,19 @@ class _Resolver:
                 acl.append(AclEntry(role.value, op, td))
             store.objects[oid.value] = SystemObject(oid.value, acl)
 
-        for sid, pairs in p.subject_decls:
+        for sid, properties in p.subject_decls:
             if not self.fresh(sid, store.subjects, "subject"):
                 continue
-            values: dict = {}
-            active_toks: list[Token] = []
-            for key, value in pairs:
-                if key.value in values:
-                    self.error(key, f"property {key.value} given twice")
-                    continue
-                if key.value == "active":
-                    active_toks = value
-                if key.value in ("roles", "active"):
-                    value = [tok.value for tok in value if self.known(tok, normal, "role")]
-                values[key.value] = value
-            roles = values.pop("roles", [])
-            active = values.pop("active", roles)
-            for tok in active_toks:
-                if tok.value in normal and tok.value not in roles:
-                    self.error(tok, f"active role {tok.value} not in roles")
+            values = dict(properties)
+            role_toks = values.pop("roles", [])
+            roles = [tok.value for tok in role_toks if self.known(tok, normal, "role")]
+            active = roles
+            if "active" in values:
+                active_toks = values.pop("active")
+                active = [tok.value for tok in active_toks if self.known(tok, normal, "role")]
+                for tok in active_toks:
+                    if tok.value in normal and tok.value not in roles:
+                        self.error(tok, f"active role {tok.value} not in roles")
             store.subjects[sid.value] = Subject(sid.value, values)
             store.srt[sid.value] = set(roles)
             store.asrt[sid.value] = {r for r in active if r in roles}
@@ -794,63 +868,29 @@ class _Resolver:
                 self.error(raw.eid, f"emergency id {eid} collides with a declared role")
                 continue
             self.known(raw.entity, entities, "entity")
-            prio_tok, prio_val = raw.prio
-            if prio_val.denominator != 1 or prio_val < 1:
-                self.error(prio_tok, "prio must be a positive integer")
-                prio_val = Fraction(max(1, int(prio_val)))
-            ed_tok, ed_val = raw.ed
-            if ed_val <= 0:
-                self.error(ed_tok, "ed must be positive")
             task_sets: dict[str, TaskSet] = {}
-            for ts in raw.task_sets:
-                if not self.fresh(ts.tsid, task_sets, "task set"):
-                    continue
-                for oid, _ in ts.actions:
-                    self.known(oid, store.objects, "object")
-                if not ts.actions:
-                    self.error(ts.tsid, f"task set {ts.tsid.value} has no actions")
-                time_tok, time_val = ts.time
-                if time_val <= 0:
-                    self.error(time_tok, "time must be positive")
-                prob_tok, prob_val = ts.prob
-                if not (ZERO < prob_val <= ONE):
-                    self.error(prob_tok, "prob must be in (0, 1]")
-                task_sets[ts.tsid.value] = TaskSet(
-                    tsid=ts.tsid.value,
-                    actions=tuple((oid.value, op) for oid, op in ts.actions),
-                    time=time_val,
-                    prob=prob_val,
-                    resources=frozenset(tok.value for tok in ts.resources),
-                )
-            if not task_sets:
-                self.error(raw.eid, f"emergency {eid} declares no task sets")
-            emergencies[eid] = Emergency(
-                eid=eid,
-                entity=raw.entity.value,
-                prio=int(prio_val),
-                ed=ed_val,
-                ft_feasible=raw.ft,
-                task_sets=tuple(task_sets[tsid] for tsid in sorted(task_sets)),
-            )
+            for tsid, objects, task_set in raw.task_sets:
+                if self.fresh(tsid, task_sets, "task set"):
+                    for oid in objects:
+                        self.known(oid, store.objects, "object")
+                    task_sets[tsid.value] = task_set
+            ordered = tuple(task_sets[tsid] for tsid in sorted(task_sets))
+            emergencies[eid] = Emergency(eid, raw.entity.value, raw.prio, raw.ed, raw.ft, ordered)
             store.roles[eid] = RoleKind.EMERGENCY
 
-        infos = [info for _, _, info in p.constraint_decls]
-        infos += [info for _, _, _, info in p.map_decls]
-        infos += [info for _, _, info in p.fallback_decls]
-        for info in infos:
-            for tok in info.refs:
-                self.known(tok, store.constraints, "constraint")
-            for tok in info.count_roles:
-                self.known(tok, normal, "role")
+        for tok in p.refs:
+            self.known(tok, store.constraints, "constraint")
+        for tok in p.count_roles:
+            self.known(tok, normal, "role")
 
-        for erole, roles, constraint, _ in p.map_decls:
+        for erole, roles, constraint in p.map_decls:
             if self.known(erole, emergencies, "emergency") and self.fresh(
                 erole, store.rmt, "mapping for"
             ):
                 names = [tok.value for tok in roles if self.known(tok, normal, "role")]
                 store.rmt[erole.value] = RoleMapping(tuple(names), constraint)
 
-        for erole, expr, _ in p.fallback_decls:
+        for erole, expr in p.fallback_decls:
             if self.known(erole, emergencies, "emergency") and self.fresh(
                 erole, store.rct, "fallback mapping for"
             ):
@@ -873,54 +913,27 @@ class _Resolver:
             store.edt.add((entity.value, eid.value))
 
         for before, after in p.depends_time:
-            if not (
-                self.known(before, emergencies, "emergency")
-                and self.known(after, emergencies, "emergency")
-            ):
+            spans = "time dependency spans entities"
+            pair = self.emergency_pair(before, after, emergencies, store.tdt, "dependency", spans)
+            if pair is None:
                 continue
-            a, b = emergencies[before.value], emergencies[after.value]
-            if a.entity != b.entity:
-                self.error(before, "time dependency spans entities")
-                continue
+            a, b = pair
             if a.prio >= b.prio:
                 self.error(before, "first emergency must have strictly higher priority")
-                continue
-            if (a.eid, b.eid) in store.tdt:
-                self.error(before, f"dependency {a.eid} -> {b.eid} declared twice")
                 continue
             store.tdt.add((a.eid, b.eid))
 
         pairs: dict[tuple[str, str], InfluencePair] = {}
         for source, target, sigmas in p.influences:
-            if not (
-                self.known(source, emergencies, "emergency")
-                and self.known(target, emergencies, "emergency")
-            ):
+            spans = "influence pair spans entities"
+            pair = self.emergency_pair(source, target, emergencies, pairs, "influence", spans)
+            if pair is None:
                 continue
-            a, b = emergencies[source.value], emergencies[target.value]
+            a, b = pair
             if a.eid == b.eid:
                 self.error(source, "an emergency cannot influence itself")
                 continue
-            if a.entity != b.entity:
-                self.error(source, "influence pair spans entities")
-                continue
-            if (a.eid, b.eid) in pairs:
-                self.error(source, f"influence {a.eid} -> {b.eid} declared twice")
-                continue
-            values = {}
-            for key in ("sigma_p", "sigma_t", "sigma_ed"):
-                tok_value = sigmas.get(key)
-                if tok_value is None:
-                    values[key] = ZERO
-                    continue
-                tok, sigma = tok_value
-                if not (ZERO <= sigma < ONE):
-                    self.error(tok, f"{key} must be in [0, 1)")
-                    sigma = ZERO
-                values[key] = sigma
-            pairs[(a.eid, b.eid)] = InfluencePair(
-                values["sigma_p"], values["sigma_t"], values["sigma_ed"]
-            )
+            pairs[(a.eid, b.eid)] = sigmas
 
         for entity, group in p.fgroups:
             if self.known(entity, entities, "entity") and self.fresh(
@@ -932,7 +945,7 @@ class _Resolver:
         if p.scenario_name is None and p.tokens:
             self.error(p.tokens[0], "missing scenario declaration")
 
-        config, horizon = self.resolve_config()
+        config, horizon = _resolve_config(p.config)
         events = self.resolve_events(store, emergencies, entities)
 
         return Scenario(
@@ -946,50 +959,9 @@ class _Resolver:
             events=events,
         )
 
-    def resolve_config(self) -> tuple[EngineConfig, Fraction]:
-        values: dict[str, Fraction | str] = {}
-        seen: set[str] = set()
-        for key, value, number in self.p.configs:
-            if key.value not in CONFIG_KEYS:
-                self.error(key, f"unknown config key '{key.value}'")
-                continue
-            if key.value in seen:
-                self.error(key, f"config key '{key.value}' given twice")
-                continue
-            seen.add(key.value)
-            if key.value == "fallback":
-                if value.kind != "name" or value.value not in STRATEGIES:
-                    self.error(value, "fallback must be probability_first or time_first")
-                    continue
-                values[key.value] = value.value
-                continue
-            if number is None:
-                self.error(value, f"config key '{key.value}' needs a number")
-                continue
-            if key.value in ("k", "seed") and number.denominator != 1:
-                self.error(value, f"config key '{key.value}' must be an integer")
-                continue
-            if key.value in ("tp", "horizon", "k") and number <= 0:
-                self.error(value, f"config key '{key.value}' must be positive")
-                continue
-            if key.value in ("alpha", "beta") and number < 0:
-                self.error(value, f"config key '{key.value}' must not be negative")
-                continue
-            values[key.value] = number
-
-        tp = values.get("tp", Fraction(1, 2))
-        alpha = values.get("alpha", ONE)
-        beta = values.get("beta", ONE)
-        k = int(values.get("k", 64))
-        seed = int(values.get("seed", 0))
-        fallback = values.get("fallback", PROBABILITY_FIRST)
-        horizon = values.get("horizon", Fraction(20))
-        planner = PlannerConfig(alpha=alpha, beta=beta, k_cap=k, seed=seed)
-        return EngineConfig(tp=tp, planner=planner, fallback_strategy=fallback), horizon
-
     def resolve_events(self, store, emergencies, entities) -> list[ScenarioEvent]:
         events: list[ScenarioEvent] = []
-        for index, (_, when, kind, args) in enumerate(self.p.raw_events):
+        for index, (when, kind, args) in enumerate(self.p.raw_events):
             if kind == "raise":
                 ok = self.known(args[0], emergencies, "emergency")
             elif kind == "fail":
@@ -999,16 +971,33 @@ class _Resolver:
                 if ok and emergencies[args[0].value].task_set(args[1].value) is None:
                     self.error(args[1], f"{args[0].value} has no task set {args[1].value}")
                     ok = False
-                ok = ok and args[2].value in OUTCOMES
             else:
                 subject_ok = self.known(args[0], store.subjects, "subject")
                 object_ok = self.known(args[1], store.objects, "object")
-                ok = subject_ok and object_ok and args[2].value in OP_NAMES
+                ok = subject_ok and object_ok
             if ok:
                 events.append(
                     ScenarioEvent(when, index, kind, tuple(tok.value for tok in args))
                 )
         return events
+
+
+def _resolve_config(given: dict[str, Fraction | str | None]) -> tuple[EngineConfig, Fraction]:
+    """The engine configuration and horizon, with a default for each key not given well."""
+    values = {key: value for key, value in given.items() if value is not None}
+    engine, planner = EngineConfig(), PlannerConfig()
+    planner = PlannerConfig(
+        alpha=values.get("alpha", planner.alpha),
+        beta=values.get("beta", planner.beta),
+        k_cap=int(values.get("k", planner.k_cap)),
+        seed=int(values.get("seed", planner.seed)),
+    )
+    engine = EngineConfig(
+        tp=values.get("tp", engine.tp),
+        planner=planner,
+        fallback_strategy=values.get("fallback", engine.fallback_strategy),
+    )
+    return engine, values.get("horizon", DEFAULT_HORIZON)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .audit import AuditRecord, parse_trace
 from .engine import MODE_DISASTER, SystemState, engine_tick
 from .exact import ZERO
 from .model import PolicyStore
@@ -17,20 +15,13 @@ from .scenario import Scenario
 @dataclass
 class SimTrace:
     """Everything a run produced: the trace, the final store, outcomes. The
-    run leaves its scenario's store unchanged, so replay starts from there.
-
-    `records` is parsed from `trace_text` on first use and then kept.
-    """
+    run leaves its scenario's store unchanged, so replay starts from there."""
 
     trace_text: str
     final_store: PolicyStore
     final_mode: str
     final_clock: Fraction
     outcomes: dict[str, str]
-
-    @functools.cached_property
-    def records(self) -> list[AuditRecord]:
-        return parse_trace(self.trace_text)
 
 
 def run_simulation(

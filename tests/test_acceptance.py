@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from feac.audit import parse_trace
 from feac.cli import main
 from feac.checks import check_trace
 from feac.exact import format_number
@@ -112,7 +113,8 @@ def test_criterion_2():
 @criterion(3, "hospital plus 60 randomized runs pass every trace checker")
 def test_criterion_3(hospital, hospital_run):
     def violations_of(sc, trace):
-        return check_trace(trace.records, scenario=sc, final_store=trace.final_store)
+        records = parse_trace(trace.trace_text)
+        return check_trace(records, scenario=sc, final_store=trace.final_store)
 
     assert violations_of(hospital, hospital_run) == []
     for seed in range(60):
@@ -126,11 +128,11 @@ def test_criterion_3(hospital, hospital_run):
 def test_criterion_4(hospital, hospital_run):
     finished_at = {
         r.payload["eid"]: r.ts
-        for r in hospital_run.records
+        for r in parse_trace(hospital_run.trace_text)
         if r.kind == "action_finished" and r.payload["outcome"] == "success"
     }
     gated = {"P1": ("E1",), "P2": ("E1", "E2")}
-    for rec in hospital_run.records:
+    for rec in parse_trace(hospital_run.trace_text):
         if rec.kind != "action_started":
             continue
         entity = hospital.emergencies[rec.payload["eid"]].entity
@@ -167,12 +169,13 @@ def test_criterion_5(tmp_path):
     sc, diags = parse_scenario(FT_HEAD + "entity P1\nentity P2\nfgroup P1 = g\nfgroup P2 = g\n" + FT_BODY)
     assert not diags
     trace = run_simulation(sc)
-    kinds = [r.kind for r in trace.records]
+    records = parse_trace(trace.trace_text)
+    kinds = [r.kind for r in records]
     sub_index = kinds.index("ft_substitution")
     plan_index = kinds.index("plan_selected")
     assert sub_index < plan_index
-    substitution = trace.records[sub_index]
-    plan = trace.records[plan_index]
+    substitution = records[sub_index]
+    plan = records[plan_index]
     assert substitution.payload["from"] == "P1"
     assert substitution.payload["to"] == "P2"
     assert plan.ts == substitution.ts

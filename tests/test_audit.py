@@ -77,7 +77,7 @@ class TestAppend:
         log = AuditLog()
         log.append("entity_failed", F(0), entity="P1")
         log.append("entity_failed", F(1), entity="P2")
-        assert [r.seq for r in log.records] == [1, 2]
+        assert [r.seq for r in parse_trace(log.to_text())] == [1, 2]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -236,7 +236,7 @@ class TestParseTrace:
     def test_round_trip(self):
         log = self.roundtrip_log()
         assert parse_trace(log.to_text()) == ROUNDTRIP_RECORDS
-        assert log.records == ROUNDTRIP_RECORDS
+        assert parse_trace(log.to_text()) == ROUNDTRIP_RECORDS
 
     def test_blank_lines_skipped(self):
         log = self.roundtrip_log()
@@ -516,18 +516,18 @@ class TestReplay:
             "permission_granted", F(0), erole="E1", oid="O1", op="use", td=F(8),
             eid="E1", sid="S1",
         )
-        replayed = replay_store(store, log.records)
+        replayed = replay_store(store, parse_trace(log.to_text()))
         assert AclEntry("E1", Op.USE, F(8)) in replayed.objects["O1"].acl
 
     def test_role_swap_and_restore(self):
         store = self.base_store()
         log = AuditLog()
         log.append("role_assigned", F(0), sid="S1", erole="E1", eid="E1", saved=["Doctor"])
-        half = replay_store(store, log.records)
+        half = replay_store(store, parse_trace(log.to_text()))
         assert half.asrt["S1"] == {"E1"}
         assert half.ort["S1"] == ("Doctor",)
         log.append("role_restored", F(2), sid="S1", erole="E1", restored=["Doctor"])
-        full = replay_store(store, log.records)
+        full = replay_store(store, parse_trace(log.to_text()))
         assert serialize_store(full) == serialize_store(store)
 
     def test_substitution_materializes_transfer(self):
@@ -538,7 +538,7 @@ class TestReplay:
             "ft_substitution", F(1), from_="P1", to="P2",
             acl="Doctor:read_write:4.5", roles="Monitor", notified="-",
         )
-        replayed = replay_store(store, log.records)
+        replayed = replay_store(store, parse_trace(log.to_text()))
         assert replayed.objects["P2"].acl == [AclEntry("Doctor", Op.READ_WRITE, F(9, 2))]
         assert replayed.asrt["P2"] == {"Monitor"}
         assert replayed.srt["P2"] == {"Monitor"}
@@ -549,7 +549,7 @@ class TestReplay:
         log.append("emergency_raised", F(0), eid="E1", entity="P1", prio=1, ed=F(5))
         log.append("entity_failed", F(1), entity="P1")
         log.append("disaster", F(2), entity="P1", reason="no_substitute")
-        replayed = replay_store(store, log.records)
+        replayed = replay_store(store, parse_trace(log.to_text()))
         assert serialize_store(replayed) == serialize_store(store)
 
 

@@ -33,7 +33,7 @@ def mk(*entries):
     log = AuditLog()
     for kind, ts, payload in entries:
         log.append(kind, F(ts), **payload)
-    return log.records
+    return parse_trace(log.to_text())
 
 
 HEADER = (
@@ -45,9 +45,8 @@ HEADER = (
 
 
 def test_hospital_run_is_clean(hospital, hospital_run):
-    violations = check_trace(
-        hospital_run.records, scenario=hospital, final_store=hospital_run.final_store
-    )
+    records = parse_trace(hospital_run.trace_text)
+    violations = check_trace(records, scenario=hospital, final_store=hospital_run.final_store)
     assert violations == []
 
 
@@ -365,7 +364,7 @@ class TestGating:
 class TestReplayFidelity:
     def test_dropped_rescind_is_detected(self, hospital, hospital_run):
         dropped = [
-            r for r in hospital_run.records
+            r for r in parse_trace(hospital_run.trace_text)
             if not (r.kind == "permission_rescinded" and r.seq == 56)
         ]
         violations = check_replay_fidelity(dropped, hospital.store, hospital_run.final_store)
@@ -378,17 +377,16 @@ class TestReplayFidelity:
         actual = hospital_run.final_store.clone()
         actual.constraints["zz"] = Lit(True)
         count = len(serialize_store(hospital_run.final_store).splitlines())
-        violations = check_replay_fidelity(hospital_run.records, hospital.store, actual)
+        records = parse_trace(hospital_run.trace_text)
+        violations = check_replay_fidelity(records, hospital.store, actual)
         assert [v.message for v in violations] == [
             f"stores differ at line {count + 1}: the replayed store is shorter "
             f"({count} lines), actual store has 'constraint zz true'"
         ]
 
     def test_intact_trace_replays_exactly(self, hospital, hospital_run):
-        assert (
-            check_replay_fidelity(hospital_run.records, hospital.store, hospital_run.final_store)
-            == []
-        )
+        records = parse_trace(hospital_run.trace_text)
+        assert check_replay_fidelity(records, hospital.store, hospital_run.final_store) == []
 
 
 def test_tampered_grant_window_is_caught(hospital, hospital_run):

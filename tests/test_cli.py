@@ -19,6 +19,7 @@ from test_sim import GOLDEN
 
 RERAISE = GOLDEN.parent / "reraise_unstaffed.feac"
 LONG_PV = GOLDEN.parent / "long_pv.feac"
+NEGATIVE_WINDOW = GOLDEN.parent / "negative_window.feac"
 
 DISASTER_SCENARIO = """\
 scenario lone
@@ -512,6 +513,19 @@ class TestAudit:
             code, out, err = run_cli("audit", str(trace_file), *extra)
             assert (code, err) == (0, ""), err[:200]
             assert out == "ok: 20 records, all checks passed\n"
+
+    def test_grant_with_a_negative_window_ends_when_it_starts(self, tmp_path):
+        # Under beta 2 the fallback staffs E1 with Ed' = -8: its grant ends
+        # at 0, where it starts, so no record is stamped before the last.
+        trace_file = tmp_path / "negative_window.trace"
+        code, _, _ = run_cli("simulate", str(NEGATIVE_WINDOW), "--trace", str(trace_file))
+        assert code == 0
+        text = trace_file.read_text(encoding="utf-8")
+        assert "|0|permission_granted|erole=E1,oid=Kit,op=use,td=0,eid=E1,sid=M1\n" in text
+        for extra in ((), ("--scenario", str(NEGATIVE_WINDOW))):
+            code, out, err = run_cli("audit", str(trace_file), *extra)
+            assert (code, err) == (0, ""), out
+            assert out == "ok: 30 records, all checks passed\n"
 
     def test_substitution_trace_passes(self, substitution_path, tmp_path):
         trace_file = self.write_trace(tmp_path, substitution_path)

@@ -266,6 +266,30 @@ def test_several_diagnostics_keep_their_order(case, want):
     assert [str(d) for d in diags] == [f"t.feac:{w}" for w in want]
 
 
+# A value is checked where the parser reads it and a name where the
+# resolver meets it, so a declaration the resolver rejects still has its
+# values checked, and an event whose outcome or operation is reported is
+# dropped before its names are resolved.
+@pytest.mark.parametrize(
+    "case, want",
+    [
+        (
+            f"emergency E3 {{ {EM} {TS} }}\nemergency E3 {{ entity P1 prio 2 ed 0 ft false {TS} }}",
+            ["2:11: emergency E3 declared twice", "2:36: ed must be positive"],
+        ),
+        (
+            f"emergency E3 {{ entity P1 prio 0 prio 2 ed 10 ft false {TS} }}",
+            ["1:31: prio must be a positive integer", "1:33: field 'prio' given twice"],
+        ),
+        ("at 0 request S9 O1 fly", ["1:20: unknown operation 'fly'"]),
+    ],
+    ids=["repeated-emergency", "repeated-field", "reported-event"],
+)
+def test_values_are_checked_where_read_and_names_at_resolution(case, want):
+    _, diags = parse_scenario(case + "\n" + BASE, "t.feac")
+    assert [str(d) for d in diags] == [f"t.feac:{w}" for w in want]
+
+
 # After a parse error the parser skips to a top-level keyword that is the
 # first token on its line. Each case would add "unknown emergency E9" if it
 # resynchronized at its `at`, and the last three lose it if it did not.

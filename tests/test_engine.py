@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from feac import constraints, engine, exact, sim
+from feac.audit import parse_trace
 from feac.constraints import (
     CMP_OPS,
     MAX_DEPTH,
@@ -81,11 +82,11 @@ def run(body: str):
 
 
 def recs(trace, kind):
-    return [r for r in trace.records if r.kind == kind]
+    return [r for r in parse_trace(trace.trace_text) if r.kind == kind]
 
 
 def kinds_at(trace, ts):
-    return [r.kind for r in trace.records if r.ts == ts]
+    return [r.kind for r in parse_trace(trace.trace_text) if r.ts == ts]
 
 
 class TestStaffing:
@@ -220,7 +221,8 @@ at 3 force E2 TS1 success
 """
         )
         kinds = ("subject_unavailable", "role_assigned", "permission_rescinded")
-        e2 = [r for r in trace.records if r.kind in kinds and r.payload["eid"] == "E2"]
+        records = parse_trace(trace.trace_text)
+        e2 = [r for r in records if r.kind in kinds and r.payload["eid"] == "E2"]
         assert [(r.ts, r.kind) for r in e2] == [
             (F(0), "subject_unavailable"),
             (F(1), "role_assigned"),
@@ -606,6 +608,24 @@ at 3 force E1 TS1 success
         assert [r.payload["outcome"] for r in recs(trace, "action_finished")] == ["success"]
         assert recs(trace, "action_finished")[0].ts == F(4)
 
+    # With prob 1 an unforced draw always succeeds, so only a force that
+    # applies can fail the action, which completes at 2.
+    SURE = ONE_EMERGENCY.replace("prob = 0.9", "prob = 1") + "at 0 raise E1\n"
+
+    def test_force_at_the_completion_time_applies(self):
+        # At one time events go before occurrences, so the force is seen.
+        trace = run(self.SURE + "at 2 force E1 TS1 failure\n")
+        failed = recs(trace, "action_failed")[0]
+        assert (failed.ts, failed.payload["reason"]) == (F(2), "draw_failed")
+        assert recs(trace, "outcome_forced")[0].ts == F(2)
+
+    def test_force_after_the_completion_does_not_apply(self):
+        trace = run(self.SURE + "at 2.5 force E1 TS1 failure\n")
+        assert [r.ts for r in recs(trace, "action_finished")] == [F(2)]
+        assert recs(trace, "action_failed") == []
+        assert recs(trace, "outcome_forced")[0].ts == F(5, 2)
+        assert trace.outcomes == {"E1": "eliminated"}
+
     def test_re_raise_of_active_emergency_does_not_restart_it(self):
         trace = run(
             ONE_EMERGENCY
@@ -982,7 +1002,8 @@ def test_staffing_index_follows_roles_copied_on_substitution(checked_staffing):
     assert (sub.ts, sub.payload["to"], sub.payload["roles"]) == (F(1), "S2", "E1")
     # S2 held E2 when it took over E1; the index saw both at every tick.
     assert [r.payload["sid"] for r in recs(trace, "role_assigned")][:2] == ["S1", "S2"]
-    assert (trace.final_mode, trace.final_clock, len(trace.records)) == ("normal", F(19, 2), 97)
+    records = parse_trace(trace.trace_text)
+    assert (trace.final_mode, trace.final_clock, len(records)) == ("normal", F(19, 2), 97)
     assert sum(checked_staffing.values()) == 7
 
 

@@ -227,5 +227,6 @@ class TestSimulationInvariants:
         sc, diags = parse_scenario(generate_scenario_text(seed))
         assert not diags
         trace = run_simulation(sc)
-        violations = check_trace(trace.records, scenario=sc, final_store=trace.final_store)
+        records = parse_trace(trace.trace_text)
+        violations = check_trace(records, scenario=sc, final_store=trace.final_store)
         assert violations == [], (seed, [str(v) for v in violations])

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from feac.engine import EngineConfig
 from feac.fixtures import hospital_text
 from feac.model import validate_store
+from feac.planner import PlannerConfig
 from feac.scenario import (
     Diagnostic,
     Token,
@@ -66,6 +68,38 @@ class TestParsing:
         sc, diags = parse_scenario("# header\n\nscenario t # trailing\n\n# done\n")
         assert not diags
         assert sc.name == "t"
+
+    def test_defaults_are_the_engine_and_planner_defaults(self):
+        sc, diags = parse_scenario("scenario t\n")
+        assert not diags
+        assert sc.config == EngineConfig()
+        assert sc.config.planner == PlannerConfig()
+        assert sc.horizon == F(20)
+
+    def test_the_first_value_of_a_repeated_field_stays(self):
+        text = """\
+scenario t
+config tp = 1
+config tp = 2
+entity P1
+role R1
+subject S1 { x = 1, x = 2 }
+object O1 { acl R1 use }
+emergency E1 {
+  entity P1 prio 3 prio 2 ed 10 ed 20 ft false
+  ts T1 { actions = [O1 use], time = 1, time = 2, prob = 1 }
+}
+emergency E2 { entity P1 prio 2 ed 10 ft false ts T1 { actions = [O1 use], time = 1, prob = 1 } }
+influence E1 -> E2 { sigma_t = 0.1, sigma_t = 0.2 }
+"""
+        sc, diags = parse_scenario(text)
+        assert len(diags) == 6
+        assert all(d.message.endswith("given twice") for d in diags)
+        e1 = sc.emergencies["E1"]
+        assert (e1.prio, e1.ed, e1.task_sets[0].time) == (3, F(10), F(1))
+        assert sc.infl.pairs[("E1", "E2")].sigma_t == F(1, 10)
+        assert sc.config.tp == F(1)
+        assert sc.store.subjects["S1"].properties == {"x": F(1)}
 
     def test_recovery_reports_independent_defects_separately(self):
         text = hospital_text()

@@ -4,6 +4,7 @@ determinism, seed override, and horizon handling."""
 import pathlib
 from fractions import Fraction
 
+from feac.audit import parse_trace
 from feac.model import serialize_store
 from feac.scenario import parse_scenario
 from feac.sim import run_simulation
@@ -20,13 +21,13 @@ class TestHospitalGolden:
         assert hospital_run.trace_text == GOLDEN.read_text(encoding="utf-8")
 
     def test_shape(self, hospital_run):
-        assert len(hospital_run.records) == 95
+        assert len(parse_trace(hospital_run.trace_text)) == 95
         assert hospital_run.final_mode == "normal"
         assert hospital_run.final_clock == F(19, 2)
         assert hospital_run.outcomes == {f"E{i}": "eliminated" for i in range(1, 8)}
 
     def test_plans(self, hospital_run):
-        plans = [r for r in hospital_run.records if r.kind == "plan_selected"]
+        plans = [r for r in parse_trace(hospital_run.trace_text) if r.kind == "plan_selected"]
         assert [(p.payload["entity"], p.payload["pv"], p.payload["path"], p.payload["gate"]) for p in plans] == [
             ("env", "0.68", "E1:TS1>E2:TS1", "0"),
             ("P1", "0.684", "E3:TS1>E4:TS1>E5:TS1", "3"),
@@ -34,7 +35,7 @@ class TestHospitalGolden:
         ]
 
     def test_timeline(self, hospital_run):
-        started = [r for r in hospital_run.records if r.kind == "action_started"]
+        started = [r for r in parse_trace(hospital_run.trace_text) if r.kind == "action_started"]
         assert [(r.payload["eid"], r.payload["start"], r.payload["end"]) for r in started] == [
             ("E1", "0", "3"),
             ("E3", "3", "4"),
@@ -86,8 +87,9 @@ class TestHorizon:
         cut = run_simulation(hospital, horizon=F(4))
         assert cut.final_mode == "emergency"
         assert cut.final_clock == F(9, 2)
-        assert len(cut.records) == 66
-        assert cut.records[-1].kind == "action_started"
+        records = parse_trace(cut.trace_text)
+        assert len(records) == 66
+        assert records[-1].kind == "action_started"
         assert cut.outcomes["E1"] == "eliminated"
         assert cut.outcomes["E4"] == "unprocessed"
 
