@@ -9,9 +9,12 @@ the separator inside list-valued fields ('-' stands for empty or absent).
 Two runs with equal inputs and seed produce byte-identical traces.
 
 The log is its lines: `AuditLog.append` formats each record once, straight
-into its line, and keeps nothing else. Records (`AuditRecord`) exist only
-as the result of `parse_trace`, the one decoder of trace text: each holds
-its raw payload and the value of every field that `FIELD_PARSERS` decodes.
+into its line, and keeps nothing else. The timestamp and the time fields
+(`TIME_FIELDS`) take either a Fraction or, as the engine passes them, an
+int count of the log's `TimeUnit` ticks; both print as the same decimal.
+Records (`AuditRecord`) exist only as the result of `parse_trace`, the one
+decoder of trace text: each holds its raw payload and the value of every
+field that `FIELD_PARSERS` decodes.
 
 Records carry enough payload to rebuild every policy-store mutation, so
 replaying a trace against the scenario's store, where its run started,
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
-from .exact import format_number, parse_integer, parse_trace_number
+from .exact import TimeUnit, format_number, parse_integer, parse_trace_number
 from .model import AclEntry, Op, PolicyStore, SystemObject
 
 # Fixed payload layout per kind. Appending with any other keys is an error.
@@ -131,6 +134,13 @@ _TEMPLATES = {
     kind: "{}|{}|" + kind + "|" + ",".join(f + "={}" for f in fields)
     for kind, fields in KIND_FIELDS.items()
 }
+# Payload fields that hold a time, and their positions in each kind that has one.
+TIME_FIELDS = frozenset({"td", "start", "end", "epoch", "gate"})
+_TIME_POSITIONS = {
+    kind: positions
+    for kind, fields in KIND_FIELDS.items()
+    if (positions := tuple(i for i, f in enumerate(fields) if f in TIME_FIELDS))
+}
 # Payload fields each kind has that FIELD_PARSERS converts, in field order.
 _TYPED_FIELDS = {
     kind: tuple(f for f in fields if f in FIELD_PARSERS) for kind, fields in KIND_FIELDS.items()
@@ -139,16 +149,17 @@ _TYPED_TEXTS = {kind: itemgetter(*typed) for kind, typed in _TYPED_FIELDS.items(
 
 
 class AuditLog:
-    """The trace as a list of lines, one per record, without newlines."""
+    """The trace as a list of lines, one per record, without newlines. An
+    int time it is given counts ticks of `unit`."""
 
-    def __init__(self):
+    def __init__(self, unit: TimeUnit = TimeUnit()):
         self.lines: list[str] = []
-        # The last timestamp, its (numerator, denominator) and its text.
-        self._ts: Fraction | None = None
-        self._stamp: tuple[int, int] | None = None
+        self.unit = unit
+        # The last tick timestamp and its text: records at one time come in runs.
+        self._ts: int | None = None
         self._ts_text = ""
 
-    def append(self, kind: str, ts: Fraction, **payload) -> None:
+    def append(self, kind: str, ts: int | Fraction, **payload) -> None:
         names = _ARG_NAMES.get(kind)
         if names is None:
             raise ValueError(f"unknown audit kind {kind!r}")
@@ -158,6 +169,9 @@ class AuditLog:
             values = None
         if values is None or len(payload) != len(names):
             values = _reordered(kind, payload)
+        for i in _TIME_POSITIONS.get(kind, ()):
+            if type(values[i]) is int:
+                values[i] = self.unit.text(values[i])
         texts = [(v or "-") if type(v) is str else fmt_value(v) for v in values]
         if _ILLEGAL_IN_VALUE("".join(texts)):
             # Name the first bad value in the caller's keyword order.
@@ -165,14 +179,14 @@ class AuditLog:
                 value = fmt_value(value)
                 if _ILLEGAL_IN_VALUE(value):
                     raise ValueError(f"illegal character in payload value {value!r}")
-        if ts is not self._ts:
-            # Records at one time often carry different objects of one value.
-            stamp = (ts.numerator, ts.denominator)
-            if stamp != self._stamp:
-                self._stamp = stamp
-                self._ts_text = format_number(ts)
+        if type(ts) is not int:
+            stamp = format_number(ts)
+        elif ts == self._ts:
+            stamp = self._ts_text
+        else:
+            stamp = self._ts_text = self.unit.text(ts)
             self._ts = ts
-        self.lines.append(_TEMPLATES[kind].format(len(self.lines) + 1, self._ts_text, *texts))
+        self.lines.append(_TEMPLATES[kind].format(len(self.lines) + 1, stamp, *texts))
 
     def to_text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")

@@ -1,19 +1,23 @@
 """Serialized emergency-response engine: detect, plan, staff, execute, audit.
 
 The engine owns all mutation of the policy store and advances in fixed
-ticks of `tp` minutes. Within a tick it:
+ticks of `tp` minutes. Its clock is an int: a run has one `TimeUnit`
+(`run_time_unit`), and the clock, event times, deadlines, grant windows
+(`td`), completion times (`end`), plan epochs and gates are all whole counts
+of its ticks. Fractions remain only at the edges: planner inputs and
+outputs, `AclEntry.td` in the policy store, and the `now` that `acl_check`
+gets. Each planner output is converted by `TimeUnit.ticks`, which raises
+rather than round. Within a cycle it:
 
 1. processes due timed occurrences (action completions, grant-window
    cutoffs, absolute deadlines) and due scenario events, interleaved in
    exact time order; successor actions chain at exact completion times so
    executed timelines match planned arithmetic. Occurrences come from a
-   heap of `(key, time, class, eid)` entries with lazy deletion, where
-   `key` is `exact.time_key(time)`, so entries compare as integers unless
-   their keys tie. Wherever an input of an active emergency's occurrence
-   changes, `_push_occurrence` pushes a fresh entry and stores it on the
-   emergency's `ActiveEmergency`; that stored object is its one current
-   entry, and a head that is not it is stale and dropped. Events are keyed
-   the same way once, when `SystemState` sorts them;
+   heap of `(ticks, class, eid)` entries with lazy deletion. Wherever an
+   input of an active emergency's occurrence changes, `_push_occurrence`
+   pushes a fresh entry and stores it on the emergency's `ActiveEmergency`;
+   that stored object is its one current entry, and a head that is not it
+   is stale and dropped;
 2. reconciles the mode (normal <-> emergency; disaster is terminal);
 3. (re)plans every group with new or changed work: positive-value plans
    are selected optimally, zero-value plans trigger one entity
@@ -58,10 +62,11 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
 
 from .audit import AuditLog, encode_acl_entries
 from .constraints import ConstraintExpr, CountCmp, atom_holds, count_holds, evaluate
-from .exact import ZERO, time_key
+from .exact import ZERO, TimeUnit, decimal_scale
 from .fault import apply_fault_tolerance
 from .model import (
     AclEntry,
@@ -115,17 +120,20 @@ class ScenarioEvent:
 @dataclass
 class Assignment:
     """`sid` holds emergency role `step.eid` and the step's permissions until
-    `td`, its own roles saved in ORT; `end` is set when the action starts."""
+    tick `td`, its own roles saved in ORT; `end` is set when the action starts.
+    `until` is `td` as a Fraction, the object its ACL entries hold, so that
+    rescinding finds them by identity."""
 
     step: PlanStep
     sid: str
-    td: Fraction
-    end: Fraction | None = None
+    td: int
+    until: Fraction
+    end: int | None = None
 
 
-# (time_key(time), time, class, eid); class 0 is a completion, 1 a grant
-# cutoff and 2 a deadline, so at one time they run in that order.
-Occurrence = tuple[int, Fraction, int, str]
+# (ticks, class, eid); class 0 is a completion, 1 a grant cutoff and 2 a
+# deadline, so at one time they run in that order.
+Occurrence = tuple[int, int, str]
 
 
 @dataclass
@@ -140,7 +148,7 @@ class ActiveEmergency:
     """
 
     emergency: Emergency
-    deadline: Fraction
+    deadline: int
     assignment: Assignment | None = None
     unavailable_logged: bool = False
     occurrence: Occurrence | None = None
@@ -149,13 +157,57 @@ class ActiveEmergency:
 @dataclass
 class GroupPlan:
     steps: list[PlanStep]
-    epoch: Fraction
-    gate_abs: Fraction
+    epoch: int
+    gate_abs: int
     cursor: int = 0
 
 
+def run_time_unit(
+    cfg: EngineConfig,
+    emergencies: dict[str, Emergency],
+    events: list[ScenarioEvent],
+    infl: InfluenceSpec,
+) -> TimeUnit:
+    """The run's time unit: one in which every time the engine meets is whole.
+
+    Its scale is `exact.decimal_scale` of the least common multiple of:
+    - the base B: the denominators of tp, of every event time and of every
+      ed. The clock, raise times and deadlines are whole in 1/B, and so is
+      the window E left to a member when its group is planned;
+    - per emergency and task set: alpha's denominator times the task set's
+      time's times each influencer's sigma_t denominator. Every t' is whole
+      in it;
+    - per emergency: B times beta's denominator times each influencer's
+      sigma_ed denominator. Every Ed' is E times a factor whose denominator
+      divides beta's times the sigma_ed ones, so it is whole in it.
+    A product over all influencers stands in for any subset of them, as in
+    `planner.Pricing`. Gates, grant windows, completion times and each
+    `PlanStep.end_elapsed` are sums of these, so they are whole too.
+    """
+    alpha, beta = cfg.planner.alpha.denominator, cfg.planner.beta.denominator
+    base = lcm(
+        cfg.tp.denominator,
+        *(ev.time.denominator for ev in events),
+        *(em.ed.denominator for em in emergencies.values()),
+    )
+    influencers: dict[str, list] = {}
+    for (_, influenced), pair in infl.pairs.items():
+        influencers.setdefault(influenced, []).append(pair)
+    scale = base
+    for em in emergencies.values():
+        pairs = influencers.get(em.eid, ())
+        stretch = alpha * prod(pair.sigma_t.denominator for pair in pairs)
+        shrink = base * beta * prod(pair.sigma_ed.denominator for pair in pairs)
+        scale = lcm(scale, shrink, *(stretch * ts.time.denominator for ts in em.task_sets))
+    return TimeUnit(decimal_scale(scale))
+
+
 class SystemState:
-    """Whole mutable world the engine advances: store plus run bookkeeping."""
+    """Whole mutable world the engine advances: store plus run bookkeeping.
+
+    `cfg` must be the configuration `engine_tick` runs with: it decides the
+    run's time unit.
+    """
 
     def __init__(
         self,
@@ -164,15 +216,20 @@ class SystemState:
         events: list[ScenarioEvent],
         infl: InfluenceSpec,
         seed: int = 0,
+        cfg: EngineConfig | None = None,
     ):
         self.store = store
         self.emergencies = emergencies
-        self.events = sorted(events, key=lambda ev: (time_key(ev.time), ev.time, ev.index))
-        # (time_key(time), time) of each event, in the same order.
-        self.event_keys = [(time_key(ev.time), ev.time) for ev in self.events]
+        self.unit = unit = run_time_unit(cfg or EngineConfig(), emergencies, events, infl)
+        timed = sorted(
+            ((unit.ticks(ev.time), ev.index, ev) for ev in events), key=lambda te: te[:2]
+        )
+        self.events = [ev for _, _, ev in timed]
+        # The tick time of each event, in the same order.
+        self.event_times = [time for time, _, _ in timed]
         self.event_cursor = 0
         self.infl = infl
-        self.clock: Fraction = ZERO
+        self.clock = 0
         self.mode = MODE_NORMAL
         # Entities that failed or substitute for one (see `fault`).
         self.engaged: set[str] = set()
@@ -185,7 +242,7 @@ class SystemState:
         self.executions: dict[str, Assignment] = {}
         self.locks: dict[str, str] = {}
         self.staffing = StaffingIndex(store)
-        self.audit = AuditLog()
+        self.audit = AuditLog(unit)
         self.rng = random.Random(seed)
         self.forces: dict[tuple[str, str], str] = {}
         self.outcomes: dict[str, str] = {}
@@ -318,7 +375,7 @@ def select_subject(staffing: StaffingIndex, erole: str) -> str | None:
 
 
 def enable_response_actions(
-    world: SystemState, step: PlanStep, sid: str, now: Fraction
+    world: SystemState, step: PlanStep, sid: str, now: int
 ) -> Assignment:
     """Grant, alternate roles, notify: the enablement of one active emergency's step.
 
@@ -329,7 +386,7 @@ def enable_response_actions(
     if sid in store.ort:
         raise ValueError(f"{sid} already holds an emergency role")
     eid = step.eid  # also the emergency role
-    td = max(now, now + step.ed)
+    td = max(now, now + world.unit.ticks(step.ed))
     saved = tuple(sorted(store.asrt.get(sid, set())))
 
     world.audit.append("role_assigned", now, sid=sid, erole=eid, eid=eid, saved=saved)
@@ -338,8 +395,9 @@ def enable_response_actions(
     store.asrt[sid] = {eid}
     world.staffing.refresh(sid)
 
+    until = world.unit.value(td)
     for oid, op in step.ts.actions:
-        store.objects[oid].acl.append(AclEntry(eid, op, td))
+        store.objects[oid].acl.append(AclEntry(eid, op, until))
         world.audit.append(
             "permission_granted", now, erole=eid, oid=oid, op=op.value, td=td, eid=eid, sid=sid
         )
@@ -347,13 +405,13 @@ def enable_response_actions(
     world.audit.append("subject_notified", now, sid=sid, eid=eid, erole=eid)
 
     ae = world.active[eid]
-    ae.assignment = Assignment(step, sid, td)
+    ae.assignment = Assignment(step, sid, td, until)
     ae.unavailable_logged = False
     _push_occurrence(world, ae)
     return ae.assignment
 
 
-def rescind_permissions(world: SystemState, eid: str, now: Fraction, reason: str) -> None:
+def rescind_permissions(world: SystemState, eid: str, now: int, reason: str) -> None:
     """Remove an active emergency's grants and restore its subject's saved roles.
 
     Idempotent: a call for an emergency with no assignment is a no-op and
@@ -366,7 +424,7 @@ def rescind_permissions(world: SystemState, eid: str, now: Fraction, reason: str
     store = world.store
     sid, td = assignment.sid, assignment.td
     for oid, op in assignment.step.ts.actions:
-        entry = AclEntry(eid, op, td)
+        entry = AclEntry(eid, op, assignment.until)
         acl = store.objects[oid].acl
         if entry in acl:
             acl.remove(entry)
@@ -393,9 +451,7 @@ def rescind_permissions(world: SystemState, eid: str, now: Fraction, reason: str
 # ---------------------------------------------------------------------------
 
 
-def _run_fault_tolerance(
-    world: SystemState, entity: str, now: Fraction, escalated: bool
-) -> bool:
+def _run_fault_tolerance(world: SystemState, entity: str, now: int, escalated: bool) -> bool:
     if escalated:
         world.audit.append("state_transition", now, from_=world.mode, to=MODE_FAULT_TOLERANT)
         world.mode = MODE_FAULT_TOLERANT
@@ -422,7 +478,7 @@ def _run_fault_tolerance(
     return False
 
 
-def _declare_disaster(world: SystemState, entity: str, now: Fraction, reason: str) -> None:
+def _declare_disaster(world: SystemState, entity: str, now: int, reason: str) -> None:
     # Disaster disables every service: all grants come back before the end.
     for eid, ae in sorted(world.active.items()):
         if ae.assignment is not None:
@@ -453,7 +509,7 @@ def _gated_entities(store: PolicyStore, eid: str) -> list[str]:
     return sorted({entity for entity, gate in store.edt if gate == eid})
 
 
-def _finish_execution(world: SystemState, running: Assignment, now: Fraction) -> None:
+def _finish_execution(world: SystemState, running: Assignment, now: int) -> None:
     step, sid = running.step, running.sid
     eid, tsid = step.eid, step.ts.tsid
     ae = world.active[eid]
@@ -465,7 +521,9 @@ def _finish_execution(world: SystemState, running: Assignment, now: Fraction) ->
     if forced is not None:
         success = forced == "success"
     else:
-        success = world.rng.random() < float(step.p)
+        # r < p', exactly: the double r is the ratio n / d of two ints.
+        n, d = world.rng.random().as_integer_ratio()
+        success = n * step.p.denominator < step.p.numerator * d
 
     if not success:
         world.audit.append("action_failed", now, eid=eid, tsid=tsid, sid=sid, reason="draw_failed")
@@ -496,7 +554,7 @@ def _finish_execution(world: SystemState, running: Assignment, now: Fraction) ->
     _try_start_group(world, entity, now)
 
 
-def _abort_execution(world: SystemState, running: Assignment, now: Fraction) -> None:
+def _abort_execution(world: SystemState, running: Assignment, now: int) -> None:
     """Grant window (td) ran out mid-action: cut it off and expire."""
     eid = running.step.eid
     entity = world.active[eid].emergency.entity
@@ -512,7 +570,7 @@ def _abort_execution(world: SystemState, running: Assignment, now: Fraction) -> 
     world.dirty.add(entity)
 
 
-def _expire(world: SystemState, eid: str, now: Fraction, reason: str) -> None:
+def _expire(world: SystemState, eid: str, now: int, reason: str) -> None:
     entity = world.active[eid].emergency.entity
     rescind_permissions(world, eid, now, "expired")
     world.audit.append("emergency_expired", now, eid=eid, reason=reason)
@@ -521,7 +579,7 @@ def _expire(world: SystemState, eid: str, now: Fraction, reason: str) -> None:
     world.dirty.add(entity)
 
 
-def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
+def _try_start_group(world: SystemState, entity: str, now: int) -> None:
     if world.mode != MODE_EMERGENCY:
         return
     plan = world.plans.get(entity)
@@ -546,7 +604,7 @@ def _try_start_group(world: SystemState, entity: str, now: Fraction) -> None:
         return
     for resource in step.ts.resources:
         world.locks[resource] = step.eid
-    assignment.end = now + step.t
+    assignment.end = now + world.unit.ticks(step.t)
     world.executions[entity] = assignment
     plan.cursor += 1
     _push_occurrence(world, ae)
@@ -581,7 +639,7 @@ def _occurrence_of(world: SystemState, ae: ActiveEmergency) -> Occurrence:
         time, klass = ae.assignment.td, 1
     else:
         time, klass = ae.deadline, 2
-    return (time_key(time), time, klass, eid)
+    return (time, klass, eid)
 
 
 def _push_occurrence(world: SystemState, ae: ActiveEmergency) -> None:
@@ -596,7 +654,7 @@ def _next_occurrence(world: SystemState) -> Occurrence | None:
     active = world.active
     while heap:
         head = heap[0]
-        ae = active.get(head[3])
+        ae = active.get(head[2])
         if ae is not None and ae.occurrence is head:
             return head
         heapq.heappop(heap)
@@ -604,7 +662,7 @@ def _next_occurrence(world: SystemState) -> Occurrence | None:
 
 
 def _dispatch_occurrence(world: SystemState, occ: Occurrence) -> None:
-    _, when, klass, eid = occ
+    when, klass, eid = occ
     # `_next_occurrence` returns only current entries, so eid is active.
     running = world.executions.get(world.active[eid].emergency.entity)
     if running is not None and running.step.eid == eid:
@@ -616,8 +674,8 @@ def _dispatch_occurrence(world: SystemState, occ: Occurrence) -> None:
         _expire(world, eid, when, "window" if klass == 1 else "deadline")
 
 
-def _dispatch_event(world: SystemState, ev: ScenarioEvent) -> None:
-    now = ev.time
+def _dispatch_event(world: SystemState, ev: ScenarioEvent, now: int) -> None:
+    """Process `ev`, whose time is tick `now`."""
     if ev.kind == "raise":
         eid = ev.args[0]
         em = world.emergencies[eid]
@@ -625,7 +683,7 @@ def _dispatch_event(world: SystemState, ev: ScenarioEvent) -> None:
             "emergency_raised", now, eid=eid, entity=em.entity, prio=em.prio, ed=em.ed
         )
         if eid not in world.active:
-            ae = world.active[eid] = ActiveEmergency(em, deadline=now + em.ed)
+            ae = world.active[eid] = ActiveEmergency(em, deadline=now + world.unit.ticks(em.ed))
             world.outcomes[eid] = "unprocessed"
             world.dirty.add(em.entity)
             _push_occurrence(world, ae)
@@ -640,7 +698,7 @@ def _dispatch_event(world: SystemState, ev: ScenarioEvent) -> None:
         world.forces[(eid, tsid)] = outcome
     elif ev.kind == "request":
         sid, oid, op_text = ev.args
-        decision = acl_check(world.store, sid, oid, Op(op_text), now)
+        decision = acl_check(world.store, sid, oid, Op(op_text), world.unit.value(now))
         world.audit.append(
             "access_checked",
             now,
@@ -652,25 +710,21 @@ def _dispatch_event(world: SystemState, ev: ScenarioEvent) -> None:
         )
 
 
-def _drain_due(world: SystemState, until: Fraction) -> None:
-    """Process events and occurrences due by `until`, interleaved by time.
-
-    Times compare as `(time_key(time), time)` pairs. An event goes before
-    an occurrence at its time: its 2-tuple is a prefix of the entry.
-    """
-    bound = (time_key(until), until)
-    keys = world.event_keys
+def _drain_due(world: SystemState, until: int) -> None:
+    """Process events and occurrences due by tick `until`, interleaved by
+    time. An event goes before an occurrence at its time."""
+    times = world.event_times
     while world.mode != MODE_DISASTER:
         cursor = world.event_cursor
-        event_at = keys[cursor] if cursor < len(keys) else None
-        if event_at is not None and event_at > bound:
+        event_at = times[cursor] if cursor < len(times) else None
+        if event_at is not None and event_at > until:
             event_at = None
         occurrence = _next_occurrence(world)
-        if occurrence is not None and occurrence[:2] > bound:
+        if occurrence is not None and occurrence[0] > until:
             occurrence = None
-        if event_at is not None and (occurrence is None or event_at <= occurrence):
+        if event_at is not None and (occurrence is None or event_at <= occurrence[0]):
             world.event_cursor += 1
-            _dispatch_event(world, world.events[cursor])
+            _dispatch_event(world, world.events[cursor], event_at)
         elif occurrence is not None:
             _dispatch_occurrence(world, occurrence)
         else:
@@ -682,7 +736,7 @@ def _drain_due(world: SystemState, until: Fraction) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sync_mode(world: SystemState, now: Fraction) -> None:
+def _sync_mode(world: SystemState, now: int) -> None:
     if world.mode == MODE_DISASTER:
         return
     target = MODE_EMERGENCY if world.active else MODE_NORMAL
@@ -696,7 +750,7 @@ def _sync_mode(world: SystemState, now: Fraction) -> None:
     world.mode = target
 
 
-def _gate_release(world: SystemState, entity: str, now: Fraction) -> Fraction:
+def _gate_release(world: SystemState, entity: str, now: int) -> int:
     latest = now
     for gate_eid in sorted(world.store.gates_for(entity)):
         ae = world.active.get(gate_eid)
@@ -711,7 +765,7 @@ def _gate_release(world: SystemState, entity: str, now: Fraction) -> Fraction:
             if env_plan is not None:
                 for step in env_plan.steps[env_plan.cursor :]:
                     if step.eid == gate_eid:
-                        scheduled = env_plan.epoch + step.end_elapsed
+                        scheduled = env_plan.epoch + world.unit.ticks(step.end_elapsed)
                         break
         if scheduled is None:
             # No schedule to read; assume the worst case inside the window.
@@ -721,7 +775,7 @@ def _gate_release(world: SystemState, entity: str, now: Fraction) -> Fraction:
     return latest - now
 
 
-def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: Fraction) -> None:
+def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: int) -> None:
     members = world.group_members(entity, include_executing=False)
     for member in members:
         if world.active[member.eid].assignment is not None:
@@ -730,8 +784,9 @@ def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: Fractio
         world.plans.pop(entity, None)
         return
 
+    unit = world.unit
     remaining = [
-        dataclasses.replace(member, ed=world.active[member.eid].deadline - now)
+        dataclasses.replace(member, ed=unit.value(world.active[member.eid].deadline - now))
         for member in members
     ]
     # Plans assume every resource frees up in time; actual contention
@@ -745,7 +800,7 @@ def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: Fractio
         world.store.tdt,
         world.infl,
         cfg.planner,
-        gate_release=gate_release,
+        gate_release=unit.value(gate_release),
     )
     pv = compute_p_value(graph)
     if pv > ZERO:
@@ -778,7 +833,7 @@ def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: Fractio
     )
 
 
-def _assign_pending(world: SystemState, entity: str, now: Fraction) -> None:
+def _assign_pending(world: SystemState, entity: str, now: int) -> None:
     plan = world.plans.get(entity)
     if plan is None:
         return
@@ -830,5 +885,5 @@ def engine_tick(world: SystemState, cfg: EngineConfig) -> int:
         for entity in _group_order(world.plans):
             _try_start_group(world, entity, now)
 
-    world.clock = now + cfg.tp
+    world.clock = now + world.unit.ticks(cfg.tp)
     return len(world.audit.lines) - first_new

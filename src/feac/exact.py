@@ -1,14 +1,16 @@
 """Exact rational time and probability values with decimal round-tripping.
 
-All clocks, durations, deadlines, probabilities and coordinates in this
-package are `fractions.Fraction`. Scenario files only ever contain decimal
-literals, and every operation applied to them (sums, products, complements)
-keeps denominators of the form 2^a * 5^b, so values can always be printed
-back as exact decimals. Floats never enter the arithmetic.
+Durations, probabilities and coordinates in this package are
+`fractions.Fraction`. Scenario files only ever contain decimal literals,
+and every operation applied to them (sums, products, complements) keeps
+denominators of the form 2^a * 5^b, so values can always be printed back
+as exact decimals. Floats never enter the arithmetic.
 
-Where the engine orders many times (its occurrence heap, its event queue),
-it orders them by `time_key` first and by the exact value only on a tie,
-so most comparisons are between integers.
+The engine keeps its clock on integers instead: a run has one `TimeUnit`,
+and every time it meets is a whole count of that unit's ticks, so its
+occurrence heap, event queue and deadlines compare and add plain ints. The
+unit is a power of ten whenever the inputs are decimal, so the audit log
+writes a tick count as decimal text straight from the int.
 """
 
 from __future__ import annotations
@@ -19,13 +21,6 @@ from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def time_key(t: Fraction) -> int:
-    """floor(t * 2**40): an integer that never orders two values against
-    their exact order (floor is monotone), so `(time_key(t), t)` pairs sort
-    exactly as the values do and compare the values only on a key tie."""
-    return (t.numerator << 40) // t.denominator
 
 
 # A number: a decimal, or p/q. `\d` is any Unicode decimal digit, as for
@@ -102,6 +97,19 @@ def _int_text(n: int) -> str:
         return str(Decimal(n))
 
 
+def _decimal_places(denominator: int) -> int | None:
+    """The least m with `denominator` dividing 10**m; None when it has a
+    prime factor other than 2 or 5."""
+    rest, twos, fives = denominator, 0, 0
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    return max(twos, fives) if rest == 1 else None
+
+
 def format_number(value: Fraction) -> str:
     """Shortest exact decimal form of `value`.
 
@@ -112,21 +120,69 @@ def format_number(value: Fraction) -> str:
     num, den = value.numerator, value.denominator
     if den == 1:
         return _int_text(num)
-    twos = 0
-    rest = den
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    fives = 0
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
+    digits = _decimal_places(den)
+    if digits is None:
         return f"{_int_text(num)}/{_int_text(den)}"
-    digits = max(twos, fives)
     scaled = num * 10**digits // den
     sign = "-" if scaled < 0 else ""
     body = _int_text(abs(scaled)).rjust(digits + 1, "0")
     whole, frac = body[:-digits], body[-digits:]
     frac = frac.rstrip("0")
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+
+
+def decimal_scale(denominator: int) -> int:
+    """The least power of ten that `denominator` divides, or `denominator`
+    itself when it has a prime factor other than 2 or 5."""
+    digits = _decimal_places(denominator)
+    return denominator if digits is None else 10**digits
+
+
+class TimeUnit:
+    """A clock unit of 1/`scale`: time t is held as the int t * scale, its
+    count of ticks.
+
+    `digits` is m when `scale` is 10**m, and None for any other scale, whose
+    tick counts print through `format_number`.
+    """
+
+    __slots__ = ("scale", "digits")
+
+    def __init__(self, scale: int = 1):
+        if scale < 1:
+            raise ValueError(f"a time unit needs a positive scale, not {scale}")
+        self.scale = scale
+        digits = len(_int_text(scale)) - 1
+        self.digits = digits if scale == 10**digits else None
+
+    def ticks(self, value: Fraction) -> int:
+        """`value` in ticks. Raises ValueError when that is not whole: it
+        never rounds."""
+        count, rest = divmod(self.scale, value.denominator)
+        if rest:
+            raise ValueError(
+                f"{format_number(value)} is not a whole number of"
+                f" 1/{_int_text(self.scale)} ticks"
+            )
+        return value.numerator * count
+
+    def floor(self, value: Fraction) -> int:
+        """floor(value * scale): a tick count n is at most `value` exactly
+        when n is at most this."""
+        return value.numerator * self.scale // value.denominator
+
+    def value(self, ticks: int) -> Fraction:
+        return Fraction(ticks, self.scale)
+
+    def text(self, ticks: int) -> str:
+        """`format_number(self.value(ticks))`, made from the int's digits
+        when the scale is a power of ten."""
+        digits = self.digits
+        if digits is None:
+            return format_number(Fraction(ticks, self.scale))
+        if not digits:
+            return _int_text(ticks)
+        sign = "-" if ticks < 0 else ""
+        body = _int_text(-ticks if sign else ticks).rjust(digits + 1, "0")
+        frac = body[-digits:].rstrip("0")
+        return f"{sign}{body[:-digits]}.{frac}" if frac else sign + body[:-digits]

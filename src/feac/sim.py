@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import MODE_DISASTER, SystemState, engine_tick
-from .exact import ZERO
 from .model import PolicyStore
 from .scenario import Scenario
 
@@ -30,7 +29,8 @@ def run_simulation(
     """Run `sc` to quiescence, disaster, or the horizon, whichever is first.
 
     `seed` and `horizon` override the scenario's configured values; the seed
-    drives both outcome draws and planner sampling.
+    drives both outcome draws and planner sampling. The horizon need not be
+    a whole number of the run's ticks: it is only compared with the clock.
     """
     cfg = sc.config
     effective_seed = cfg.planner.seed if seed is None else seed
@@ -46,10 +46,11 @@ def run_simulation(
         sc.events,
         sc.infl,
         seed=effective_seed,
+        cfg=cfg,
     )
     world.audit.append(
         "run_started",
-        ZERO,
+        0,
         scenario=sc.name,
         seed=effective_seed,
         tp=cfg.tp,
@@ -60,7 +61,8 @@ def run_simulation(
         fallback=cfg.fallback_strategy,
     )
 
-    while world.mode != MODE_DISASTER and world.clock <= effective_horizon:
+    horizon_ticks = world.unit.floor(effective_horizon)
+    while world.mode != MODE_DISASTER and world.clock <= horizon_ticks:
         engine_tick(world, cfg)
         quiescent = (
             world.mode == "normal"
@@ -74,6 +76,6 @@ def run_simulation(
         trace_text=world.audit.to_text(),
         final_store=world.store,
         final_mode=world.mode,
-        final_clock=world.clock,
+        final_clock=world.unit.value(world.clock),
         outcomes=dict(world.outcomes),
     )

@@ -17,7 +17,7 @@ from feac.audit import (
     parse_trace,
     replay_store,
 )
-from feac.exact import format_number, parse_integer
+from feac.exact import TimeUnit, format_number, parse_integer
 from feac.model import AclEntry, Op, PolicyStore, Subject, SystemObject, serialize_store
 
 from test_sim import GOLDEN
@@ -111,19 +111,42 @@ class TestAppend:
         assert log.lines == []
 
     def test_equal_timestamps_format_once(self, monkeypatch):
-        # Events drained at one tick carry equal but distinct Fractions.
+        # Records written at one engine time come in runs of one tick count.
         calls = []
+        text = TimeUnit.text
 
-        def counting(value):
-            calls.append(value)
-            return format_number(value)
+        def counting(unit, ticks):
+            calls.append(ticks)
+            return text(unit, ticks)
 
-        monkeypatch.setattr(audit, "format_number", counting)
-        log = AuditLog()
-        for ts in (F(1, 2), F(1, 2), F(1, 2), F(2), F(2)):
+        monkeypatch.setattr(TimeUnit, "text", counting)
+        log = AuditLog(TimeUnit(10))
+        for ts in (5, 5, 5, 20, 20):
             log.append("entity_failed", ts, entity="P1")
-        assert calls == [F(1, 2), F(2)]
+        assert calls == [5, 20]
         assert [line.split("|")[1] for line in log.lines] == ["0.5"] * 3 + ["2"] * 2
+
+    @pytest.mark.parametrize("scale", [10**m for m in range(16)] + [3])
+    def test_tick_times_write_as_format_number_writes_their_value(self, scale):
+        """A tick count prints as `format_number` prints its value: straight
+        from the int's digits for a power of ten, as p/q for a unit of 3."""
+        rng = random.Random(scale)
+        counts = [0, 1, -1, scale, -scale, 10 * scale + 1, 10**20 + 7]
+        for _ in range(200):
+            bound = 10 ** rng.randint(1, 25)
+            counts.append(rng.randint(-bound, bound))
+        # Counts with trailing zeros, which the text strips.
+        counts += [rng.randint(-5, 5) * 10 ** rng.randint(0, 18) for _ in range(50)]
+        unit = TimeUnit(scale)
+        log = AuditLog(unit)
+        for n in counts:
+            log.append(
+                "permission_granted", n, erole="E", oid="O", op="use", td=n, eid="E", sid="S"
+            )
+        for n, line in zip(counts, log.lines):
+            want = format_number(Fraction(n, scale))
+            assert unit.text(n) == want, (n, scale)
+            assert line.split("|")[1] == want and line.endswith(f",td={want},eid=E,sid=S"), line
 
     def test_first_illegal_value_in_keyword_order_is_named(self):
         log = AuditLog()

@@ -6,6 +6,7 @@ fallback, expiry. Assertions read the audit records the run produced.
 """
 
 import ast
+import dataclasses
 import os
 import random
 import subprocess
@@ -40,6 +41,7 @@ from feac.engine import (
     enable_response_actions,
     engine_tick,
     rescind_permissions,
+    run_time_unit,
     select_subject,
 )
 from feac.model import Emergency, PolicyStore, RoleKind, RoleMapping, Subject, TaskSet
@@ -411,7 +413,7 @@ def random_write(world: SystemState, rng: random.Random) -> str:
         # The engine staffs only active emergencies; this one's entity is no
         # subject, so it joins no group a substitution reads.
         emergency = Emergency(erole, "ward", 1, F(5), False, (ts,))
-        world.active[erole] = ActiveEmergency(emergency, deadline=now + F(5))
+        world.active[erole] = ActiveEmergency(emergency, deadline=now + world.unit.ticks(F(5)))
         enable_response_actions(world, PlanStep(erole, ts, F(1), F(1), F(5), F(1)), sid, now)
         return "enabled"
     if roll < 0.8:
@@ -437,7 +439,8 @@ def test_enabling_a_subject_that_holds_an_emergency_role_is_refused():
     sid = sorted(world.store.subjects)[0]
     ts = TaskSet("T1", (), F(1), F(1))
     for erole in EMERGENCY_ROLES[:2]:
-        world.active[erole] = ActiveEmergency(Emergency(erole, "ward", 1, F(5), False, (ts,)), F(5))
+        emergency = Emergency(erole, "ward", 1, F(5), False, (ts,))
+        world.active[erole] = ActiveEmergency(emergency, world.unit.ticks(F(5)))
     first = PlanStep(EMERGENCY_ROLES[0], ts, F(1), F(1), F(5), F(1))
     enable_response_actions(world, first, sid, world.clock)
     before = (world.audit.to_text(), repr(world.store))
@@ -848,6 +851,104 @@ at 5 request A1 O1 use
         ]
 
 
+WINDOW_FACTOR = """\
+config beta = 0.7
+entity P1
+role R1
+subject A1 { roles = [R1] }
+subject A2 { roles = [R1] }
+subject A3 { roles = [R1] }
+object O1 { acl R1 use }
+emergency E1 {
+  entity P1
+  prio 2
+  ed 6
+  ft false
+  ts TS1 { actions = [O1 use], time = 1, prob = 1 }
+}
+emergency E2 {
+  entity P1
+  prio 2
+  ed 10
+  ft false
+  ts TS1 { actions = [O1 use], time = 1, prob = 1 }
+}
+emergency E3 {
+  entity P1
+  prio 1
+  ed 10
+  ft false
+  ts TS1 { actions = [O1 use], time = 2, prob = 1 }
+}
+map E1 -> [R1]
+map E2 -> [R1]
+map E3 -> [R1]
+influence E2 -> E1 { sigma_ed = 0.5 }
+at 0 raise E3
+at 0 raise E1
+at 0.5 raise E2
+"""
+
+
+class TestTimeUnit:
+    def test_an_adjusted_window_is_whole_in_the_run_unit(self):
+        """E1 is replanned at 0.5 with 5.5 of its window left, under E2's
+        sigma_ed of 0.5 and beta 0.7: Ed' = 5.5 * 0.65 = 3.575. A unit of
+        0.01 covers tp and beta * sigma_ed (1/20) but not their product
+        with the window, so the unit takes the window's base times both."""
+        sc, diags = parse_scenario(BASE + WINDOW_FACTOR)
+        assert not diags
+        assert run_time_unit(sc.config, sc.emergencies, sc.events, sc.infl).scale == 1000
+        grants = recs(run(WINDOW_FACTOR), "permission_granted")
+        assert (F(1, 2), "E1", "4.075") in [(r.ts, r.payload["eid"], r.payload["td"]) for r in grants]
+
+    def test_a_non_decimal_time_makes_the_lcm_the_unit(self):
+        """Through the library an event may fall at 1/3; the unit is then
+        1/6, and the trace writes such times as p/q."""
+        sc, diags = parse_scenario(BASE + ONE_EMERGENCY + "at 0 raise E1\n")
+        assert not diags
+        (event,) = sc.events
+        sc = dataclasses.replace(sc, events=[dataclasses.replace(event, time=F(1, 3))])
+        unit = run_time_unit(sc.config, sc.emergencies, sc.events, sc.infl)
+        assert (unit.scale, unit.digits) == (6, None)
+        trace = run_simulation(sc, horizon=F(22, 7))
+        lines = trace.trace_text.splitlines()
+        assert lines[1] == "2|1/3|emergency_raised|eid=E1,entity=P1,prio=2,ed=10"
+        assert lines[5] == "6|0.5|permission_granted|erole=E1,oid=O1,op=use,td=31/3,eid=E1,sid=A1"
+        assert (trace.final_mode, trace.final_clock, len(lines)) == ("normal", F(3), 12)
+
+    def test_a_planner_output_that_is_not_whole_raises_before_any_write(self):
+        world = random_staffing_world(random.Random(5))
+        erole = EMERGENCY_ROLES[0]
+        ts = TaskSet("T1", (), F(1), F(1))
+        world.active[erole] = ActiveEmergency(Emergency(erole, "ward", 1, F(5), False, (ts,)), 50)
+        step = PlanStep(erole, ts, F(1), F(1), F(1, 3), F(1))
+        before = (world.audit.to_text(), repr(world.store))
+        with pytest.raises(ValueError, match="not a whole number"):
+            enable_response_actions(world, step, sorted(world.store.subjects)[0], world.clock)
+        assert (world.audit.to_text(), repr(world.store)) == before
+
+
+@pytest.mark.parametrize(
+    "prob, draw, outcome",
+    [("0.3", 0.3, "eliminated"), ("0.25", 0.25, "expired")],
+)
+def test_the_outcome_draw_compares_with_the_exact_probability(prob, draw, outcome):
+    """A draw succeeds when it is below p' exactly. The double nearest 0.3
+    is below 3/10, so it succeeds, which `draw < float(p')` would fail; a
+    draw equal to p' fails every time, and the emergency expires."""
+    body = ONE_EMERGENCY.replace("prob = 0.9", f"prob = {prob}") + "at 0 raise E1\n"
+    sc, diags = parse_scenario(BASE + body)
+    assert not diags
+    world = SystemState(sc.store.clone(), sc.emergencies, sc.events, sc.infl, cfg=sc.config)
+    world.rng = random.Random()
+    world.rng.random = lambda: draw
+    while world.clock <= world.unit.ticks(F(12)):
+        engine_tick(world, sc.config)
+    assert world.outcomes == {"E1": outcome}
+    assert ("draw_failed" in world.audit.to_text()) == (outcome == "expired")
+
+
 def test_ticking_a_disaster_world_is_an_error():
     sc, diags = parse_scenario(
         BASE
@@ -870,7 +971,9 @@ at 1 fail P1
     )
     assert not diags
     seed = sc.config.planner.seed
-    world = SystemState(sc.store.clone(), sc.emergencies, sc.events, sc.infl, seed=seed)
+    world = SystemState(
+        sc.store.clone(), sc.emergencies, sc.events, sc.infl, seed=seed, cfg=sc.config
+    )
     while world.mode != MODE_DISASTER:
         engine_tick(world, sc.config)
     with pytest.raises(EngineError):
@@ -879,7 +982,7 @@ at 1 fail P1
 
 def reference_next_occurrence(world: SystemState):
     """The full scan the occurrence heap replaced: the least
-    `(time, class, eid)` over every active emergency."""
+    `(ticks, class, eid)` over every active emergency."""
     running = {assignment.step.eid: assignment for assignment in world.executions.values()}
     best = None
     for eid, ae in world.active.items():
@@ -902,7 +1005,9 @@ def reference_next_occurrence(world: SystemState):
 def checked_occurrences(monkeypatch):
     """Every drain step asserts that the heap's answer equals the full scan,
     and that each active emergency's stored entry is still the one
-    `_occurrence_of` computes now: every change of its inputs pushed.
+    `_occurrence_of` computes now: every change of its inputs pushed. It
+    also asserts that the clock, every heap entry and every event time hold
+    only ints and strs: no Fraction reaches the drain.
 
     Counts the answers by occurrence class (None when nothing is pending).
     """
@@ -910,12 +1015,16 @@ def checked_occurrences(monkeypatch):
     from_heap = engine._next_occurrence
 
     def checked(world):
+        assert type(world.clock) is int
+        assert all(type(t) is int for t in world.event_times)
+        for entry in world.occurrences:
+            assert [type(part) for part in entry] == [int, int, str], entry
         for eid, ae in world.active.items():
             assert ae.occurrence == engine._occurrence_of(world, ae), (world.clock, eid)
         got = from_heap(world)
         want = reference_next_occurrence(world)
-        assert (None if got is None else got[1:]) == want, (world.clock, got)
-        seen[None if got is None else got[2]] += 1
+        assert got == want, (world.clock, got)
+        seen[None if got is None else got[1]] += 1
         return got
 
     monkeypatch.setattr(engine, "_next_occurrence", checked)
@@ -1053,11 +1162,11 @@ at 0 force E{n} TS1 success
 
 @pytest.mark.parametrize(
     "module, allowed",
-    [(engine, [("_finish_execution", "float(step.p)")]), (constraints, []), (exact, [])],
+    [(engine, []), (constraints, []), (exact, [])],
 )
 def test_engine_source_has_no_true_division_or_float(module, allowed):
-    """Policy and staffing arithmetic stays exact: no `/`, and `float` only
-    for the outcome draw."""
+    """Policy, staffing and clock arithmetic stays exact: no `/` and no
+    `float`, the outcome draw included."""
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     floats = []
     for func in ast.walk(tree):

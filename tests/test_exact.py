@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -7,11 +8,12 @@ import pytest
 from feac.exact import (
     ONE,
     ZERO,
+    TimeUnit,
+    decimal_scale,
     format_number,
     parse_integer,
     parse_number,
     parse_trace_number,
-    time_key,
 )
 
 # Past `sys.get_int_max_str_digits()`, whose default is 4300.
@@ -152,8 +154,8 @@ def test_trace_numbers_within_the_limit_parse_as_scenario_numbers():
         assert parse_trace_number(text) == parse_number(text)
 
 
-def _key_pairs(rng: random.Random):
-    """(a, b) pairs of every kind `time_key` must order correctly."""
+def _time_pairs(rng: random.Random):
+    """(a, b) pairs of every kind a run's ticks must order correctly."""
     for _ in range(500):
         # Both signs and zero, over decimal and other denominators.
         den = rng.choice((1, 2, 10, 3, 7, 1000, 2**rng.randint(0, 60) * 5**rng.randint(0, 30)))
@@ -165,7 +167,7 @@ def _key_pairs(rng: random.Random):
         yield Fraction(rng.randint(-(10**60), 10**60), rng.randint(1, 10**50)), Fraction(
             rng.randint(-(10**60), 10**60), 3**rng.randint(1, 200)
         )
-        # Neighbours closer than 2**-40, on either side of a key boundary.
+        # Neighbours far closer than any tick of a coarse run.
         step = Fraction(1, 2 ** rng.randint(41, 120))
         yield a, a + step * rng.choice((1, -1))
         edge = Fraction(rng.randint(-(2**50), 2**50), 2**40)
@@ -180,19 +182,41 @@ def _key_pairs(rng: random.Random):
         yield -a, Fraction(rng.randint(-3, 3))
 
 
-def test_time_key_order_agrees_with_exact_order():
+def test_ticks_order_exactly_as_the_values_do():
+    """In a unit both values are whole in, equal values give equal ticks and
+    ticks order as the values do; each converts back to its value."""
     rng = random.Random(40)
     seen = set()
-    for a, b in _key_pairs(rng):
-        ka, kb = time_key(a), time_key(b)
-        assert isinstance(ka, int) and isinstance(kb, int)
-        assert (a < b) == ((ka, a) < (kb, b)), (a, b)
-        assert (a == b) == ((ka, a) == (kb, b)), (a, b)
-        if a < b:
-            assert ka <= kb, (a, b)
+    for a, b in _time_pairs(rng):
+        unit = TimeUnit(decimal_scale(math.lcm(a.denominator, b.denominator)))
+        ta, tb = unit.ticks(a), unit.ticks(b)
+        assert type(ta) is int and type(tb) is int
+        assert (a < b) == (ta < tb), (a, b)
+        assert (a == b) == (ta == tb), (a, b)
+        assert (unit.value(ta), unit.value(tb)) == (a, b)
+        assert (unit.floor(a), unit.floor(b)) == (ta, tb)
         seen.add("negative" if min(a, b) < 0 else "zero" if min(a, b) == 0 else "positive")
-        if a != b and ka == kb:
-            seen.add("distinct values, one key")
+        seen.add("decimal unit" if unit.digits is not None else "lcm unit")
         if max(a.denominator, b.denominator).bit_length() > 3 * LONG:
             seen.add("past the digit limit")
-    assert seen == {"negative", "zero", "positive", "distinct values, one key", "past the digit limit"}
+    assert seen == {
+        "negative", "zero", "positive", "decimal unit", "lcm unit", "past the digit limit"
+    }
+
+
+def test_a_value_that_is_not_whole_in_ticks_raises_and_floor_rounds_down():
+    tenths = TimeUnit(10)
+    assert tenths.ticks(Fraction(3, 2)) == 15
+    for value in (Fraction(1, 4), Fraction(7, 3), Fraction(-1, 20)):
+        with pytest.raises(ValueError, match="not a whole number"):
+            tenths.ticks(value)
+    floors = [tenths.floor(v) for v in (Fraction(7, 3), Fraction(-7, 3), Fraction(1, 4))]
+    assert floors == [23, -24, 2]
+
+
+def test_decimal_scale_is_the_least_power_of_ten_or_the_lcm():
+    assert [decimal_scale(d) for d in (1, 2, 5, 10, 4, 8, 25, 40, 2**11 * 5**3)] == [
+        1, 10, 10, 10, 100, 1000, 100, 1000, 10**11,
+    ]
+    assert [decimal_scale(d) for d in (3, 6, 30, 7 * 2**5)] == [3, 6, 30, 7 * 2**5]
+    assert (TimeUnit(10**15).digits, TimeUnit(1).digits, TimeUnit(30).digits) == (15, 0, None)

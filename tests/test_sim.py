@@ -1,12 +1,18 @@
 """Simulation driver: the hospital run against its frozen trace, plus
 determinism, seed override, and horizon handling."""
 
+import io
 import pathlib
 from fractions import Fraction
 
+import pytest
+
 from feac.audit import parse_trace
+from feac.cli import main
+from feac.engine import run_time_unit
+from feac.exact import parse_number
 from feac.model import serialize_store
-from feac.scenario import parse_scenario
+from feac.scenario import load_scenario, parse_scenario
 from feac.sim import run_simulation
 
 from scenario_gen import clean_scenario_texts
@@ -14,6 +20,7 @@ from scenario_gen import clean_scenario_texts
 F = Fraction
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "hospital_trace.txt"
+FINE_CLOCK = GOLDEN.parent / "fine_clock.feac"
 
 
 class TestHospitalGolden:
@@ -101,3 +108,35 @@ class TestHorizon:
         # be a prefix of the full run.
         assert cut_lines[0].replace("horizon=4", "horizon=60") == full_lines[0]
         assert cut_lines[1:] == full_lines[1 : len(cut_lines)]
+
+    @pytest.mark.parametrize("horizon", ["7/3", "22/9"])
+    def test_a_horizon_between_ticks_runs_the_last_cycle_before_it(
+        self, hospital, hospital_run, horizon
+    ):
+        # Neither is whole in a decimal unit, so each is only compared: the
+        # last cycle runs at 2, and nothing of the cycle at 2.5 is written.
+        # 22/9 is 24.4 ticks of 0.1, so rounding it up would run that cycle.
+        cut = run_simulation(hospital, horizon=parse_number(horizon))
+        full_lines = hospital_run.trace_text.splitlines()
+        cut_lines = cut.trace_text.splitlines()
+        assert cut_lines[0] == full_lines[0].replace("horizon=60", f"horizon={horizon}")
+        assert cut_lines[1:] == full_lines[1:54]
+        assert full_lines[54].startswith("55|3|")
+        assert (cut.final_mode, cut.final_clock) == ("emergency", F(5, 2))
+
+
+def test_fine_clock_fixture_matches_its_trace_and_audits_clean(tmp_path):
+    """Tick times of twelve decimal places, and an unforced draw that fails."""
+    sc, diags = load_scenario(str(FINE_CLOCK))
+    assert not diags
+    assert run_time_unit(sc.config, sc.emergencies, sc.events, sc.infl).digits == 12
+    trace = run_simulation(sc)
+    assert trace.trace_text == FINE_CLOCK.with_suffix(".trace").read_text(encoding="utf-8")
+    records = parse_trace(trace.trace_text)
+    assert not [r for r in records if r.kind == "outcome_forced"]
+    assert [r.payload["reason"] for r in records if r.kind == "action_failed"] == ["draw_failed"]
+    assert max(len(r.payload["end"]) for r in records if r.kind == "action_started") > 10
+    path = tmp_path / "fine_clock.trace"
+    path.write_text(trace.trace_text, encoding="utf-8")
+    out = io.StringIO()
+    assert main(["audit", str(path), "--scenario", str(FINE_CLOCK)], out, out) == 0, out.getvalue()
