@@ -168,7 +168,8 @@ class AuditLog:
         except KeyError:
             values = None
         if values is None or len(payload) != len(names):
-            values = _reordered(kind, payload)
+            keys = sorted({key.rstrip("_") for key in payload})
+            raise ValueError(f"{kind} payload keys {keys} != {sorted(KIND_FIELDS[kind])}")
         for i in _TIME_POSITIONS.get(kind, ()):
             if type(values[i]) is int:
                 values[i] = self.unit.text(values[i])
@@ -190,15 +191,6 @@ class AuditLog:
 
     def to_text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
-
-
-def _reordered(kind: str, payload: dict) -> list:
-    """`payload`'s values in field order, keys read without trailing '_'."""
-    fields = KIND_FIELDS[kind]
-    cleaned = {k.rstrip("_"): v for k, v in payload.items()}
-    if set(cleaned) != set(fields):
-        raise ValueError(f"{kind} payload keys {sorted(cleaned)} != {sorted(fields)}")
-    return [cleaned[f] for f in fields]
 
 
 def parse_trace(text: str) -> list[AuditRecord]:

@@ -34,13 +34,19 @@ rather than round. Within a cycle it:
    they wrote: `enable_response_actions`, `rescind_permissions`, and
    `_run_fault_tolerance` after a substitution that copied roles;
 5. starts the next action of each group whose environment gates are clear
-   and whose resources are unlocked.
+   and whose resources no other group's running action holds.
 
 A staffed step is one `Assignment`: its subject holds the emergency role
 (named by the step's eid) and the step's permissions until `td`. A running
 action is that same assignment, stamped with its `end` and filed under its
 entity in `SystemState.executions`; the grant it runs under is the one it
-was staffed with, so the step, subject and window are stored once.
+was staffed with, so the step, subject and window are stored once. A
+running action holds its task set's resources; a start reads them off
+`executions`.
+
+`SystemState.cfg` is the run's one `EngineConfig`: it decides the time
+unit, seeds the outcome draws and the planner, and gives tp, the fallback
+strategy and the horizon.
 
 Everything that lasts as long as one raise lives on its `ActiveEmergency`
 in `SystemState.active`: the deadline, the assignment while it is staffed,
@@ -107,6 +113,8 @@ class EngineConfig:
     tp: Fraction = Fraction(1, 2)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     fallback_strategy: str = PROBABILITY_FIRST
+    # The run stops once its clock passes this time (see `sim.run_simulation`).
+    horizon: Fraction = Fraction(20)
 
 
 @dataclass(frozen=True)
@@ -205,8 +213,9 @@ def run_time_unit(
 class SystemState:
     """Whole mutable world the engine advances: store plus run bookkeeping.
 
-    `cfg` must be the configuration `engine_tick` runs with: it decides the
-    run's time unit.
+    `cfg` (default `EngineConfig()`) is the run's one configuration. It
+    decides the time unit, and `cfg.planner.seed` seeds the outcome draws
+    as it seeds the planner's sampling.
     """
 
     def __init__(
@@ -215,12 +224,12 @@ class SystemState:
         emergencies: dict[str, Emergency],
         events: list[ScenarioEvent],
         infl: InfluenceSpec,
-        seed: int = 0,
         cfg: EngineConfig | None = None,
     ):
+        self.cfg = cfg = cfg or EngineConfig()
         self.store = store
         self.emergencies = emergencies
-        self.unit = unit = run_time_unit(cfg or EngineConfig(), emergencies, events, infl)
+        self.unit = unit = run_time_unit(cfg, emergencies, events, infl)
         timed = sorted(
             ((unit.ticks(ev.time), ev.index, ev) for ev in events), key=lambda te: te[:2]
         )
@@ -240,10 +249,9 @@ class SystemState:
         self.plans: dict[str, GroupPlan] = {}
         # The running assignment of each entity's group.
         self.executions: dict[str, Assignment] = {}
-        self.locks: dict[str, str] = {}
         self.staffing = StaffingIndex(store)
         self.audit = AuditLog(unit)
-        self.rng = random.Random(seed)
+        self.rng = random.Random(cfg.planner.seed)
         self.forces: dict[tuple[str, str], str] = {}
         self.outcomes: dict[str, str] = {}
         self.dirty: set[str] = set()
@@ -484,7 +492,6 @@ def _declare_disaster(world: SystemState, entity: str, now: int, reason: str) ->
         if ae.assignment is not None:
             rescind_permissions(world, eid, now, "disaster")
     world.executions.clear()
-    world.locks.clear()
     world.audit.append("disaster", now, entity=entity, reason=reason)
     world.audit.append("state_transition", now, from_=world.mode, to=MODE_DISASTER)
     world.mode = MODE_DISASTER
@@ -496,11 +503,8 @@ def _declare_disaster(world: SystemState, entity: str, now: int, reason: str) ->
 
 
 def _release_locks(world: SystemState, running: Assignment) -> None:
-    resources = running.step.ts.resources
-    for resource in resources:
-        if world.locks.get(resource) == running.step.eid:
-            del world.locks[resource]
-    if resources:
+    """`running` has left `executions`: a group blocked on a resource replans."""
+    if running.step.ts.resources:
         world.dirty |= world.blocked
         world.blocked.clear()
 
@@ -596,14 +600,14 @@ def _try_start_group(world: SystemState, entity: str, now: int) -> None:
     assignment = ae.assignment
     if assignment is None:
         return
-    conflicts = {
-        r for r in step.ts.resources if world.locks.get(r) not in (None, step.eid)
-    }
-    if conflicts:
+    resources = step.ts.resources
+    # This entity runs nothing, so every running action is another group's.
+    if resources and any(
+        not resources.isdisjoint(running.step.ts.resources)
+        for running in world.executions.values()
+    ):
         world.blocked.add(entity)
         return
-    for resource in step.ts.resources:
-        world.locks[resource] = step.eid
     assignment.end = now + world.unit.ticks(step.t)
     world.executions[entity] = assignment
     plan.cursor += 1
@@ -775,7 +779,7 @@ def _gate_release(world: SystemState, entity: str, now: int) -> int:
     return latest - now
 
 
-def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: int) -> None:
+def _plan_group(world: SystemState, entity: str, now: int) -> None:
     members = world.group_members(entity, include_executing=False)
     for member in members:
         if world.active[member.eid].assignment is not None:
@@ -790,7 +794,7 @@ def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: int) ->
         for member in members
     ]
     # Plans assume every resource frees up in time; actual contention
-    # serializes at start time and forces a replan when a lock releases.
+    # serializes at start time and forces a replan when a holder stops.
     gate_release = _gate_release(world, entity, now)
     running = world.executions.get(entity)
     if running is not None:
@@ -799,7 +803,7 @@ def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: int) ->
         remaining,
         world.store.tdt,
         world.infl,
-        cfg.planner,
+        world.cfg.planner,
         gate_release=unit.value(gate_release),
     )
     pv = compute_p_value(graph)
@@ -810,11 +814,11 @@ def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: int) ->
         if entity not in world.ft_attempted:
             if not _run_fault_tolerance(world, entity, now, escalated=True):
                 return
-        if cfg.fallback_strategy == TIME_FIRST:
+        strategy = world.cfg.fallback_strategy
+        if strategy == TIME_FIRST:
             path = time_first_select(graph)
         else:
             path = prob_first_select(graph)
-        strategy = cfg.fallback_strategy
     world.plans[entity] = GroupPlan(
         steps=list(path.steps),
         epoch=now,
@@ -834,9 +838,7 @@ def _plan_group(world: SystemState, cfg: EngineConfig, entity: str, now: int) ->
 
 
 def _assign_pending(world: SystemState, entity: str, now: int) -> None:
-    plan = world.plans.get(entity)
-    if plan is None:
-        return
+    plan = world.plans[entity]
     for step in plan.steps[plan.cursor :]:
         ae = world.active.get(step.eid)
         if ae is None or ae.assignment is not None:
@@ -859,8 +861,9 @@ def _assign_pending(world: SystemState, entity: str, now: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def engine_tick(world: SystemState, cfg: EngineConfig) -> int:
-    """Run one engine cycle at the current clock, then advance it by tp.
+def engine_tick(world: SystemState) -> int:
+    """Run one engine cycle at the current clock, then advance it by the
+    tp of `world.cfg`.
 
     Returns how many records the cycle appended (0 for an idle tick).
     Raises EngineError if called after disaster.
@@ -877,7 +880,7 @@ def engine_tick(world: SystemState, cfg: EngineConfig) -> int:
             if world.mode != MODE_EMERGENCY:
                 break
             world.dirty.discard(entity)
-            _plan_group(world, cfg, entity, now)
+            _plan_group(world, entity, now)
         world.dirty.clear()
     if world.mode == MODE_EMERGENCY:
         for entity in _group_order(world.plans):
@@ -885,5 +888,5 @@ def engine_tick(world: SystemState, cfg: EngineConfig) -> int:
         for entity in _group_order(world.plans):
             _try_start_group(world, entity, now)
 
-    world.clock = now + world.unit.ticks(cfg.tp)
+    world.clock = now + world.unit.ticks(world.cfg.tp)
     return len(world.audit.lines) - first_new

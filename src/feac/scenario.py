@@ -82,8 +82,6 @@ EVENT_ARGS = {
     "request": ("a subject name", "an object name", "an operation"),
 }
 CONFIG_KEYS = ("tp", "alpha", "beta", "k", "seed", "fallback", "horizon")
-# The one config default that `EngineConfig` and `PlannerConfig` do not hold.
-DEFAULT_HORIZON = Fraction(20)
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,6 @@ class Scenario:
     emergencies: dict[str, Emergency]
     infl: InfluenceSpec
     config: EngineConfig
-    horizon: Fraction
     events: list[ScenarioEvent]
 
 
@@ -945,7 +942,7 @@ class _Resolver:
         if p.scenario_name is None and p.tokens:
             self.error(p.tokens[0], "missing scenario declaration")
 
-        config, horizon = _resolve_config(p.config)
+        config = _resolve_config(p.config)
         events = self.resolve_events(store, emergencies, entities)
 
         return Scenario(
@@ -955,7 +952,6 @@ class _Resolver:
             emergencies=emergencies,
             infl=InfluenceSpec(pairs),
             config=config,
-            horizon=horizon,
             events=events,
         )
 
@@ -982,8 +978,8 @@ class _Resolver:
         return events
 
 
-def _resolve_config(given: dict[str, Fraction | str | None]) -> tuple[EngineConfig, Fraction]:
-    """The engine configuration and horizon, with a default for each key not given well."""
+def _resolve_config(given: dict[str, Fraction | str | None]) -> EngineConfig:
+    """The engine configuration, with a default for each key not given well."""
     values = {key: value for key, value in given.items() if value is not None}
     engine, planner = EngineConfig(), PlannerConfig()
     planner = PlannerConfig(
@@ -992,12 +988,12 @@ def _resolve_config(given: dict[str, Fraction | str | None]) -> tuple[EngineConf
         k_cap=int(values.get("k", planner.k_cap)),
         seed=int(values.get("seed", planner.seed)),
     )
-    engine = EngineConfig(
+    return EngineConfig(
         tp=values.get("tp", engine.tp),
         planner=planner,
         fallback_strategy=values.get("fallback", engine.fallback_strategy),
+        horizon=values.get("horizon", engine.horizon),
     )
-    return engine, values.get("horizon", DEFAULT_HORIZON)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,7 +1030,7 @@ def print_scenario(sc: Scenario) -> str:
     out.append(f"config k = {cfg.planner.k_cap}")
     out.append(f"config seed = {cfg.planner.seed}")
     out.append(f"config fallback = {cfg.fallback_strategy}")
-    out.append(f"config horizon = {format_number(sc.horizon)}")
+    out.append(f"config horizon = {format_number(cfg.horizon)}")
     out.append("")
 
     store = sc.store

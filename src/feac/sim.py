@@ -28,42 +28,35 @@ def run_simulation(
 ) -> SimTrace:
     """Run `sc` to quiescence, disaster, or the horizon, whichever is first.
 
-    `seed` and `horizon` override the scenario's configured values; the seed
-    drives both outcome draws and planner sampling. The horizon need not be
-    a whole number of the run's ticks: it is only compared with the clock.
+    `seed` and `horizon`, when given, replace `sc.config`'s `planner.seed`
+    and `horizon`. The result is the run's one configuration: the
+    `run_started` header is written from it, and its seed drives both the
+    outcome draws and planner sampling. The horizon need not be a whole
+    number of the run's ticks: it is only compared with the clock.
     """
     cfg = sc.config
-    effective_seed = cfg.planner.seed if seed is None else seed
-    effective_horizon = sc.horizon if horizon is None else horizon
-    if effective_seed != cfg.planner.seed:
-        cfg = dataclasses.replace(
-            cfg, planner=dataclasses.replace(cfg.planner, seed=effective_seed)
-        )
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, planner=dataclasses.replace(cfg.planner, seed=seed))
+    if horizon is not None:
+        cfg = dataclasses.replace(cfg, horizon=horizon)
 
-    world = SystemState(
-        sc.store.clone(),
-        sc.emergencies,
-        sc.events,
-        sc.infl,
-        seed=effective_seed,
-        cfg=cfg,
-    )
+    world = SystemState(sc.store.clone(), sc.emergencies, sc.events, sc.infl, cfg)
     world.audit.append(
         "run_started",
         0,
         scenario=sc.name,
-        seed=effective_seed,
+        seed=cfg.planner.seed,
         tp=cfg.tp,
-        horizon=effective_horizon,
+        horizon=cfg.horizon,
         alpha=cfg.planner.alpha,
         beta=cfg.planner.beta,
         k=cfg.planner.k_cap,
         fallback=cfg.fallback_strategy,
     )
 
-    horizon_ticks = world.unit.floor(effective_horizon)
+    horizon_ticks = world.unit.floor(cfg.horizon)
     while world.mode != MODE_DISASTER and world.clock <= horizon_ticks:
-        engine_tick(world, cfg)
+        engine_tick(world)
         quiescent = (
             world.mode == "normal"
             and not world.active

@@ -336,6 +336,18 @@ class TestSimulate:
         assert out.splitlines()[0] == f"final=normal clock=9.5 records=95 trace={trace_file}"
         assert trace_file.read_text(encoding="utf-8").splitlines()[-1].startswith("95|9|")
 
+    @pytest.mark.parametrize("where", [".", "missing/run.trace"])
+    def test_a_trace_path_that_cannot_be_opened_is_a_usage_error(
+        self, hospital_path, tmp_path, where
+    ):
+        # A directory, or a file under a directory that does not exist:
+        # neither depends on permissions, which root would bypass.
+        code, out, err = run_cli("simulate", hospital_path, "--trace", str(tmp_path / where))
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+
     def test_seed_override_lands_in_the_header(self, hospital_path):
         _, out, _ = run_cli("simulate", hospital_path, "--seed", "11")
         assert "seed=11" in out.splitlines()[0]

@@ -944,7 +944,7 @@ def test_the_outcome_draw_compares_with_the_exact_probability(prob, draw, outcom
     world.rng = random.Random()
     world.rng.random = lambda: draw
     while world.clock <= world.unit.ticks(F(12)):
-        engine_tick(world, sc.config)
+        engine_tick(world)
     assert world.outcomes == {"E1": outcome}
     assert ("draw_failed" in world.audit.to_text()) == (outcome == "expired")
 
@@ -970,14 +970,11 @@ at 1 fail P1
 """
     )
     assert not diags
-    seed = sc.config.planner.seed
-    world = SystemState(
-        sc.store.clone(), sc.emergencies, sc.events, sc.infl, seed=seed, cfg=sc.config
-    )
+    world = SystemState(sc.store.clone(), sc.emergencies, sc.events, sc.infl, cfg=sc.config)
     while world.mode != MODE_DISASTER:
-        engine_tick(world, sc.config)
+        engine_tick(world)
     with pytest.raises(EngineError):
-        engine_tick(world, sc.config)
+        engine_tick(world)
 
 
 def reference_next_occurrence(world: SystemState):
@@ -1077,8 +1074,8 @@ def checked_staffing(monkeypatch):
         seen[got] += 1
         return got
 
-    def checked_tick(world, cfg):
-        appended = ticked(world, cfg)
+    def checked_tick(world):
+        appended = ticked(world)
         assert_index_current(world.staffing)
         return appended
 

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from feac.constraints import Lit
 from feac.model import (
     AclEntry,
     Emergency,
@@ -10,6 +13,7 @@ from feac.model import (
     Subject,
     SystemObject,
     TaskSet,
+    Violation,
     acl_check,
     serialize_store,
     validate_store,
@@ -162,6 +166,84 @@ class TestValidateStore:
         store.rmt["Doctor"] = RoleMapping(roles=("Nurse",))
         issues = validate_store(store, [make_emergency()])
         assert any(v.table == "rmt" and v.entry == "Doctor" for v in issues)
+
+
+def _emergency_with(*task_sets):
+    return [Emergency("E1", "P1", 1, Fraction(5), True, task_sets)]
+
+
+def _task_set(actions=(("O1", Op.USE),)):
+    return TaskSet("TS1", actions, Fraction(1), Fraction(1, 2))
+
+
+def _srt_unknown_subject(store):
+    store.srt["ghost"] = {"Doctor"}
+    return []
+
+
+def _srt_unknown_role(store):
+    store.srt["S1"].add("Pilot")
+    return []
+
+
+def _acl_unknown_role(store):
+    store.objects["O1"].acl.append(AclEntry("Pilot", Op.USE))
+    return []
+
+
+def _tdt_unknown_emergency(store):
+    store.tdt.add(("E1", "E9"))
+    return [make_emergency()]
+
+
+def _edt_unknown_emergency(store):
+    store.edt.add(("P1", "E9"))
+    return [make_emergency()]
+
+
+def _rmt_role_not_normal(store):
+    store.roles.update(E1=RoleKind.EMERGENCY, E2=RoleKind.EMERGENCY)
+    store.rmt["E1"] = RoleMapping(roles=("Doctor", "E2"))
+    return []
+
+
+def _rct_key_not_emergency_role(store):
+    store.rct["Doctor"] = Lit(True)
+    return []
+
+
+@pytest.mark.parametrize(
+    "build, violation, text",
+    [
+        (_srt_unknown_subject, Violation("srt", "ghost", "unknown subject"),
+         "srt[ghost]: unknown subject"),
+        (_srt_unknown_role, Violation("srt", "S1", "unknown role Pilot"),
+         "srt[S1]: unknown role Pilot"),
+        (_acl_unknown_role, Violation("acl", "O1", "unknown role Pilot"),
+         "acl[O1]: unknown role Pilot"),
+        (lambda store: _emergency_with(_task_set(), _task_set()),
+         Violation("emergency", "E1", "duplicate task set TS1"),
+         "emergency[E1]: duplicate task set TS1"),
+        (lambda store: _emergency_with(_task_set(actions=())),
+         Violation("task_set", "E1.TS1", "no actions"),
+         "task_set[E1.TS1]: no actions"),
+        (_tdt_unknown_emergency, Violation("tdt", "E1->E9", "unknown emergency"),
+         "tdt[E1->E9]: unknown emergency"),
+        (_edt_unknown_emergency, Violation("edt", "P1<-E9", "unknown emergency"),
+         "edt[P1<-E9]: unknown emergency"),
+        (_rmt_role_not_normal, Violation("rmt", "E1", "E2 is not a normal role"),
+         "rmt[E1]: E2 is not a normal role"),
+        (_rct_key_not_emergency_role,
+         Violation("rct", "Doctor", "not a declared emergency-role"),
+         "rct[Doctor]: not a declared emergency-role"),
+    ],
+)
+def test_each_store_rule_reports_its_one_violation(build, violation, text):
+    """Rules a parsed scenario never breaks, on stores built in code: each
+    damage of the clean store gives exactly one violation."""
+    store = small_store()
+    assert validate_store(store, build(store)) == [violation]
+    assert str(violation) == text
 
 
 class TestStoreSerialization:

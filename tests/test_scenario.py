@@ -32,7 +32,7 @@ class TestParsing:
         assert hospital.entities == {"env", "P1", "P2"}
         assert set(hospital.emergencies) == {f"E{i}" for i in range(1, 8)}
         assert hospital.config.planner.seed == 7
-        assert hospital.horizon == F(60)
+        assert hospital.config.horizon == F(60)
         assert hospital.config.tp == F(1, 2)
 
     def test_store_contents(self, hospital):
@@ -74,7 +74,7 @@ class TestParsing:
         assert not diags
         assert sc.config == EngineConfig()
         assert sc.config.planner == PlannerConfig()
-        assert sc.horizon == F(20)
+        assert sc.config.horizon == F(20)
 
     def test_the_first_value_of_a_repeated_field_stays(self):
         text = """\

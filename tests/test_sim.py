@@ -9,7 +9,7 @@ import pytest
 
 from feac.audit import parse_trace
 from feac.cli import main
-from feac.engine import run_time_unit
+from feac.engine import MODE_DISASTER, MODE_NORMAL, SystemState, engine_tick, run_time_unit
 from feac.exact import parse_number
 from feac.model import serialize_store
 from feac.scenario import load_scenario, parse_scenario
@@ -140,3 +140,20 @@ def test_fine_clock_fixture_matches_its_trace_and_audits_clean(tmp_path):
     path.write_text(trace.trace_text, encoding="utf-8")
     out = io.StringIO()
     assert main(["audit", str(path), "--scenario", str(FINE_CLOCK)], out, out) == 0, out.getvalue()
+
+
+def test_a_world_built_from_the_config_alone_ticks_as_run_simulation_runs():
+    """`SystemState` seeds its outcome draws from `cfg.planner.seed` (93
+    here, and no outcome is forced), and `engine_tick` reads tp from the
+    same config: the records after the header equal the simulation's."""
+    sc, diags = load_scenario(str(FINE_CLOCK))
+    assert not diags
+    world = SystemState(sc.store.clone(), sc.emergencies, sc.events, sc.infl, cfg=sc.config)
+    while world.mode != MODE_DISASTER:
+        engine_tick(world)
+        if world.mode == MODE_NORMAL and world.event_cursor == len(world.events):
+            break
+    expected = run_simulation(sc).trace_text.splitlines()[1:]
+    assert [line.split("|", 1)[1] for line in world.audit.lines] == [
+        line.split("|", 1)[1] for line in expected
+    ]
