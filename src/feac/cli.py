@@ -13,18 +13,10 @@ import sys
 
 from .audit import AuditFormatError, parse_trace
 from .checks import CheckViolation, check_trace, first_difference
-from .engine import TIME_FIRST
+from .engine import select_path
 from .exact import ZERO, format_number, parse_integer, parse_number
 from .model import validate_store
-from .planner import (
-    ResponseGraph,
-    build_transition_graph,
-    compute_p_value,
-    plan_to_text,
-    prob_first_select,
-    select_optimal_path,
-    time_first_select,
-)
+from .planner import ResponseGraph, build_transition_graph, compute_p_value, plan_to_text
 from .scenario import Scenario, load_scenario, print_scenario
 from .sim import run_simulation
 
@@ -107,12 +99,7 @@ def cmd_plan(args, out, err) -> int:
         available_resources=all_resources - locked,
     )
     pv = compute_p_value(graph)
-    if pv > ZERO:
-        path = select_optimal_path(graph)
-        strategy = "optimal"
-    else:
-        strategy = scenario.config.fallback_strategy
-        path = (time_first_select if strategy == TIME_FIRST else prob_first_select)(graph)
+    path, strategy = select_path(graph, pv, scenario.config.fallback_strategy)
     print(
         f"group={args.group} orders={graph.order_count} "
         f"paths={_path_count(graph, scenario.config.planner.k_cap)} "

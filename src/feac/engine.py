@@ -19,9 +19,10 @@ rather than round. Within a cycle it:
    that stored object is its one current entry, and a head that is not it
    is stale and dropped;
 2. reconciles the mode (normal <-> emergency; disaster is terminal);
-3. (re)plans every group with new or changed work: positive-value plans
-   are selected optimally, zero-value plans trigger one entity
-   substitution attempt and then a fallback heuristic selection;
+3. (re)plans every group with new or changed work: a zero-value graph
+   first triggers one entity substitution attempt, and then `select_path`
+   picks the optimal path of a positive-value graph or the configured
+   fallback heuristic's path of a zero-value one;
 4. eagerly staffs every planned step: subject selection via the role
    mapping hierarchy, timed permission grants, role alternation with the
    originals saved for restoration, notification. A grant lasts until
@@ -87,7 +88,9 @@ from .model import (
 from .planner import (
     InfluenceSpec,
     PlannerConfig,
+    PlanPath,
     PlanStep,
+    ResponseGraph,
     build_transition_graph,
     compute_p_value,
     prob_first_select,
@@ -120,7 +123,6 @@ class EngineConfig:
 @dataclass(frozen=True)
 class ScenarioEvent:
     time: Fraction
-    index: int
     kind: str  # raise | fail | force | request
     args: tuple[str, ...]
 
@@ -230,12 +232,11 @@ class SystemState:
         self.store = store
         self.emergencies = emergencies
         self.unit = unit = run_time_unit(cfg, emergencies, events, infl)
-        timed = sorted(
-            ((unit.ticks(ev.time), ev.index, ev) for ev in events), key=lambda te: te[:2]
-        )
-        self.events = [ev for _, _, ev in timed]
+        # Stable: events at equal times keep their order in `events`.
+        timed = sorted(((unit.ticks(ev.time), ev) for ev in events), key=lambda te: te[0])
+        self.events = [ev for _, ev in timed]
         # The tick time of each event, in the same order.
-        self.event_times = [time for time, _, _ in timed]
+        self.event_times = [time for time, _ in timed]
         self.event_cursor = 0
         self.infl = infl
         self.clock = 0
@@ -779,6 +780,16 @@ def _gate_release(world: SystemState, entity: str, now: int) -> int:
     return latest - now
 
 
+def select_path(graph: ResponseGraph, pv: Fraction, fallback: str) -> tuple[PlanPath, str]:
+    """PD-AGM's choice for a graph of value `pv`: (the optimal path,
+    "optimal") when `pv` is positive, else (the path of the `fallback`
+    strategy's selector, `fallback`)."""
+    if pv > ZERO:
+        return select_optimal_path(graph), "optimal"
+    select = time_first_select if fallback == TIME_FIRST else prob_first_select
+    return select(graph), fallback
+
+
 def _plan_group(world: SystemState, entity: str, now: int) -> None:
     members = world.group_members(entity, include_executing=False)
     for member in members:
@@ -807,18 +818,12 @@ def _plan_group(world: SystemState, entity: str, now: int) -> None:
         gate_release=unit.value(gate_release),
     )
     pv = compute_p_value(graph)
-    if pv > ZERO:
-        path = select_optimal_path(graph)
-        strategy = "optimal"
-    else:
-        if entity not in world.ft_attempted:
-            if not _run_fault_tolerance(world, entity, now, escalated=True):
-                return
-        strategy = world.cfg.fallback_strategy
-        if strategy == TIME_FIRST:
-            path = time_first_select(graph)
-        else:
-            path = prob_first_select(graph)
+    # The one substitution attempt comes before selection, so a group that
+    # ends in disaster computes no fallback path.
+    if pv == ZERO and entity not in world.ft_attempted:
+        if not _run_fault_tolerance(world, entity, now, escalated=True):
+            return
+    path, strategy = select_path(graph, pv, world.cfg.fallback_strategy)
     world.plans[entity] = GroupPlan(
         steps=list(path.steps),
         epoch=now,

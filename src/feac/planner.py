@@ -30,8 +30,8 @@ merging its states would admit orders that were never drawn. Either way
 the number of root-to-terminal paths equals the number of orders taken.
 
 Inside a build everything is a Python int. A remaining set is a bitmask
-whose bit i is the i-th member in eid order, and each distinct set gets
-one frozenset, for `GraphNode.remaining`. Influence, and so every adjusted
+whose bit i is the i-th member in eid order, and `GraphNode.remaining`
+holds the node's set as one. Influence, and so every adjusted
 metric, depends only on which emergencies are still pending, so `Pricing`
 prices each remaining set once: p', t' and Ed' of every member under the
 others. A member's product of complements (1 - sigma) under a set is its
@@ -187,7 +187,9 @@ class GraphEdge:
 # Compared and hashed by identity: valuation keys its tables on nodes.
 @dataclass(slots=True, eq=False)
 class GraphNode:
-    remaining: frozenset[str]
+    # The emergencies still pending, as the build's bitmask: bit i is the
+    # i-th member in eid order.
+    remaining: int
     # The elapsed clock in ticks of the build's time unit, 1/scale.
     ticks: int
     scale: int
@@ -201,8 +203,8 @@ class GraphNode:
 @dataclass(slots=True)
 class ResponseGraph:
     root: GraphNode
-    # Keyed on (remaining bitmask, elapsed ticks) when every order is
-    # inserted, on the order prefix when the orders are sampled.
+    # Keyed on a node's (remaining, ticks) when every order is inserted,
+    # on the order prefix when the orders are sampled.
     nodes: dict[tuple, GraphNode]
     order_count: int
     sampled: bool
@@ -517,12 +519,12 @@ def build_transition_graph(
     task_sets = [select_task_set(em, available_resources) for em in group]
     if None in task_sets:
         # An emergency no task set can serve lets no order complete.
-        root = GraphNode(frozenset(eids), gate_release.numerator, gate_release.denominator)
+        root = GraphNode(full, gate_release.numerator, gate_release.denominator)
         nodes = {() if sampled else (full, root.ticks): root}
         return ResponseGraph(root=root, nodes=nodes, order_count=total, sampled=sampled)
 
     pricing = Pricing(group, task_sets, infl, cfg, gate_release)
-    root = GraphNode(frozenset(eids), pricing.gate_ticks, pricing.scale)
+    root = GraphNode(full, pricing.gate_ticks, pricing.scale)
     nodes: dict[tuple, GraphNode] = {() if sampled else (full, root.ticks): root}
     graph = ResponseGraph(root=root, nodes=nodes, order_count=total, sampled=sampled)
     if sampled:
@@ -541,23 +543,19 @@ def _insert_orders(
     nodes: dict[tuple, GraphNode], root: GraphNode, eids: list[str], orders, pricing: Pricing
 ) -> None:
     """Prefix trie over `orders`: a node per distinct order prefix."""
-    sets = {}
     for order in orders:
-        node, mask = root, (1 << len(eids)) - 1
+        node = root
         for depth, i in enumerate(order, start=1):
             eid = eids[i]
-            rest = mask ^ (1 << i)
             edge = node.edges.get(eid)
             if edge is None:
-                row, bound = pricing.price(mask)
+                row, bound = pricing.price(node.remaining)
                 price = row[i]
                 ticks = node.ticks + price.ticks
-                remaining = sets.get(rest)
-                if remaining is None:
-                    remaining = sets[rest] = node.remaining - {eid}
-                child = nodes[order[:depth]] = GraphNode(remaining, ticks, root.scale)
+                child = GraphNode(node.remaining ^ (1 << i), ticks, root.scale)
+                nodes[order[:depth]] = child
                 edge = node.edges[eid] = GraphEdge(price, ticks <= bound, child)
-            node, mask = edge.child, rest
+            node = edge.child
 
 
 def _expand_states(
@@ -571,10 +569,10 @@ def _expand_states(
     (remaining, elapsed), expanded one layer of equal remaining count at a
     time so that each remaining set is priced and stepped from once."""
     scale = root.scale
-    layer = {(1 << len(eids)) - 1: (root.remaining, [root])}
+    layer = {root.remaining: [root]}
     for _ in eids:
-        below: dict[int, tuple[frozenset[str], list[GraphNode]]] = {}
-        for mask, (remaining, states) in layer.items():
+        below: dict[int, list[GraphNode]] = {}
+        for mask, states in layer.items():
             row, bound = pricing.price(mask)
             step = _next_mask(classes, mask)
             for i, eid in enumerate(eids):
@@ -584,15 +582,14 @@ def _expand_states(
                 price = row[i]
                 t = price.ticks
                 rest = mask ^ bit
-                got = below.get(rest)
-                if got is None:
-                    got = below[rest] = (remaining - {eid}, [])
-                rest_set, children = got
+                children = below.get(rest)
+                if children is None:
+                    children = below[rest] = []
                 for node in states:
                     ticks = node.ticks + t
                     child = nodes.get((rest, ticks))
                     if child is None:
-                        child = nodes[rest, ticks] = GraphNode(rest_set, ticks, scale)
+                        child = nodes[rest, ticks] = GraphNode(rest, ticks, scale)
                         children.append(child)
                     node.edges[eid] = GraphEdge(price, ticks <= bound, child)
         layer = below

@@ -105,6 +105,7 @@ class Scenario:
     emergencies: dict[str, Emergency]
     infl: InfluenceSpec
     config: EngineConfig
+    # In declaration order, which orders the events of one time.
     events: list[ScenarioEvent]
 
 
@@ -957,7 +958,7 @@ class _Resolver:
 
     def resolve_events(self, store, emergencies, entities) -> list[ScenarioEvent]:
         events: list[ScenarioEvent] = []
-        for index, (when, kind, args) in enumerate(self.p.raw_events):
+        for when, kind, args in self.p.raw_events:
             if kind == "raise":
                 ok = self.known(args[0], emergencies, "emergency")
             elif kind == "fail":
@@ -972,9 +973,7 @@ class _Resolver:
                 object_ok = self.known(args[1], store.objects, "object")
                 ok = subject_ok and object_ok
             if ok:
-                events.append(
-                    ScenarioEvent(when, index, kind, tuple(tok.value for tok in args))
-                )
+                events.append(ScenarioEvent(when, kind, tuple(tok.value for tok in args)))
         return events
 
 
@@ -1115,7 +1114,7 @@ def print_scenario(sc: Scenario) -> str:
         out.append(f"fgroup {entity} = {store.efgt[entity]}")
     out.append("")
 
-    for event in sorted(sc.events, key=lambda e: (e.time, e.index)):
+    for event in sorted(sc.events, key=lambda e: e.time):
         out.append(f"at {format_number(event.time)} {event.kind} {' '.join(event.args)}")
     out.append("")
     return "\n".join(out)

@@ -20,6 +20,8 @@ from test_sim import GOLDEN
 RERAISE = GOLDEN.parent / "reraise_unstaffed.feac"
 LONG_PV = GOLDEN.parent / "long_pv.feac"
 NEGATIVE_WINDOW = GOLDEN.parent / "negative_window.feac"
+FALLBACK_CHOICE = GOLDEN.parent / "fallback_choice.feac"
+CURSOR_SKIP = GOLDEN.parent / "cursor_skip.feac"
 
 DISASTER_SCENARIO = """\
 scenario lone
@@ -538,6 +540,42 @@ class TestAudit:
             code, out, err = run_cli("audit", str(trace_file), *extra)
             assert (code, err) == (0, ""), out
             assert out == "ok: 30 records, all checks passed\n"
+
+    @pytest.mark.parametrize(
+        "fallback, path, records",
+        [("time_first", "E2:TS2>E1:TS1", 23), ("probability_first", "E1:TS1>E2:TS2", 24)],
+    )
+    def test_the_engine_plans_with_the_configured_fallback(self, tmp_path, fallback, path, records):
+        # pv is 0 and substitution by P2 changes nothing: the fallback
+        # selector alone decides which order the engine runs.
+        scenario = tmp_path / "fallback_choice.feac"
+        text = FALLBACK_CHOICE.read_text(encoding="utf-8")
+        text = text.replace("fallback = time_first", f"fallback = {fallback}")
+        scenario.write_text(text, encoding="utf-8")
+        trace_file = tmp_path / "fallback_choice.trace"
+        code, _, _ = run_cli("simulate", str(scenario), "--trace", str(trace_file))
+        assert code == 0
+        lines = trace_file.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == records
+        assert (
+            f"8|0|plan_selected|entity=P1,pv=0,strategy={fallback},path={path},epoch=0,gate=0"
+            in lines
+        )
+        code, out, err = run_cli("audit", str(trace_file), "--scenario", str(scenario))
+        assert (code, out, err) == (0, f"ok: {records} records, all checks passed\n", "")
+
+    def test_the_start_cursor_skips_a_step_whose_emergency_is_gone(self, tmp_path):
+        # E2 expires while E1 runs; when E1 finishes, the group's next step
+        # is E2's and must be passed over.
+        trace_file = tmp_path / "cursor_skip.trace"
+        code, _, _ = run_cli("simulate", str(CURSOR_SKIP), "--trace", str(trace_file))
+        assert code == 0
+        lines = trace_file.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 22
+        assert "18|2.3|emergency_expired|eid=E2,reason=deadline" in lines
+        assert "19|2.4|action_finished|eid=E1,tsid=TS1,sid=M1,outcome=success" in lines
+        code, out, err = run_cli("audit", str(trace_file), "--scenario", str(CURSOR_SKIP))
+        assert (code, out, err) == (0, "ok: 22 records, all checks passed\n", "")
 
     def test_substitution_trace_passes(self, substitution_path, tmp_path):
         trace_file = self.write_trace(tmp_path, substitution_path)

@@ -1113,6 +1113,19 @@ def test_staffing_index_follows_roles_copied_on_substitution(checked_staffing):
     assert sum(checked_staffing.values()) == 7
 
 
+def test_an_asrt_entry_of_no_subject_counts_but_is_never_a_candidate():
+    # ASRT may name an id that is no subject: its active role counts for
+    # `count(R)`, but the RCT level, open to every subject, never offers it.
+    store = PolicyStore(
+        subjects={"S1": Subject("S1")},
+        roles={"R": RoleKind.NORMAL, "E1": RoleKind.EMERGENCY},
+        asrt={"A": {"R"}},
+        rct={"E1": CountCmp("R", ">=", 1)},
+    )
+    assert reference_select(store, "E1") == "S1"
+    assert select_subject(StaffingIndex(store), "E1") == "S1"
+
+
 COUNT_FLIP = """\
 entity P1
 role R1
