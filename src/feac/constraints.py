@@ -4,7 +4,8 @@ Closed grammar: comparisons over subject properties, a squared-distance
 test against a fixed point, a concurrent-assignee count test, boolean
 combinators, literals, and references to named constraints. Evaluation is
 total: a missing property, a type mismatch, or an unresolved reference
-makes the enclosing comparison false rather than raising.
+makes the enclosing comparison false rather than raising, and so does an
+operator outside `CMP_OPS` in an atom built in code.
 
 `evaluate` walks the combinators and references and hands each atom to an
 `atom` function, by default `atom_holds`. The engine's staffing index
@@ -23,11 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq, ge, gt, le, lt, ne
 from typing import Union
 
 from .exact import format_number
 
-CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_COMPARE = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+CMP_OPS = tuple(_COMPARE)
 MAX_DEPTH = 100
 
 
@@ -90,17 +93,8 @@ ConstraintExpr = Union[Lit, Cmp, DistCmp, CountCmp, Not, And, Or, Ref]
 
 
 def _compare(op: str, left, right) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
+    compare = _COMPARE.get(op)
+    return compare is not None and compare(left, right)
 
 
 def atom_holds(expr: ConstraintExpr, subject, store) -> bool:

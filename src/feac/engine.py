@@ -23,7 +23,8 @@ rather than round. Within a cycle it:
    first triggers one entity substitution attempt, and then `select_path`
    picks the optimal path of a positive-value graph or the configured
    fallback heuristic's path of a zero-value one;
-4. eagerly staffs every planned step: subject selection via the role
+4. eagerly staffs every step of each live plan, one whose group has a
+   step left to start or a last step running: subject selection via the role
    mapping hierarchy, timed permission grants, role alternation with the
    originals saved for restoration, notification. A grant lasts until
    td = max(now, now + Ed'): it never ends before it starts, although
@@ -34,8 +35,10 @@ rather than round. Within a cycle it:
    per subject. The three writers of role sets refresh it for the subject
    they wrote: `enable_response_actions`, `rescind_permissions`, and
    `_run_fault_tolerance` after a substitution that copied roles;
-5. starts the next action of each group whose environment gates are clear
-   and whose resources no other group's running action holds.
+5. starts the next action of each live plan whose environment gates are
+   clear and whose resources no other group's running action holds. A plan
+   left with no step to start is dropped here, so steps 4 and 5 walk one
+   group order of the live plans.
 
 A staffed step is one `Assignment`: its subject holds the emergency role
 (named by the step's eid) and the step's permissions until `td`. A running
@@ -118,6 +121,20 @@ class EngineConfig:
     fallback_strategy: str = PROBABILITY_FIRST
     # The run stops once its clock passes this time (see `sim.run_simulation`).
     horizon: Fraction = Fraction(20)
+
+    def by_key(self) -> dict[str, Fraction | int | str]:
+        """Each scenario `config` key's value, in canonical order: the one
+        list of the keys, which the parser, printer and trace header read."""
+        planner = self.planner
+        return {
+            "tp": self.tp,
+            "alpha": planner.alpha,
+            "beta": planner.beta,
+            "k": planner.k_cap,
+            "seed": planner.seed,
+            "fallback": self.fallback_strategy,
+            "horizon": self.horizon,
+        }
 
 
 @dataclass(frozen=True)
@@ -232,11 +249,9 @@ class SystemState:
         self.store = store
         self.emergencies = emergencies
         self.unit = unit = run_time_unit(cfg, emergencies, events, infl)
-        # Stable: events at equal times keep their order in `events`.
-        timed = sorted(((unit.ticks(ev.time), ev) for ev in events), key=lambda te: te[0])
-        self.events = [ev for _, ev in timed]
-        # The tick time of each event, in the same order.
-        self.event_times = [time for time, _ in timed]
+        # (ticks, event) pairs in time order. Stable: events at equal times
+        # keep their order in `events`.
+        self.events = sorted(((unit.ticks(ev.time), ev) for ev in events), key=lambda te: te[0])
         self.event_cursor = 0
         self.infl = infl
         self.clock = 0
@@ -247,6 +262,8 @@ class SystemState:
         # Heap of `Occurrence` entries. Only the entry stored on an active
         # emergency's record is current; the rest are stale (see the module doc).
         self.occurrences: list[Occurrence] = []
+        # Each group's plan while it has a step left to start, or while its
+        # last step runs; `_try_start_group` drops a plan with neither.
         self.plans: dict[str, GroupPlan] = {}
         # The running assignment of each entity's group.
         self.executions: dict[str, Assignment] = {}
@@ -593,6 +610,7 @@ def _try_start_group(world: SystemState, entity: str, now: int) -> None:
     while plan.cursor < len(plan.steps) and plan.steps[plan.cursor].eid not in world.active:
         plan.cursor += 1
     if plan.cursor >= len(plan.steps):
+        del world.plans[entity]
         return
     if any(gate in world.active for gate in world.store.gates_for(entity)):
         return
@@ -718,10 +736,10 @@ def _dispatch_event(world: SystemState, ev: ScenarioEvent, now: int) -> None:
 def _drain_due(world: SystemState, until: int) -> None:
     """Process events and occurrences due by tick `until`, interleaved by
     time. An event goes before an occurrence at its time."""
-    times = world.event_times
+    events = world.events
     while world.mode != MODE_DISASTER:
         cursor = world.event_cursor
-        event_at = times[cursor] if cursor < len(times) else None
+        event_at, event = events[cursor] if cursor < len(events) else (None, None)
         if event_at is not None and event_at > until:
             event_at = None
         occurrence = _next_occurrence(world)
@@ -729,7 +747,7 @@ def _drain_due(world: SystemState, until: int) -> None:
             occurrence = None
         if event_at is not None and (occurrence is None or event_at <= occurrence[0]):
             world.event_cursor += 1
-            _dispatch_event(world, world.events[cursor], event_at)
+            _dispatch_event(world, event, event_at)
         elif occurrence is not None:
             _dispatch_occurrence(world, occurrence)
         else:
@@ -884,13 +902,14 @@ def engine_tick(world: SystemState) -> int:
         for entity in _group_order(world.dirty):
             if world.mode != MODE_EMERGENCY:
                 break
-            world.dirty.discard(entity)
             _plan_group(world, entity, now)
         world.dirty.clear()
     if world.mode == MODE_EMERGENCY:
-        for entity in _group_order(world.plans):
+        # Neither pass adds a plan, and a start drops only the plan it visits.
+        order = _group_order(world.plans)
+        for entity in order:
             _assign_pending(world, entity, now)
-        for entity in _group_order(world.plans):
+        for entity in order:
             _try_start_group(world, entity, now)
 
     world.clock = now + world.unit.ticks(world.cfg.tp)

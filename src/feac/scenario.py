@@ -81,7 +81,7 @@ EVENT_ARGS = {
     "force": ("an emergency id", "a task-set id", "'success' or 'failure'"),
     "request": ("a subject name", "an object name", "an operation"),
 }
-CONFIG_KEYS = ("tp", "alpha", "beta", "k", "seed", "fallback", "horizon")
+CONFIG_KEYS = tuple(EngineConfig().by_key())
 
 
 @dataclass(frozen=True)
@@ -979,19 +979,19 @@ class _Resolver:
 
 def _resolve_config(given: dict[str, Fraction | str | None]) -> EngineConfig:
     """The engine configuration, with a default for each key not given well."""
-    values = {key: value for key, value in given.items() if value is not None}
-    engine, planner = EngineConfig(), PlannerConfig()
+    values = EngineConfig().by_key()
+    values.update((key, value) for key, value in given.items() if value is not None)
     planner = PlannerConfig(
-        alpha=values.get("alpha", planner.alpha),
-        beta=values.get("beta", planner.beta),
-        k_cap=int(values.get("k", planner.k_cap)),
-        seed=int(values.get("seed", planner.seed)),
+        alpha=values["alpha"],
+        beta=values["beta"],
+        k_cap=int(values["k"]),
+        seed=int(values["seed"]),
     )
     return EngineConfig(
-        tp=values.get("tp", engine.tp),
+        tp=values["tp"],
         planner=planner,
-        fallback_strategy=values.get("fallback", engine.fallback_strategy),
-        horizon=values.get("horizon", engine.horizon),
+        fallback_strategy=values["fallback"],
+        horizon=values["horizon"],
     )
 
 
@@ -1022,14 +1022,9 @@ def load_scenario(path: str) -> tuple[Scenario, list[Diagnostic]]:
 def print_scenario(sc: Scenario) -> str:
     """Canonical text form; parsing it reproduces the scenario."""
     out: list[str] = [f"scenario {sc.name}", ""]
-    cfg = sc.config
-    out.append(f"config tp = {format_number(cfg.tp)}")
-    out.append(f"config alpha = {format_number(cfg.planner.alpha)}")
-    out.append(f"config beta = {format_number(cfg.planner.beta)}")
-    out.append(f"config k = {cfg.planner.k_cap}")
-    out.append(f"config seed = {cfg.planner.seed}")
-    out.append(f"config fallback = {cfg.fallback_strategy}")
-    out.append(f"config horizon = {format_number(cfg.horizon)}")
+    for key, value in sc.config.by_key().items():
+        text = value if isinstance(value, str) else format_number(value)
+        out.append(f"config {key} = {text}")
     out.append("")
 
     store = sc.store

@@ -41,18 +41,7 @@ def run_simulation(
         cfg = dataclasses.replace(cfg, horizon=horizon)
 
     world = SystemState(sc.store.clone(), sc.emergencies, sc.events, sc.infl, cfg)
-    world.audit.append(
-        "run_started",
-        0,
-        scenario=sc.name,
-        seed=cfg.planner.seed,
-        tp=cfg.tp,
-        horizon=cfg.horizon,
-        alpha=cfg.planner.alpha,
-        beta=cfg.planner.beta,
-        k=cfg.planner.k_cap,
-        fallback=cfg.fallback_strategy,
-    )
+    world.audit.append("run_started", 0, scenario=sc.name, **cfg.by_key())
 
     horizon_ticks = world.unit.floor(cfg.horizon)
     while world.mode != MODE_DISASTER and world.clock <= horizon_ticks:

@@ -5,13 +5,16 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import feac
 from feac.cli import main
+from feac.engine import EngineConfig
 from feac.fixtures import hospital_text
+from feac.planner import PlannerConfig
 from feac.scenario import parse_scenario
 
 from mutations import MUTANTS, apply
@@ -149,6 +152,18 @@ BAD_NUMBERS = [
 HUGE = "1" * 3000 + "." + "1" * 3000
 HUGE_TP_SCENARIO = DISASTER_SCENARIO.replace("config tp = 0.5", f"config tp = 0{HUGE}")
 
+CONFIG_KEYS_SCENARIO = """\
+scenario keys
+config horizon = 12.5
+config seed = -3
+config fallback = time_first
+config k = 7
+config beta = 0.75
+config alpha = 1.5
+config tp = 0.25
+entity P1
+"""
+
 # Every command given a file that is not UTF-8 text ({bad}); the audit's
 # trace is the golden one ({trace}) when the scenario is the bad file.
 UNDECODABLE = [
@@ -251,6 +266,39 @@ class TestValidate:
         reparsed, diags = parse_scenario(out)
         assert not diags
         assert reparsed == parse_scenario(HUGE_TP_SCENARIO)[0]
+
+    def test_every_config_key_prints_and_heads_the_trace_in_one_order(self, tmp_path):
+        # Every key off its default, given out of the canonical order.
+        path = tmp_path / "keys.feac"
+        path.write_text(CONFIG_KEYS_SCENARIO, encoding="utf-8")
+        code, out, err = run_cli("validate", str(path), "--print")
+        assert (code, err) == (0, "")
+        assert out.startswith(
+            "scenario keys\n\n"
+            "config tp = 0.25\n"
+            "config alpha = 1.5\n"
+            "config beta = 0.75\n"
+            "config k = 7\n"
+            "config seed = -3\n"
+            "config fallback = time_first\n"
+            "config horizon = 12.5\n\n"
+            "entity P1\n"
+        )
+        want = EngineConfig(
+            tp=F(1, 4),
+            planner=PlannerConfig(alpha=F(3, 2), beta=F(3, 4), k_cap=7, seed=-3),
+            fallback_strategy="time_first",
+            horizon=F(25, 2),
+        )
+        reparsed, diags = parse_scenario(out)
+        assert not diags
+        assert reparsed.config == parse_scenario(CONFIG_KEYS_SCENARIO)[0].config == want
+        code, out, _ = run_cli("simulate", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "1|0|run_started|scenario=keys,seed=-3,tp=0.25,horizon=12.5,"
+            "alpha=1.5,beta=0.75,k=7,fallback=time_first"
+        )
 
     def test_diagnostics_exit_one(self, broken_path):
         code, out, _ = run_cli("validate", broken_path)

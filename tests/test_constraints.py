@@ -91,6 +91,23 @@ def test_count_over_active_roles():
     assert not evaluate(CountCmp("Nurse", ">", 2), s, st)
 
 
+def test_an_operator_outside_cmp_ops_is_false_for_every_atom_kind():
+    """Only code can build such an atom; each one would hold under `>=`."""
+    s = subject(x=F(5), pos=(F(3), F(4)))
+    st = store_with(asrt={"S1": {"R"}, "S2": {"R"}})
+
+    def atoms(op):
+        return (Cmp("x", op, F(3)), DistCmp("pos", (F(0), F(0)), op, F(1)), CountCmp("R", op, 1))
+
+    # With `>=` each atom holds, so each false below is the operator's.
+    assert all(evaluate(atom, s, st) for atom in atoms(">="))
+    for op in ("==", "=>", "<>", ""):
+        assert op not in CMP_OPS
+        for atom in atoms(op):
+            assert not evaluate(atom, s, st), atom
+            assert evaluate(Not(atom), s, st), atom
+
+
 def test_boolean_combinators():
     s = subject(age=F(30))
     st = store_with()

@@ -36,6 +36,7 @@ from feac.engine import (
     ActiveEmergency,
     EngineError,
     MODE_DISASTER,
+    MODE_EMERGENCY,
     StaffingIndex,
     SystemState,
     enable_response_actions,
@@ -1013,7 +1014,7 @@ def checked_occurrences(monkeypatch):
 
     def checked(world):
         assert type(world.clock) is int
-        assert all(type(t) is int for t in world.event_times)
+        assert all(type(t) is int for t, _ in world.events)
         for entry in world.occurrences:
             assert [type(part) for part in entry] == [int, int, str], entry
         for eid, ae in world.active.items():
@@ -1059,11 +1060,28 @@ def assert_index_current(staffing: StaffingIndex):
     assert +staffing.holders == +fresh.holders
 
 
+def assert_plans_live(world: SystemState) -> int:
+    """Each kept plan has a step left to start, or its group's action runs.
+    Returns how many plans it checked."""
+    for entity, plan in world.plans.items():
+        left = [step.eid for step in plan.steps[plan.cursor :] if step.eid in world.active]
+        assert left or entity in world.executions, (world.clock, entity, plan.cursor)
+    return len(world.plans)
+
+
 @pytest.fixture
-def checked_staffing(monkeypatch):
+def live_plans():
+    """How many plans `checked_staffing`'s ticks checked with `assert_plans_live`."""
+    return Counter()
+
+
+@pytest.fixture
+def checked_staffing(monkeypatch, live_plans):
     """Every `select_subject` call asserts that the index's answer equals
     `reference_select` on the live store, and every tick that the index
-    equals a fresh one. Counts the answers by the subject chosen."""
+    equals a fresh one and, when it ends in emergency mode, that every plan
+    is live (`assert_plans_live`; disaster keeps its plans and ends the
+    run). Counts the answers by the subject chosen."""
     seen = Counter()
     indexed = engine.select_subject
     ticked = sim.engine_tick
@@ -1077,6 +1095,8 @@ def checked_staffing(monkeypatch):
     def checked_tick(world):
         appended = ticked(world)
         assert_index_current(world.staffing)
+        if world.mode == MODE_EMERGENCY:
+            live_plans["checked"] += assert_plans_live(world)
         return appended
 
     monkeypatch.setattr(engine, "select_subject", checked)
@@ -1084,17 +1104,21 @@ def checked_staffing(monkeypatch):
     return seen
 
 
-def test_staffing_index_matches_the_scan_on_the_hospital(hospital, hospital_run, checked_staffing):
+def test_staffing_index_matches_the_scan_on_the_hospital(
+    hospital, hospital_run, checked_staffing, live_plans
+):
     assert run_simulation(hospital).trace_text == hospital_run.trace_text
     assert sum(checked_staffing.values()) == 7
+    assert live_plans["checked"] > 0
 
 
-def test_staffing_index_matches_the_scan_on_generated_runs(checked_staffing):
+def test_staffing_index_matches_the_scan_on_generated_runs(checked_staffing, live_plans):
     for seed in range(60):
         sc, diags = parse_scenario(generate_scenario_text(seed))
         assert not diags, (seed, diags)
         run_simulation(sc)
     assert checked_staffing[None] > 0 and sum(checked_staffing.values()) > 200, checked_staffing
+    assert live_plans["checked"] > 1000, live_plans
 
 
 CREW_FAILOVER = Path(__file__).parent / "data" / "crew_failover.feac"
