@@ -172,12 +172,16 @@ def cmd_audit(args, out, err) -> int:
         head = records[0].decoded
         rerun = run_simulation(scenario, seed=head["seed"], horizon=head["horizon"])
         violations += check_trace(records, scenario=scenario, final_store=rerun.final_store)
-        lines, rerun_lines = text.splitlines(), rerun.trace_text.splitlines()
-        if lines != rerun_lines:
-            where = first_difference(lines, rerun_lines, "trace", "re-run")
-            violations.append(
-                CheckViolation("determinism", 0, f"trace differs from deterministic re-run {where}")
-            )
+        # Texts that differ may still hold the same lines, which is a match.
+        if text != rerun.trace_text:
+            lines, rerun_lines = text.splitlines(), rerun.trace_text.splitlines()
+            if lines != rerun_lines:
+                where = first_difference(lines, rerun_lines, "trace", "re-run")
+                violations.append(
+                    CheckViolation(
+                        "determinism", 0, f"trace differs from deterministic re-run {where}"
+                    )
+                )
     else:
         violations += check_trace(records)
 

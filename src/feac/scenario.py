@@ -8,12 +8,14 @@ returns the compiled scenario plus a list of positioned diagnostics; the
 scenario is only usable when the list is empty. `print_scenario` renders
 a canonical form that reparses to the same scenario.
 
-The lexer makes one `finditer` pass with one match per token. Each match
-first skips the blanks and comments before its token, then matches the
-token, a newline, the end of the text, or (its last alternative) any
-unexpected character; some alternative always matches after the skip, so
-the skip is never backtracked into. A token's column is its group's start
-less the offset where its line starts.
+The lexer makes one `findall` pass. Each match is a token followed by the
+blanks, newlines and comments after it, so the matches meet end to end, and
+the last one takes the text's end; the blanks and comments in front of the
+first token are skipped before the pass. A token's kind follows from its
+text. An unexpected character is a one-character match that is reported
+and left out of the token stream. Tokens carry no position: `token_places`
+finds each token's line and column with the same pattern, at most once per
+parse, when the first diagnostic or a resynchronization needs them.
 
 Parse errors resynchronize at the next top-level keyword that is the first
 token on its line, so one broken declaration yields one diagnostic, not a
@@ -31,6 +33,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .constraints import (
@@ -115,48 +119,66 @@ class Scenario:
 
 
 class Token(NamedTuple):
-    kind: str  # name | number | string | punct | eof
-    value: str
-    line: int
-    col: int
+    kind: str  # name | number | string | punct | eof | bad (an unexpected character)
+    value: str  # a token holds no place: `token_places` finds it, by identity
 
 
+# Blanks, newlines and comments.
+_SKIP_RE = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*")
+# One token and the skip after it; the last alternative takes any other
+# character. The kind follows from the text, so no alternative is named.
 _TOKEN_RE = re.compile(
-    r"""
-    (?:[ \t\r]+|\#[^\n]*)*
-    (?:
-      (?P<nl>\n)
-    | (?P<string>"[^"\n]*")
-    | (?P<number>-?(?:\d+(?:\.\d+)?|\.\d+))
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<punct>->|<=|>=|!=|[{}\[\](),=<>@])
-    | (?P<end>\Z)
-    | (?P<bad>.)
-    )
-    """,
+    r"""(
+      "[^"\n]*"
+    | -?(?:\d+(?:\.\d+)?|\.\d+)
+    | [A-Za-z_][A-Za-z0-9_]*
+    | ->|<=|>=|!=|[{}\[\](),=<>@]
+    | .
+    )"""
+    + _SKIP_RE.pattern,
     re.VERBOSE,
 )
+# A kind by the whole text: the two-character symbols, and the texts that
+# only begin a longer token.
+_TEXT_KINDS = dict.fromkeys(["->", "<=", ">=", "!="], "punct") | dict.fromkeys('"-.', "bad")
+
+
+class _FirstKinds(dict):
+    """A kind by the first character; one outside the table is a digit that
+    is not ASCII, which begins a number as `\\d` does, or a bad character."""
+
+    def __missing__(self, char: str) -> str:
+        return "number" if char.isdecimal() else "bad"
+
+
+_FIRST_KINDS = _FirstKinds(
+    dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", "name")
+    | dict.fromkeys("0123456789-.", "number")
+    | dict.fromkeys("{}[](),=<>@", "punct")
+    | {'"': "string"}
+)
+_first = itemgetter(0)
 
 
 def tokenize(text: str, filename: str) -> tuple[list[Token], list[Diagnostic]]:
-    tokens: list[Token] = []
-    diags: list[Diagnostic] = []
-    append = tokens.append
-    # The tuple itself, without the named tuple's Python-level constructor.
-    new_token = tuple.__new__
-    line, line_start = 1, 0
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = match.end()
-        elif kind == "bad":
-            col = match.start(kind) - line_start + 1
-            diags.append(Diagnostic(filename, line, col, f"unexpected character {match[kind]!r}"))
-        elif kind != "end":
-            append(new_token(Token, (kind, match[kind], line, match.start(kind) - line_start + 1)))
-    append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens, diags
+    parser = Parser(text, filename)
+    return parser.tokens, parser.diags
+
+
+def token_places(text: str, tokens: list[Token]) -> dict[int, tuple[int, int]]:
+    """Each token's (line, col), keyed by its identity. `tokens` are a
+    parser's before its bad characters leave: one per match of the lexer's
+    pattern, then eof at the end."""
+    starts = [match.start() for match in _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end())]
+    starts.append(len(text))
+    places = {}
+    line, line_start, last = 1, 0, 0
+    for tok, at in zip(tokens, starts):
+        line += text.count("\n", last, at)
+        line_start = max(line_start, text.rfind("\n", last, at) + 1)
+        places[id(tok)] = line, at - line_start + 1
+        last = at
+    return places
 
 
 def _describe(tok: Token) -> str:
@@ -226,7 +248,10 @@ def _config_problem(key: str, value: Fraction | str) -> str | None:
 class Parser:
     def __init__(self, text: str, filename: str):
         self.filename = filename
-        self.tokens, self.diags = tokenize(text, filename)
+        self.text = text
+        self.places = None  # each token's (line, col), once `place` needs one
+        self.diags: list[Diagnostic] = []
+        self.lex()
         self.pos = 0
         # Number text -> value, for the texts converted so far.
         self.numbers: dict[str, Fraction] = {}
@@ -254,6 +279,20 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
+    def lex(self) -> None:
+        """The tokens, in one `findall` pass; each bad character is reported
+        and left out."""
+        texts = _TOKEN_RE.findall(self.text, _SKIP_RE.match(self.text).end())
+        kinds = map(_TEXT_KINDS.get, texts, map(_FIRST_KINDS.__getitem__, map(_first, texts)))
+        # The tuples themselves, without the named tuple's Python-level constructor.
+        self.tokens = list(map(tuple.__new__, repeat(Token), zip(kinds, texts)))
+        self.tokens.append(Token("eof", ""))
+        if "bad" in map(_first, self.tokens):
+            for tok in self.tokens:
+                if tok.kind == "bad":
+                    self.error(tok, f"unexpected character {tok.value!r}")
+            self.tokens = [tok for tok in self.tokens if tok.kind != "bad"]
+
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
@@ -263,8 +302,14 @@ class Parser:
             self.pos += 1
         return tok
 
+    def place(self, tok: Token) -> tuple[int, int]:
+        """`tok`'s (line, col); the first call places every token."""
+        if self.places is None:
+            self.places = token_places(self.text, self.tokens)
+        return self.places[id(tok)]
+
     def error(self, tok: Token, message: str) -> None:
-        self.diags.append(Diagnostic(self.filename, tok.line, tok.col, message))
+        self.diags.append(Diagnostic(self.filename, *self.place(tok), message))
 
     def abort(self, tok: Token, message: str):
         self.error(tok, message)
@@ -334,7 +379,7 @@ class Parser:
             if (
                 tok.kind == "name"
                 and tok.value in self.HANDLERS
-                and (self.pos == 0 or tokens[self.pos - 1].line != tok.line)
+                and (self.pos == 0 or self.place(tokens[self.pos - 1])[0] != self.place(tok)[0])
             ):
                 return
             self.pos += 1

@@ -488,6 +488,16 @@ class TestAudit:
                 out.splitlines()
             )
 
+    def test_the_re_run_compares_lines_not_texts(self, hospital_path, tmp_path):
+        # A CRLF copy of the golden trace, and one without its last newline:
+        # each holds the golden lines, so each audits clean.
+        golden = GOLDEN.read_text(encoding="utf-8")
+        trace_file = tmp_path / "run.trace"
+        for data in (golden.replace("\n", "\r\n").encode(), golden[:-1].encode()):
+            trace_file.write_bytes(data)
+            code, out, _ = run_cli("audit", str(trace_file), "--scenario", hospital_path)
+            assert (code, out) == (0, "ok: 95 records, all checks passed\n")
+
     def audit_tampered(self, tmp_path, scenario_path, kind, field, value):
         """Audit exit codes, without and with --scenario, after rewriting one
         field of the first `kind` record in the scenario's simulated trace."""

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from feac import scenario
 from feac.engine import EngineConfig
 from feac.fixtures import hospital_text
 from feac.model import validate_store
 from feac.planner import PlannerConfig
 from feac.scenario import (
     Diagnostic,
+    Parser,
     Token,
     load_scenario,
     parse_scenario,
@@ -145,7 +147,8 @@ REFERENCE_TOKEN_RE = re.compile(
 
 def reference_tokenize(text: str, filename: str):
     """A position loop: one `match` per step, blanks and comments included,
-    with the column counted forward over every matched character."""
+    with the column counted forward over every matched character. Each
+    token is `(kind, value, line, col)`."""
     tokens = []
     diags = []
     line, col = 1, 1
@@ -165,10 +168,10 @@ def reference_tokenize(text: str, filename: str):
         elif kind in ("ws", "comment"):
             col += len(value)
         else:
-            tokens.append(Token(kind, value, line, col))
+            tokens.append((kind, value, line, col))
             col += len(value)
         pos = match.end()
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(("eof", "", line, col))
     return tokens, diags
 
 
@@ -193,9 +196,14 @@ def lexer_mutants(count: int, seed: int = 8):
 
 class TestLexer:
     def assert_matches_reference(self, text):
+        """Every kind and value, every token's place as the parser's first
+        diagnostic finds it, and every diagnostic."""
         tokens, diags = tokenize(text, "t.feac")
         want_tokens, want_diags = reference_tokenize(text, "t.feac")
-        assert tokens == want_tokens, text
+        parser = Parser(text, "t.feac")
+        assert parser.tokens == tokens, text
+        places = [(tok.kind, tok.value, *parser.place(tok)) for tok in parser.tokens]
+        assert places == want_tokens, text
         assert diags == want_diags, text
 
     def test_matches_reference_on_clean_texts(self):
@@ -214,16 +222,61 @@ class TestLexer:
             " \t\r\n \n\t",
             "at -",
             "at -.5",
+            "at .",
+            "a!b",
+            "a!=b",
+            "x->-1",
+            'scenario t\nentity P1 "',
+            "scenario t \t ",
+            "# only a comment",
+            # A digit that is not ASCII starts a number, as `\d` takes it.
+            "config tp = \u0663.\u0665 x\u0663 \u0663",
         ]
         for text in edge_cases + list(lexer_mutants(300)):
             self.assert_matches_reference(text)
 
     def test_tokens_are_immutable_and_hashable(self):
         tok = tokenize("scenario t", "t.feac")[0][1]
-        assert tok == Token("name", "t", 1, 10)
-        assert hash(tok) == hash(Token("name", "t", 1, 10))
+        assert tok == Token("name", "t")
+        assert hash(tok) == hash(Token("name", "t"))
         with pytest.raises(AttributeError):
-            tok.col = 3
+            tok.value = "u"
+
+    def count_places(self, monkeypatch) -> list:
+        calls = []
+
+        def counted(text, tokens):
+            calls.append(text)
+            return place(text, tokens)
+
+        place = scenario.token_places
+        monkeypatch.setattr(scenario, "token_places", counted)
+        return calls
+
+    def test_a_clean_parse_places_no_token(self, monkeypatch):
+        calls = self.count_places(monkeypatch)
+        for text in [hospital_text(), generate_scenario_text(0)]:
+            _, diags = parse_scenario(text)
+            assert not diags
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "mutants, count",
+        [
+            ([0], 1),  # an unexpected character, reported by the lexer
+            ([2], 1),  # a parse error, then a resynchronization
+            ([16], 1),  # a resolver error
+            ([0, 2, 16], 3),
+        ],
+    )
+    def test_a_damaged_text_places_its_tokens_once(self, monkeypatch, mutants, count):
+        text = hospital_text()
+        for index in mutants:
+            text = apply(MUTANTS[index], text)
+        calls = self.count_places(monkeypatch)
+        _, diags = parse_scenario(text)
+        assert len(diags) == count
+        assert calls == [text]
 
 
 class TestPrinter:
