@@ -5,20 +5,17 @@ Each record serializes as
     seq|timestamp|kind|key=value,key=value,...
 
 with a fixed key order per kind, timestamps as exact decimals, and ';' as
-the separator inside list-valued fields ('-' stands for empty or absent).
-Two runs with equal inputs and seed produce byte-identical traces.
+the separator inside list-valued fields ('-' stands for empty). Two runs
+with equal inputs and seed produce byte-identical traces.
 
-The log is its lines: `AuditLog.append` formats each record once, straight
-into its line, and keeps nothing else. The timestamp and the time fields
-(`TIME_FIELDS`) take either a Fraction or, as the engine passes them, an
-int count of the log's `TimeUnit` ticks; both print as the same decimal.
-Records (`AuditRecord`) exist only as the result of `parse_trace`, the one
-decoder of trace text: each holds its raw payload and the value of every
-field that `FIELD_PARSERS` decodes.
-
-Records carry enough payload to rebuild every policy-store mutation, so
-replaying a trace against the scenario's store, where its run started,
-reproduces its final store exactly: the non-repudiation check.
+The format is stated once: `KIND_FIELDS` gives each kind its fields, and
+the codec table `FIELDS` gives each field one declared type. Each kind's
+writer is built from the two at import; `parse_trace`, the one decoder of
+trace text, reads them too. A time is a Fraction or, as the engine passes
+it, an int count of the log's `TimeUnit` ticks; both print as the same
+decimal. Records carry enough payload to rebuild every policy-store
+mutation, so replaying a trace against the scenario's store, where its run
+started, reproduces its final store exactly: the non-repudiation check.
 """
 
 from __future__ import annotations
@@ -26,7 +23,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from functools import cache
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, NamedTuple
 
 from .exact import TimeUnit, format_number, parse_integer, parse_trace_number
 from .model import AclEntry, Op, PolicyStore, SystemObject
@@ -55,34 +54,99 @@ KIND_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
+class Codec(NamedTuple):
+    """A field's type: `writers` maps each type of value it takes to the
+    value's writer, and `decode` reads the text back, or is None for a
+    field that `parse_trace` leaves as text."""
+
+    kind: str  # id | time | number | int | list | op | acl
+    writers: dict[type, Callable[[Any], str]]
+    decode: Callable[[str], Any] | None = None
+
+    def encode(self, value) -> str:
+        """`value`'s text, '-' for an empty one; TypeError for a value of a
+        type the field does not take."""
+        write = self.writers.get(type(value))
+        if write is None:
+            raise TypeError(f"a {self.kind} field takes no {type(value).__name__}")
+        return write(value) or "-"
+
+
+def _encode_acl(entries) -> str:
+    """Copied ACL entries as role:op:td, td '-' for one that never expires."""
+    if any(type(entry) is not AclEntry for entry in entries):
+        raise TypeError("an acl holds AclEntry items")
+    return ";".join(
+        f"{e.role}:{e.op.value}:{'-' if e.td is None else format_number(e.td)}" for e in entries
+    )
+
+
 def _parse_list(text: str) -> tuple[str, ...]:
     return () if text == "-" else tuple(text.split(";"))
 
 
 def _parse_acl(text: str) -> tuple[AclEntry, ...]:
-    entries = []
-    for chunk in _parse_list(text):
-        role, op, td = chunk.split(":")
-        entries.append(AclEntry(role, Op(op), None if td == "-" else parse_trace_number(td)))
-    return tuple(entries)
+    return tuple(
+        AclEntry(role, Op(op), None if td == "-" else parse_trace_number(td))
+        for role, op, td in (chunk.split(":") for chunk in _parse_list(text))
+    )
 
 
-# The payload fields some consumer converts, by name, with the conversion it
-# applies. parse_trace runs each one and keeps the value on the record, so
-# checkers and replay only ever meet converted values.
-FIELD_PARSERS = {
-    "td": parse_trace_number,
-    "pv": parse_trace_number,
-    "tp": parse_trace_number,
-    "horizon": parse_trace_number,
-    "seed": parse_integer,
-    "op": Op,
-    "acl": _parse_acl,
-    "saved": _parse_list,
-    "restored": _parse_list,
-    "roles": _parse_list,
-    "resources": _parse_list,
+# Each codec kind's writers; every one takes a str as already written. A
+# number is a Fraction or an int, and so is a time, whose int each log
+# writes as a count of its own ticks.
+_ID = {str: str}
+_NUMBER = {str: str, Fraction: format_number, int: format_number}
+_TIME = dict(_NUMBER)
+_INT = {str: str, int: str}
+_LIST = {str: str, tuple: ";".join, list: ";".join}
+
+# Every field's codec. parse_trace decodes the fields whose codec decodes and
+# keeps the values on the record, so checkers and replay meet no text to read.
+FIELDS: dict[str, Codec] = {
+    "td": Codec("time", _TIME, parse_trace_number),
+    **dict.fromkeys(("start", "end", "epoch", "gate"), Codec("time", _TIME)),
+    **dict.fromkeys(("pv", "tp", "horizon"), Codec("number", _NUMBER, parse_trace_number)),
+    **dict.fromkeys(("alpha", "beta", "ed"), Codec("number", _NUMBER)),
+    "seed": Codec("int", _INT, parse_integer),
+    **dict.fromkeys(("k", "prio"), Codec("int", _INT)),
+    **dict.fromkeys(("saved", "restored", "roles", "resources"), Codec("list", _LIST, _parse_list)),
+    "notified": Codec("list", _LIST),
+    "op": Codec("op", {str: str, Op: attrgetter("value")}, Op),
+    "acl": Codec("acl", {str: str, tuple: _encode_acl, list: _encode_acl}, _parse_acl),
+    **dict.fromkeys(
+        ("scenario", "fallback", "from", "to", "eid", "entity", "strategy", "path", "sid",
+         "erole", "oid", "tsid", "outcome", "reason", "decision"),
+        Codec("id", _ID),
+    ),
 }
+
+
+class _Layout(NamedTuple):
+    """A kind's writer and reader, built from `KIND_FIELDS` and `FIELDS`."""
+
+    values: Callable[[dict], tuple]  # append's payload in field order; 'from' is from_
+    writers: tuple[tuple[int, dict], ...]  # each position that does not hold an id
+    template: str  # the line, from seq, timestamp and each field's text
+    decoded: tuple[str, ...]  # the fields parse_trace decodes
+    decoded_texts: Callable[[dict], tuple]  # their names and texts, from a payload
+
+
+def _layout(kind: str, fields: tuple[str, ...]) -> _Layout:
+    names = [f + "_" if f == "from" else f for f in fields]
+    codecs = [FIELDS[f] for f in fields]
+    decoded = tuple(f for f, c in zip(fields, codecs) if c.decode)
+    texts = itemgetter(*decoded) if decoded else None
+    return _Layout(
+        itemgetter(*names) if len(names) > 1 else lambda payload: (payload[names[0]],),
+        tuple((i, c.writers) for i, c in enumerate(codecs) if c.kind != "id"),
+        "%s|%s|" + kind + "|" + ",".join(f + "=%s" for f in fields),
+        decoded,
+        (lambda payload: (decoded, texts(payload))) if decoded else lambda payload: (),
+    )
+
+
+_LAYOUTS = {kind: _layout(kind, fields) for kind, fields in KIND_FIELDS.items()}
 
 
 # Characters the line format uses as separators, and every line boundary
@@ -98,8 +162,8 @@ class AuditFormatError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class AuditRecord:
-    """`payload` holds the raw texts and `decoded` the value of each field that
-    `FIELD_PARSERS` decodes (lists as tuples), which only `parse_trace` fills;
+    """`payload` holds the raw texts and `decoded` the value of each field
+    whose codec decodes (lists as tuples), which only `parse_trace` fills;
     it is read-only, shared by records with equal texts, and not compared."""
 
     seq: int
@@ -109,45 +173,6 @@ class AuditRecord:
     decoded: dict[str, object] = field(default_factory=dict, compare=False, repr=False)
 
 
-def fmt_value(value) -> str:
-    """Payload value formatter: '-' for empty, ';' joins sequences."""
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return format_number(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else list(value)
-        return ";".join(str(i) for i in items) if items else "-"
-    text = str(value)
-    return text if text else "-"
-
-
-# Per kind: the keyword names `append` takes ('from' is a keyword, so
-# callers pass from_=...), and the line template after seq|timestamp|.
-_ARG_NAMES = {
-    kind: tuple(f + "_" if f == "from" else f for f in fields)
-    for kind, fields in KIND_FIELDS.items()
-}
-_TEMPLATES = {
-    kind: "{}|{}|" + kind + "|" + ",".join(f + "={}" for f in fields)
-    for kind, fields in KIND_FIELDS.items()
-}
-# Payload fields that hold a time, and their positions in each kind that has one.
-TIME_FIELDS = frozenset({"td", "start", "end", "epoch", "gate"})
-_TIME_POSITIONS = {
-    kind: positions
-    for kind, fields in KIND_FIELDS.items()
-    if (positions := tuple(i for i, f in enumerate(fields) if f in TIME_FIELDS))
-}
-# Payload fields each kind has that FIELD_PARSERS converts, in field order.
-_TYPED_FIELDS = {
-    kind: tuple(f for f in fields if f in FIELD_PARSERS) for kind, fields in KIND_FIELDS.items()
-}
-_TYPED_TEXTS = {kind: itemgetter(*typed) for kind, typed in _TYPED_FIELDS.items() if typed}
-
-
 class AuditLog:
     """The trace as a list of lines, one per record, without newlines. An
     int time it is given counts ticks of `unit`."""
@@ -155,39 +180,46 @@ class AuditLog:
     def __init__(self, unit: TimeUnit = TimeUnit()):
         self.lines: list[str] = []
         self.unit = unit
-        # The last tick timestamp and its text: records at one time come in runs.
-        self._ts: int | None = None
-        self._ts_text = ""
+        self._tick_text = cache(unit.text)  # this log's memo of each tick count's text
+        self._time_writers = {**_TIME, int: self._tick_text}
 
     def append(self, kind: str, ts: int | Fraction, **payload) -> None:
-        names = _ARG_NAMES.get(kind)
-        if names is None:
+        layout = _LAYOUTS.get(kind)
+        if layout is None:
             raise ValueError(f"unknown audit kind {kind!r}")
         try:
-            values = [payload[name] for name in names]
+            texts = list(layout.values(payload))
         except KeyError:
-            values = None
-        if values is None or len(payload) != len(names):
+            texts = None
+        if texts is None or len(texts) != len(payload):
             keys = sorted({key.rstrip("_") for key in payload})
             raise ValueError(f"{kind} payload keys {keys} != {sorted(KIND_FIELDS[kind])}")
-        for i in _TIME_POSITIONS.get(kind, ()):
-            if type(values[i]) is int:
-                values[i] = self.unit.text(values[i])
-        texts = [(v or "-") if type(v) is str else fmt_value(v) for v in values]
-        if _ILLEGAL_IN_VALUE("".join(texts)):
-            # Name the first bad value in the caller's keyword order.
-            for value in payload.values():
-                value = fmt_value(value)
-                if _ILLEGAL_IN_VALUE(value):
-                    raise ValueError(f"illegal character in payload value {value!r}")
-        if type(ts) is not int:
-            stamp = format_number(ts)
-        elif ts == self._ts:
-            stamp = self._ts_text
-        else:
-            stamp = self._ts_text = self.unit.text(ts)
-            self._ts = ts
-        self.lines.append(_TEMPLATES[kind].format(len(self.lines) + 1, stamp, *texts))
+        try:
+            for i, writers in layout.writers:
+                value = texts[i]
+                if writers is _TIME:
+                    writers = self._time_writers
+                texts[i] = writers[type(value)](value)
+            # An id that is not a str fails the join.
+            bad = _ILLEGAL_IN_VALUE("".join(texts))
+        except (KeyError, TypeError):
+            bad = True
+        if bad:
+            # Name the first bad value in the caller's keyword order. An int
+            # time's text has no separator, whatever the unit.
+            for key, value in payload.items():
+                codec = FIELDS[key.rstrip("_")]
+                try:
+                    text = codec.encode(value)
+                except TypeError:
+                    message = f"{key.rstrip('_')} takes {codec.kind} values, not {value!r}"
+                    raise ValueError(f"{kind}: {message}") from None
+                if _ILLEGAL_IN_VALUE(text):
+                    raise ValueError(f"illegal character in payload value {text!r}")
+        if "" in texts:
+            texts = [text or "-" for text in texts]
+        stamp = self._tick_text(ts) if type(ts) is int else format_number(ts)
+        self.lines.append(layout.template % (len(self.lines) + 1, stamp, *texts))
 
     def to_text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
@@ -239,15 +271,15 @@ def parse_trace(text: str) -> list[AuditRecord]:
             # A repeated key the dict folded into its first place.
             keys = tuple(chunk.partition("=")[0] for chunk in chunks)
             raise AuditFormatError(line_no, f"payload keys {keys} != {fields}")
-        texts_of = _TYPED_TEXTS.get(kind)
-        texts = (_TYPED_FIELDS[kind], texts_of(payload)) if texts_of else ()
+        layout = _LAYOUTS[kind]
+        texts = layout.decoded_texts(payload)
         decoded = shared.get(texts)
         if decoded is None:
             decoded = shared[texts] = {}
-            for key in _TYPED_FIELDS[kind]:
+            for key in layout.decoded:
                 value = payload[key]
                 try:
-                    decoded[key] = FIELD_PARSERS[key](value)
+                    decoded[key] = FIELDS[key].decode(value)
                 except ValueError:
                     raise AuditFormatError(line_no, f"bad {key} {value!r}") from None
         if seq != len(records) + 1:
@@ -301,13 +333,3 @@ def replay_store(initial: PolicyStore, records: list[AuditRecord]) -> PolicyStor
                 store.asrt.setdefault(target, set()).update(d["roles"])
     return store
 
-
-def encode_acl_entries(entries) -> str:
-    """ft_substitution payload form of copied entries: role:op:td;..."""
-    if not entries:
-        return "-"
-    chunks = []
-    for entry in entries:
-        td = "-" if entry.td is None else format_number(entry.td)
-        chunks.append(f"{entry.role}:{entry.op.value}:{td}")
-    return ";".join(chunks)

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 
-from .audit import AuditLog, encode_acl_entries
+from .audit import AuditLog
 from .constraints import ConstraintExpr, CountCmp, atom_holds, count_holds, evaluate
 from .exact import ZERO, TimeUnit, decimal_scale
 from .fault import apply_fault_tolerance
@@ -492,7 +492,7 @@ def _run_fault_tolerance(world: SystemState, entity: str, now: int, escalated: b
             now,
             from_=entity,
             to=report.substitute,
-            acl=encode_acl_entries(report.acl_copied),
+            acl=report.acl_copied,
             roles=report.roles_copied,
             notified=report.notified,
         )

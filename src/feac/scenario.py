@@ -160,11 +160,6 @@ _FIRST_KINDS = _FirstKinds(
 _first = itemgetter(0)
 
 
-def tokenize(text: str, filename: str) -> tuple[list[Token], list[Diagnostic]]:
-    parser = Parser(text, filename)
-    return parser.tokens, parser.diags
-
-
 def token_places(text: str, tokens: list[Token]) -> dict[int, tuple[int, int]]:
     """Each token's (line, col), keyed by its identity. `tokens` are a
     parser's before its bad characters leave: one per match of the lexer's

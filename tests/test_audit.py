@@ -5,43 +5,68 @@ from fractions import Fraction
 
 import pytest
 
-from feac import audit
+from feac import audit, engine
 from feac.audit import (
-    FIELD_PARSERS,
+    FIELDS,
     AuditFormatError,
     AuditLog,
     AuditRecord,
     KIND_FIELDS,
-    encode_acl_entries,
-    fmt_value,
     parse_trace,
     replay_store,
 )
 from feac.exact import TimeUnit, format_number, parse_integer
+from feac.fixtures import hospital_text
 from feac.model import AclEntry, Op, PolicyStore, Subject, SystemObject, serialize_store
+from feac.scenario import load_scenario, parse_scenario
+from feac.sim import run_simulation
 
+from scenario_gen import generate_scenario_text
 from test_sim import GOLDEN
 
 F = Fraction
+DATA = GOLDEN.parent
 
 
-class TestFmtValue:
+def encode(field: str, value) -> str:
+    return FIELDS[field].encode(value)
+
+
+class TestCodecs:
     def test_scalars(self):
-        assert fmt_value("x") == "x"
-        assert fmt_value(7) == "7"
-        assert fmt_value(True) == "true"
-        assert fmt_value(False) == "false"
-        assert fmt_value(F(21, 5)) == "4.2"
+        assert encode("eid", "x") == "x"
+        assert encode("prio", 7) == "7"
+        assert encode("pv", F(21, 5)) == "4.2"
+        assert encode("pv", F(1, 3)) == "1/3"
+        assert encode("ed", 3) == "3"
+        assert encode("td", F(-1, 8)) == "-0.125"
+        assert encode("op", Op.READ_WRITE) == "read_write"
 
     def test_empties_collapse_to_dash(self):
-        assert fmt_value(None) == "-"
-        assert fmt_value("") == "-"
-        assert fmt_value([]) == "-"
-        assert fmt_value(()) == "-"
+        assert encode("eid", "") == "-"
+        assert encode("saved", []) == "-"
+        assert encode("saved", ()) == "-"
+        assert encode("acl", ()) == "-"
 
     def test_sequences_join_with_semicolons(self):
-        assert fmt_value(["a", "b"]) == "a;b"
-        assert fmt_value({"b", "a"}) == "a;b"
+        assert encode("roles", ["b", "a"]) == "b;a"
+        assert encode("resources", ("a", "b")) == "a;b"
+
+    def test_every_codec_passes_a_written_text_through(self):
+        for name, codec in FIELDS.items():
+            assert codec.encode("a;b:1") == "a;b:1", name
+            assert codec.encode("") == "-", name
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("eid", None), ("eid", 1), ("decision", True), ("sid", ["S2", "S1"]),
+         ("prio", True), ("prio", F(3)), ("pv", 0.5), ("td", None), ("td", False),
+         ("resources", {"a"}), ("resources", ["a", 1]), ("op", Op), ("acl", [("R", "use")]),
+         ("acl", "R:use:-".split(":"))],
+    )
+    def test_a_value_of_another_type_is_a_type_error(self, field, value):
+        with pytest.raises(TypeError):
+            encode(field, value)
 
 
 class TestAppend:
@@ -51,18 +76,89 @@ class TestAppend:
         assert log.lines == ["1|1.5|state_transition|from=normal,to=emergency"]
         assert log.to_text() == "1|1.5|state_transition|from=normal,to=emergency\n"
 
-    def test_values_format_as_fmt_value_does(self):
+    def test_values_write_by_their_fields_codec(self):
         log = AuditLog()
         log.append(
-            "action_started", F(1, 4), eid="", tsid=None, sid=["S2", "S1"],
-            start=F(1, 4), end=3, resources={"b", "a"},
+            "action_started", F(1, 4), eid="", tsid="-", sid="S2",
+            start=F(1, 4), end=3, resources=("b", "a"),
         )
-        log.append("access_checked", F(1, 4), sid="S1", oid="O1", op="use", decision=True,
-                   reason=())
+        log.append("access_checked", F(1, 4), sid="S1", oid="O1", op=Op.USE, decision="permit",
+                   reason="")
+        log.append(
+            "ft_substitution", F(1, 4), from_="P1", to="P2", roles=[], notified=("P2",),
+            acl=(AclEntry("Doctor", Op.READ_WRITE, F(9, 2)), AclEntry("Nurse", Op.USE)),
+        )
         assert log.lines == [
-            "1|0.25|action_started|eid=-,tsid=-,sid=S2;S1,start=0.25,end=3,resources=a;b",
-            "2|0.25|access_checked|sid=S1,oid=O1,op=use,decision=true,reason=-",
+            "1|0.25|action_started|eid=-,tsid=-,sid=S2,start=0.25,end=3,resources=b;a",
+            "2|0.25|access_checked|sid=S1,oid=O1,op=use,decision=permit,reason=-",
+            "3|0.25|ft_substitution|from=P1,to=P2,acl=Doctor:read_write:4.5;Nurse:use:-,"
+            "roles=-,notified=P2",
         ]
+
+    @pytest.mark.parametrize(
+        "kind, payload, message",
+        [
+            (
+                "action_started",
+                dict(eid="E1", tsid="T", sid=["S2", "S1"], start=0, end=1, resources=()),
+                "action_started: sid takes id values, not ['S2', 'S1']",
+            ),
+            (
+                "access_checked",
+                dict(sid="S1", oid="O1", op="use", decision=True, reason="permit"),
+                "access_checked: decision takes id values, not True",
+            ),
+            (
+                "action_started",
+                dict(eid="E1", tsid=None, sid="S1", start=0, end=1, resources={"a"}),
+                "action_started: tsid takes id values, not None",
+            ),
+            (
+                "action_started",
+                dict(eid="E1", tsid="T", sid="S1", start=0, end=1.5, resources=()),
+                "action_started: end takes time values, not 1.5",
+            ),
+            (
+                "emergency_raised",
+                dict(eid="E1", entity="P1", prio=True, ed=F(1)),
+                "emergency_raised: prio takes int values, not True",
+            ),
+            (
+                "role_restored",
+                dict(sid="S1", erole="E1", restored={"R1"}),
+                "role_restored: restored takes list values, not {'R1'}",
+            ),
+            (
+                "ft_substitution",
+                dict(from_=1, to="P2", acl=[("R", "use")], roles=(), notified=()),
+                "ft_substitution: from takes id values, not 1",
+            ),
+            (
+                "ft_substitution",
+                dict(from_="P1", to="P2", acl=[("R", "use")], roles=(), notified=()),
+                "ft_substitution: acl takes acl values, not [('R', 'use')]",
+            ),
+            (
+                "state_transition",
+                dict(to="a,b", from_=5),
+                "illegal character in payload value 'a,b'",
+            ),
+            (
+                "state_transition",
+                dict(from_=5, to="a,b"),
+                "state_transition: from takes id values, not 5",
+            ),
+        ],
+    )
+    def test_a_value_of_another_type_is_rejected_by_kind_and_field(self, kind, payload, message):
+        """The first bad value in the caller's keyword order is named, and
+        the log is left as it was."""
+        log = AuditLog()
+        log.append("entity_failed", 0, entity="P1")
+        with pytest.raises(ValueError) as raised:
+            log.append(kind, 1, **payload)
+        assert str(raised.value) == message
+        assert log.lines == ["1|0|entity_failed|entity=P1"]
 
     def test_each_timestamp_is_its_own_value(self):
         # Equal timestamps may be one object or several; each line shows
@@ -125,6 +221,29 @@ class TestAppend:
             log.append("entity_failed", ts, entity="P1")
         assert calls == [5, 20]
         assert [line.split("|")[1] for line in log.lines] == ["0.5"] * 3 + ["2"] * 2
+
+    def test_time_fields_share_the_timestamps_tick_texts(self, monkeypatch):
+        calls = []
+        text = TimeUnit.text
+
+        def counting(unit, ticks):
+            calls.append(ticks)
+            return text(unit, ticks)
+
+        monkeypatch.setattr(TimeUnit, "text", counting)
+        log = AuditLog(TimeUnit(10))
+        log.append("action_started", 5, eid="E", tsid="T", sid="S", start=5, end=20,
+                   resources=())
+        log.append("plan_selected", 20, entity="P", pv=F(1), strategy="optimal", path="E:T",
+                   epoch=20, gate=5)
+        log.append("permission_granted", 25, erole="E", oid="O", op="use", td=F(5, 2), eid="E",
+                   sid="S")
+        assert calls == [5, 20, 25]
+        assert log.lines == [
+            "1|0.5|action_started|eid=E,tsid=T,sid=S,start=0.5,end=2,resources=-",
+            "2|2|plan_selected|entity=P,pv=1,strategy=optimal,path=E:T,epoch=2,gate=0.5",
+            "3|2.5|permission_granted|erole=E,oid=O,op=use,td=2.5,eid=E,sid=S",
+        ]
 
     @pytest.mark.parametrize("scale", [10**m for m in range(16)] + [3])
     def test_tick_times_write_as_format_number_writes_their_value(self, scale):
@@ -194,7 +313,7 @@ class TestAppend:
             "acl": (AclEntry("R1", Op.USE, F(1)), AclEntry("R2", Op.READ, None)),
             "saved": ("R1", "R2"), "restored": ("R3",), "roles": ("E1", "E2"), "resources": (),
         }
-        assert set(decoded) == set(FIELD_PARSERS)
+        assert set(decoded) == {name for name, codec in FIELDS.items() if codec.decode}
         log = AuditLog()
         for kind, fields in KIND_FIELDS.items():
             payload = {(f + "_" if f == "from" else f): special.get(f, "1") for f in fields}
@@ -427,7 +546,7 @@ def reference_parse_trace(text: str) -> list[AuditRecord]:
         if tuple(keys) != fields:
             raise AuditFormatError(line_no, f"payload keys {tuple(keys)} != {fields}")
         for key, value in payload.items():
-            parse = FIELD_PARSERS.get(key)
+            parse = FIELDS[key].decode
             if parse is None:
                 continue
             try:
@@ -505,8 +624,9 @@ def test_parse_trace_matches_the_reference_on_damaged_traces():
 
 def test_encode_acl_entries():
     entries = [AclEntry("Doctor", Op.READ_WRITE, F(9, 2)), AclEntry("Nurse", Op.USE)]
-    assert encode_acl_entries(entries) == "Doctor:read_write:4.5;Nurse:use:-"
-    assert encode_acl_entries([]) == "-"
+    assert encode("acl", entries) == "Doctor:read_write:4.5;Nurse:use:-"
+    assert encode("acl", tuple(entries)) == "Doctor:read_write:4.5;Nurse:use:-"
+    assert encode("acl", []) == "-"
 
 
 class TestReplay:
@@ -588,8 +708,9 @@ def test_each_typed_text_is_decoded_once_across_kinds(monkeypatch):
 
         return counted
 
-    for key, parse in list(FIELD_PARSERS.items()):
-        monkeypatch.setitem(FIELD_PARSERS, key, counting(key, parse))
+    for key, codec in list(FIELDS.items()):
+        if codec.decode:
+            monkeypatch.setitem(FIELDS, key, codec._replace(decode=counting(key, codec.decode)))
     monkeypatch.setattr(audit, "parse_integer", counting("seq", parse_integer))
     records = parse_trace(GOLDEN.read_text(encoding="utf-8"))
     grants = [r for r in records if r.kind in ("permission_granted", "permission_rescinded")]
@@ -610,3 +731,140 @@ def test_a_seq_text_other_than_the_expected_one_is_still_read_as_a_number():
     with pytest.raises(AuditFormatError) as err:
         parse_trace("1|0|entity_failed|entity=P1\n3|0|entity_failed|entity=P2\n")
     assert str(err.value) == "line 2: sequence 3 out of order"
+
+
+# ---------------------------------------------------------------------------
+# The table-driven writer against the writer it replaced
+# ---------------------------------------------------------------------------
+
+
+def fmt_value(value) -> str:
+    """The replaced writer's one formatter for every field: '-' for empty,
+    ';' joins sequences, sets sorted, anything else through str()."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return format_number(value)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = sorted(value) if isinstance(value, (set, frozenset)) else list(value)
+        return ";".join(str(i) for i in items) if items else "-"
+    text = str(value)
+    return text if text else "-"
+
+
+def encode_acl_entries(entries) -> str:
+    """The replaced engine's text for copied ACL entries: role:op:td;..."""
+    if not entries:
+        return "-"
+    chunks = []
+    for entry in entries:
+        td = "-" if entry.td is None else format_number(entry.td)
+        chunks.append(f"{entry.role}:{entry.op.value}:{td}")
+    return ";".join(chunks)
+
+
+def reference_append(lines: list[str], unit: TimeUnit, kind: str, ts, **payload) -> None:
+    """The line the replaced `AuditLog.append` wrote for a payload it
+    accepted: each field through `fmt_value`, an int time (the timestamp or
+    td, start, end, epoch, gate) as a count of `unit`'s ticks first, and
+    the copied ACL entries as the engine encoded them before passing them."""
+    texts = []
+    for name in KIND_FIELDS[kind]:
+        value = payload[name + "_" if name == "from" else name]
+        if name in ("td", "start", "end", "epoch", "gate") and type(value) is int:
+            value = unit.text(value)
+        elif name == "acl" and type(value) is not str:
+            value = encode_acl_entries(value)
+        texts.append(fmt_value(value))
+    stamp = unit.text(ts) if type(ts) is int else format_number(ts)
+    body = ",".join(f"{name}={text}" for name, text in zip(KIND_FIELDS[kind], texts))
+    lines.append(f"{len(lines) + 1}|{stamp}|{kind}|{body}")
+
+
+def differential_scenarios():
+    """The hospital, every scenario under tests/data, and the 60 scenarios
+    of the acceptance sweep."""
+    hospital, diags = parse_scenario(hospital_text(), "hospital.feac")
+    assert not diags
+    yield "hospital", hospital
+    for path in sorted(DATA.glob("*.feac")):
+        sc, diags = load_scenario(str(path))
+        assert not diags, path
+        yield path.name, sc
+    for seed in range(60):
+        sc, diags = parse_scenario(generate_scenario_text(seed))
+        assert not diags, seed
+        yield f"sweep {seed}", sc
+
+
+@pytest.mark.parametrize("factor", [1, 10**12, 3])
+def test_every_engine_append_writes_the_reference_line(factor, monkeypatch):
+    """Every record a run writes equals the replaced writer's line for the
+    same call, with each run's time unit `factor` times finer than its own:
+    1, twelve more decimal places, or 3, whose tick counts print through
+    p/q. A finer unit holds the same times, so the trace is the same."""
+    natural = engine.run_time_unit
+    monkeypatch.setattr(
+        engine, "run_time_unit", lambda *inputs: TimeUnit(natural(*inputs).scale * factor)
+    )
+    write = AuditLog.append
+    kinds = Counter()
+
+    def checked(log, kind, ts, **payload):
+        want = log.lines[:]
+        reference_append(want, log.unit, kind, ts, **payload)
+        write(log, kind, ts, **payload)
+        assert log.lines == want
+        kinds[kind] += 1
+        if kind == "ft_substitution" and payload["acl"]:
+            kinds["ft_substitution with acl"] += 1
+
+    monkeypatch.setattr(AuditLog, "append", checked)
+    for name, sc in differential_scenarios():
+        trace = run_simulation(sc).trace_text
+        if factor != 1:
+            monkeypatch.setattr(engine, "run_time_unit", natural)
+            assert run_simulation(sc).trace_text == trace, name
+            monkeypatch.setattr(
+                engine, "run_time_unit", lambda *inputs: TimeUnit(natural(*inputs).scale * factor)
+            )
+    # Every kind is written, a substitution that copies ACL rows among them.
+    assert set(kinds) == set(KIND_FIELDS) | {"ft_substitution with acl"}
+
+
+def test_every_decoding_codec_round_trips():
+    """decode(encode(v)) == v for every codec that decodes, on seeded
+    values; and every field text of the committed traces writes back as
+    itself from its decoded value, or as itself when it stays text."""
+    rng = random.Random(26)
+    numbers = [F(rng.randint(-10**9, 10**9), rng.choice([1, 2, 8, 10, 1000, 3, 7 * 10**12]))
+               for _ in range(300)] + [F(0), F(1, 3), F(-5)]
+    names = ["R1", "Doctor", "a_b", "E12"]
+    drawn = {
+        "time": numbers + [rng.randint(-10**20, 10**20) for _ in range(50)],
+        "number": numbers,
+        "int": [rng.randint(-10**12, 10**12) for _ in range(100)] + [0],
+        "list": [tuple(rng.sample(names, rng.randint(0, 4))) for _ in range(50)],
+        "op": list(Op),
+        "acl": [
+            tuple(AclEntry(rng.choice(names), rng.choice(list(Op)), rng.choice([None, *numbers]))
+                  for _ in range(rng.randint(0, 3)))
+            for _ in range(50)
+        ],
+    }
+    decoding = {name: codec for name, codec in FIELDS.items() if codec.decode}
+    assert {codec.kind for codec in decoding.values()} == set(drawn)
+    for name, codec in decoding.items():
+        for value in drawn[codec.kind]:
+            assert codec.decode(codec.encode(value)) == value, (name, value)
+    texts = 0
+    for trace in ("hospital_trace.txt", "fine_clock.trace", "acl_failover.trace"):
+        for record in parse_trace((DATA / trace).read_text(encoding="utf-8")):
+            for name, text in record.payload.items():
+                codec = FIELDS[name]
+                value = codec.decode(text) if codec.decode else text
+                assert codec.encode(value) == text, (trace, record.seq, name)
+                texts += 1
+    assert texts > 900

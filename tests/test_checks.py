@@ -70,8 +70,9 @@ def test_checking_a_parsed_trace_decodes_nothing(hospital, hospital_run, monkeyp
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse(name))
-    for key in audit.FIELD_PARSERS:
-        monkeypatch.setitem(audit.FIELD_PARSERS, key, refuse(key))
+    for key, codec in audit.FIELDS.items():
+        if codec.decode:
+            monkeypatch.setitem(audit.FIELDS, key, codec._replace(decode=refuse(key)))
     violations = check_trace(records, scenario=hospital, final_store=hospital_run.final_store)
     assert calls == []
     assert violations == []

@@ -18,7 +18,6 @@ from feac.scenario import (
     load_scenario,
     parse_scenario,
     print_scenario,
-    tokenize,
 )
 from feac.sim import run_simulation
 
@@ -143,6 +142,13 @@ REFERENCE_TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+def tokenize(text: str, filename: str) -> tuple[list[Token], list[Diagnostic]]:
+    """The lexer's tokens and diagnostics for `text`: a parser's, before it
+    parses anything."""
+    parser = Parser(text, filename)
+    return parser.tokens, parser.diags
 
 
 def reference_tokenize(text: str, filename: str):

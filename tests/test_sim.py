@@ -11,7 +11,7 @@ from feac.audit import parse_trace
 from feac.cli import main
 from feac.engine import MODE_DISASTER, MODE_NORMAL, SystemState, engine_tick, run_time_unit
 from feac.exact import parse_number
-from feac.model import serialize_store
+from feac.model import AclEntry, Op, serialize_store
 from feac.scenario import load_scenario, parse_scenario
 from feac.sim import run_simulation
 
@@ -21,6 +21,7 @@ F = Fraction
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "hospital_trace.txt"
 FINE_CLOCK = GOLDEN.parent / "fine_clock.feac"
+ACL_FAILOVER = GOLDEN.parent / "acl_failover.feac"
 
 
 class TestHospitalGolden:
@@ -140,6 +141,24 @@ def test_fine_clock_fixture_matches_its_trace_and_audits_clean(tmp_path):
     path.write_text(trace.trace_text, encoding="utf-8")
     out = io.StringIO()
     assert main(["audit", str(path), "--scenario", str(FINE_CLOCK)], out, out) == 0, out.getvalue()
+
+
+def test_acl_failover_fixture_copies_both_rows_and_audits_clean(tmp_path):
+    """Pump1's two ACL rows, one with a td and one without, are copied onto
+    Pump2 and written on the substitution; replay rebuilds them there."""
+    sc, diags = load_scenario(str(ACL_FAILOVER))
+    assert not diags
+    trace = run_simulation(sc)
+    assert trace.trace_text == ACL_FAILOVER.with_suffix(".trace").read_text(encoding="utf-8")
+    (sub,) = [r for r in parse_trace(trace.trace_text) if r.kind == "ft_substitution"]
+    assert sub.payload["acl"] == "Nurse:use:7.5;Doctor:read_write:-"
+    copied = [AclEntry("Nurse", Op.USE, F(15, 2)), AclEntry("Doctor", Op.READ_WRITE)]
+    assert list(sub.decoded["acl"]) == copied
+    assert trace.final_store.objects["Pump2"].acl[-2:] == copied
+    path = tmp_path / "acl_failover.trace"
+    path.write_text(trace.trace_text, encoding="utf-8")
+    out = io.StringIO()
+    assert main(["audit", str(path), "--scenario", str(ACL_FAILOVER)], out, out) == 0, out.getvalue()
 
 
 def test_a_world_built_from_the_config_alone_ticks_as_run_simulation_runs():
