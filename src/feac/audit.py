@@ -93,8 +93,8 @@ def _parse_acl(text: str) -> tuple[AclEntry, ...]:
 
 
 # Each codec kind's writers; every one takes a str as already written. A
-# number is a Fraction or an int, and so is a time, whose int each log
-# writes as a count of its own ticks.
+# number is a Fraction or an int, and so is a time: each log writes a time
+# through its own copy of _TIME, whose int writer prints a count of its ticks.
 _ID = {str: str}
 _NUMBER = {str: str, Fraction: format_number, int: format_number}
 _TIME = dict(_NUMBER)
@@ -126,7 +126,7 @@ class _Layout(NamedTuple):
     """A kind's writer and reader, built from `KIND_FIELDS` and `FIELDS`."""
 
     values: Callable[[dict], tuple]  # append's payload in field order; 'from' is from_
-    writers: tuple[tuple[int, dict], ...]  # each position that does not hold an id
+    writers: tuple[tuple[int, dict], ...]  # each position not holding an id, and its writers
     template: str  # the line, from seq, timestamp and each field's text
     decoded: tuple[str, ...]  # the fields parse_trace decodes
     decoded_texts: Callable[[dict], tuple]  # their names and texts, from a payload

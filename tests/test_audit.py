@@ -806,9 +806,10 @@ def test_every_engine_append_writes_the_reference_line(factor, monkeypatch):
     1, twelve more decimal places, or 3, whose tick counts print through
     p/q. A finer unit holds the same times, so the trace is the same."""
     natural = engine.run_time_unit
-    monkeypatch.setattr(
-        engine, "run_time_unit", lambda *inputs: TimeUnit(natural(*inputs).scale * factor)
-    )
+
+    def finer(*inputs):
+        return TimeUnit(natural(*inputs).scale * factor)
+
     write = AuditLog.append
     kinds = Counter()
 
@@ -823,13 +824,10 @@ def test_every_engine_append_writes_the_reference_line(factor, monkeypatch):
 
     monkeypatch.setattr(AuditLog, "append", checked)
     for name, sc in differential_scenarios():
+        monkeypatch.setattr(engine, "run_time_unit", finer)
         trace = run_simulation(sc).trace_text
-        if factor != 1:
-            monkeypatch.setattr(engine, "run_time_unit", natural)
-            assert run_simulation(sc).trace_text == trace, name
-            monkeypatch.setattr(
-                engine, "run_time_unit", lambda *inputs: TimeUnit(natural(*inputs).scale * factor)
-            )
+        monkeypatch.setattr(engine, "run_time_unit", natural)
+        assert run_simulation(sc).trace_text == trace, name
     # Every kind is written, a substitution that copies ACL rows among them.
     assert set(kinds) == set(KIND_FIELDS) | {"ft_substitution with acl"}
 
