@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .audit import AuditRecord, replay_store
 from .engine import EngineConfig
@@ -58,6 +59,11 @@ LEGAL_TRANSITIONS = {
 }
 
 
+def _polling_period(records: list[AuditRecord]) -> Fraction:
+    """The tp of the trace's run_started header, else `DEFAULT_TP`."""
+    return records[0].decoded.get("tp", DEFAULT_TP) if records else DEFAULT_TP
+
+
 @dataclass(frozen=True)
 class CheckViolation:
     check: str
@@ -70,7 +76,7 @@ class CheckViolation:
 
 def check_responsiveness(records: list[AuditRecord]) -> list[CheckViolation]:
     out: list[CheckViolation] = []
-    tp = records[0].decoded.get("tp", DEFAULT_TP) if records else DEFAULT_TP
+    tp = _polling_period(records)
     pending: dict[str, AuditRecord] = {}
     active: set[str] = set()
 
@@ -234,7 +240,7 @@ def check_grant_security(records: list[AuditRecord]) -> list[CheckViolation]:
 
 def check_rescission_liveness(records: list[AuditRecord]) -> list[CheckViolation]:
     out: list[CheckViolation] = []
-    tp = records[0].decoded.get("tp", DEFAULT_TP) if records else DEFAULT_TP
+    tp = _polling_period(records)
     ledger: dict[tuple, list] = {}
     heads: dict[tuple, int] = {}
     for rec, grant in _match_grants(records, ledger, heads):

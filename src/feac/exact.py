@@ -123,12 +123,17 @@ def format_number(value: Fraction) -> str:
     digits = _decimal_places(den)
     if digits is None:
         return f"{_int_text(num)}/{_int_text(den)}"
-    scaled = num * 10**digits // den
-    sign = "-" if scaled < 0 else ""
-    body = _int_text(abs(scaled)).rjust(digits + 1, "0")
-    whole, frac = body[:-digits], body[-digits:]
-    frac = frac.rstrip("0")
-    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+    return _decimal_text(num * 10**digits // den, digits)
+
+
+def _decimal_text(n: int, digits: int) -> str:
+    """`n / 10**digits` as its shortest decimal text."""
+    if not digits:
+        return _int_text(n)
+    sign = "-" if n < 0 else ""
+    body = _int_text(-n if sign else n).rjust(digits + 1, "0")
+    frac = body[-digits:].rstrip("0")
+    return f"{sign}{body[:-digits]}.{frac}" if frac else sign + body[:-digits]
 
 
 def decimal_scale(denominator: int) -> int:
@@ -177,12 +182,6 @@ class TimeUnit:
     def text(self, ticks: int) -> str:
         """`format_number(self.value(ticks))`, made from the int's digits
         when the scale is a power of ten."""
-        digits = self.digits
-        if digits is None:
+        if self.digits is None:
             return format_number(Fraction(ticks, self.scale))
-        if not digits:
-            return _int_text(ticks)
-        sign = "-" if ticks < 0 else ""
-        body = _int_text(-ticks if sign else ticks).rjust(digits + 1, "0")
-        frac = body[-digits:].rstrip("0")
-        return f"{sign}{body[:-digits]}.{frac}" if frac else sign + body[:-digits]
+        return _decimal_text(ticks, self.digits)

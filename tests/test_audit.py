@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from feac.scenario import load_scenario, parse_scenario
 from feac.sim import run_simulation
 
 from scenario_gen import generate_scenario_text
+from test_fixtures import ROWS as FIXTURE_ROWS
 from test_sim import GOLDEN
 
 F = Fraction
@@ -857,12 +859,13 @@ def test_every_decoding_codec_round_trips():
     for name, codec in decoding.items():
         for value in drawn[codec.kind]:
             assert codec.decode(codec.encode(value)) == value, (name, value)
-    texts = 0
-    for trace in ("hospital_trace.txt", "fine_clock.trace", "acl_failover.trace"):
-        for record in parse_trace((DATA / trace).read_text(encoding="utf-8")):
+    texts, longest = 0, 0
+    for _, _, trace, _ in FIXTURE_ROWS:
+        for record in parse_trace(trace.read_text(encoding="utf-8")):
             for name, text in record.payload.items():
                 codec = FIELDS[name]
                 value = codec.decode(text) if codec.decode else text
                 assert codec.encode(value) == text, (trace, record.seq, name)
-                texts += 1
-    assert texts > 900
+                texts, longest = texts + 1, max(longest, len(text))
+    # long_pv's pv has more digits than int() and str() convert.
+    assert texts > 2000 and longest > sys.get_int_max_str_digits()

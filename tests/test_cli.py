@@ -2,7 +2,6 @@
 
 import io
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -20,11 +19,6 @@ from feac.scenario import parse_scenario
 from mutations import MUTANTS, apply
 from test_sim import GOLDEN
 
-RERAISE = GOLDEN.parent / "reraise_unstaffed.feac"
-LONG_PV = GOLDEN.parent / "long_pv.feac"
-NEGATIVE_WINDOW = GOLDEN.parent / "negative_window.feac"
-FALLBACK_CHOICE = GOLDEN.parent / "fallback_choice.feac"
-CURSOR_SKIP = GOLDEN.parent / "cursor_skip.feac"
 
 DISASTER_SCENARIO = """\
 scenario lone
@@ -127,6 +121,10 @@ UNCONVERTIBLE_FIELDS = [
 ]
 
 
+ROOT = Path(__file__).parents[1]
+README = ROOT / "README.md"
+README_PLAN = "$ feac plan src/feac/fixtures/hospital.feac --group P1 --at 3"
+
 # Numeric options no command may accept: (command, option=value).
 BAD_NUMBERS = [
     ("simulate", "--until=abc"),
@@ -179,6 +177,17 @@ def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), out, err)
     return code, out.getvalue(), err.getvalue()
+
+
+def readme_block(*markers: str) -> str:
+    """The README's lines after the last of `markers`, each found after the
+    one before it, up to the fence that closes their block."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    at = -1
+    for marker in markers:
+        at = lines.index(marker, at + 1)
+    end = next(i for i in range(at + 1, len(lines)) if lines[i].startswith("```"))
+    return "".join(f"{line}\n" for line in lines[at + 1 : end])
 
 
 @pytest.fixture()
@@ -408,6 +417,14 @@ class TestSimulate:
         assert len(out.splitlines()) == 66
         assert "final=emergency" in err
 
+    def test_a_horizon_between_ticks_is_kept_as_given_and_audits(self, hospital_path, tmp_path):
+        trace_file = tmp_path / "until.trace"
+        code, _, _ = run_cli("simulate", hospital_path, "--until", "7/3", "--trace", str(trace_file))
+        assert code == 0
+        assert ",horizon=7/3," in trace_file.read_text(encoding="utf-8").splitlines()[0]
+        code, out, err = run_cli("audit", str(trace_file), "--scenario", hospital_path)
+        assert (code, out, err) == (0, "ok: 54 records, all checks passed\n", "")
+
     def test_value_past_the_digit_limit_simulates(self, huge_tp_path):
         # The first tick moves the clock past the horizon.
         code, out, err = run_cli("simulate", huge_tp_path)
@@ -557,84 +574,6 @@ class TestAudit:
             assert "grant_security" in out
         assert "determinism" in codes[1][1]
 
-    def test_re_raise_of_an_unstaffed_emergency_reports_again(self, tmp_path):
-        # The first raise expires at 1 with no subject; the second is a new
-        # emergency and owes its own notice before its deadline at 4.
-        trace_file = tmp_path / "reraise.trace"
-        code, out, _ = run_cli("simulate", str(RERAISE), "--trace", str(trace_file))
-        assert code == 0
-        assert out.splitlines()[0] == f"final=normal clock=4.5 records=13 trace={trace_file}"
-        unavailable = [
-            line.split("|")[1]
-            for line in trace_file.read_text(encoding="utf-8").splitlines()
-            if "|subject_unavailable|" in line
-        ]
-        assert unavailable == ["0", "3"]
-        for extra in ((), ("--scenario", str(RERAISE))):
-            code, out, _ = run_cli("audit", str(trace_file), *extra)
-            assert (code, out) == (0, "ok: 13 records, all checks passed\n")
-
-    def test_plan_value_past_the_digit_limit_audits(self, tmp_path):
-        # Each probability fits the digit limit; the plan's pv, their product, does not.
-        trace_file = tmp_path / "long_pv.trace"
-        code, _, _ = run_cli("simulate", str(LONG_PV), "--trace", str(trace_file))
-        assert code == 0
-        (pv,) = re.findall(r"\|plan_selected\|.*,pv=([^,]*),", trace_file.read_text())
-        assert len(pv) > sys.get_int_max_str_digits()
-        for extra in ((), ("--scenario", str(LONG_PV))):
-            code, out, err = run_cli("audit", str(trace_file), *extra)
-            assert (code, err) == (0, ""), err[:200]
-            assert out == "ok: 20 records, all checks passed\n"
-
-    def test_grant_with_a_negative_window_ends_when_it_starts(self, tmp_path):
-        # Under beta 2 the fallback staffs E1 with Ed' = -8: its grant ends
-        # at 0, where it starts, so no record is stamped before the last.
-        trace_file = tmp_path / "negative_window.trace"
-        code, _, _ = run_cli("simulate", str(NEGATIVE_WINDOW), "--trace", str(trace_file))
-        assert code == 0
-        text = trace_file.read_text(encoding="utf-8")
-        assert "|0|permission_granted|erole=E1,oid=Kit,op=use,td=0,eid=E1,sid=M1\n" in text
-        for extra in ((), ("--scenario", str(NEGATIVE_WINDOW))):
-            code, out, err = run_cli("audit", str(trace_file), *extra)
-            assert (code, err) == (0, ""), out
-            assert out == "ok: 30 records, all checks passed\n"
-
-    @pytest.mark.parametrize(
-        "fallback, path, records",
-        [("time_first", "E2:TS2>E1:TS1", 23), ("probability_first", "E1:TS1>E2:TS2", 24)],
-    )
-    def test_the_engine_plans_with_the_configured_fallback(self, tmp_path, fallback, path, records):
-        # pv is 0 and substitution by P2 changes nothing: the fallback
-        # selector alone decides which order the engine runs.
-        scenario = tmp_path / "fallback_choice.feac"
-        text = FALLBACK_CHOICE.read_text(encoding="utf-8")
-        text = text.replace("fallback = time_first", f"fallback = {fallback}")
-        scenario.write_text(text, encoding="utf-8")
-        trace_file = tmp_path / "fallback_choice.trace"
-        code, _, _ = run_cli("simulate", str(scenario), "--trace", str(trace_file))
-        assert code == 0
-        lines = trace_file.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == records
-        assert (
-            f"8|0|plan_selected|entity=P1,pv=0,strategy={fallback},path={path},epoch=0,gate=0"
-            in lines
-        )
-        code, out, err = run_cli("audit", str(trace_file), "--scenario", str(scenario))
-        assert (code, out, err) == (0, f"ok: {records} records, all checks passed\n", "")
-
-    def test_the_start_cursor_skips_a_step_whose_emergency_is_gone(self, tmp_path):
-        # E2 expires while E1 runs; when E1 finishes, the group's next step
-        # is E2's and must be passed over.
-        trace_file = tmp_path / "cursor_skip.trace"
-        code, _, _ = run_cli("simulate", str(CURSOR_SKIP), "--trace", str(trace_file))
-        assert code == 0
-        lines = trace_file.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 22
-        assert "18|2.3|emergency_expired|eid=E2,reason=deadline" in lines
-        assert "19|2.4|action_finished|eid=E1,tsid=TS1,sid=M1,outcome=success" in lines
-        code, out, err = run_cli("audit", str(trace_file), "--scenario", str(CURSOR_SKIP))
-        assert (code, out, err) == (0, "ok: 22 records, all checks passed\n", "")
-
     def test_substitution_trace_passes(self, substitution_path, tmp_path):
         trace_file = self.write_trace(tmp_path, substitution_path)
         assert "|ft_substitution|from=P1,to=P2,acl=R1:read:-," in trace_file.read_text()
@@ -721,3 +660,17 @@ class TestDeepConstraints:
         assert "E3=expired" in out
         code, out, err = run_cli("audit", str(trace), "--scenario", str(path))
         assert code == 0, out + err
+
+
+class TestReadme:
+    """The README's examples, run from the repository root as documented."""
+
+    def test_the_plan_block_is_what_feac_plan_prints(self, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        assert run_cli(*README_PLAN.split()[2:]) == (0, readme_block(README_PLAN), "")
+
+    def test_the_library_block_runs(self, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        block = readme_block("## Library", "```python")
+        assert block
+        exec(compile(block, str(README), "exec"), {})

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,20 @@ def test_round_trip():
         Fraction(-22, 7),
     ):
         assert parse_number(format_number(value)) == value
+
+
+@pytest.mark.parametrize("digits", range(13))
+def test_tick_text_is_the_shortest_decimal_of_its_value(digits):
+    """A power-of-ten unit writes a tick count from the int's digits; that
+    text, and `format_number` of the same value, equal a divmod reference."""
+    unit, scale, rng = TimeUnit(10**digits), 10**digits, random.Random(digits)
+    ticks = [0, 1, 5, 10, scale - 1, scale, scale + 1, 20 * scale, 10**LONG + 3]
+    ticks += [rng.randint(1, 10**15) * 10 ** rng.randint(0, 4) for _ in range(50)]
+    for n in ticks + [-n for n in ticks]:
+        whole, rest = divmod(abs(n), scale)
+        frac = f".{rest:0{digits}}".rstrip("0") if rest else ""
+        want = f"{'-' if n < 0 else ''}{Decimal(whole)}{frac}"
+        assert unit.text(n) == format_number(Fraction(n, scale)) == want, n
 
 
 def test_trace_numbers_past_the_digit_limit_convert():
