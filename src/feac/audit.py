@@ -130,6 +130,7 @@ class _Layout(NamedTuple):
     template: str  # the line, from seq, timestamp and each field's text
     decoded: tuple[str, ...]  # the fields parse_trace decodes
     decoded_texts: Callable[[dict], tuple]  # their names and texts, from a payload
+    read: Callable[[str], re.Match | None]  # a well-formed payload text: its values, in order
 
 
 def _layout(kind: str, fields: tuple[str, ...]) -> _Layout:
@@ -143,6 +144,7 @@ def _layout(kind: str, fields: tuple[str, ...]) -> _Layout:
         "%s|%s|" + kind + "|" + ",".join(f + "=%s" for f in fields),
         decoded,
         (lambda payload: (decoded, texts(payload))) if decoded else lambda payload: (),
+        re.compile(",".join(f + "=([^,]*)" for f in fields)).fullmatch,
     )
 
 
@@ -164,7 +166,10 @@ class AuditFormatError(ValueError):
 class AuditRecord:
     """`payload` holds the raw texts and `decoded` the value of each field
     whose codec decodes (lists as tuples), which only `parse_trace` fills;
-    it is read-only, shared by records with equal texts, and not compared."""
+    it is read-only, shared by records with equal texts, and not compared.
+    Records that `parse_trace` makes share their strings: each payload key
+    is its `KIND_FIELDS` name, and equal kind and value texts of one parse
+    are one string."""
 
     seq: int
     ts: Fraction
@@ -225,6 +230,22 @@ class AuditLog:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
 
+def _payload_error(line_no: int, payload_text: str, fields: tuple[str, ...]):
+    """Raise the AuditFormatError for a payload text that is not `fields`'s."""
+    chunks = payload_text.split(",")
+    payload: dict[str, str] = {}
+    for chunk in chunks:
+        key, sep, value = chunk.partition("=")
+        if not sep:
+            raise AuditFormatError(line_no, f"bad payload chunk {chunk!r}")
+        payload[key] = value
+    if tuple(payload) != fields:
+        raise AuditFormatError(line_no, f"payload keys {tuple(payload)} != {fields}")
+    # A repeated key the dict folded into its first place.
+    keys = tuple(chunk.partition("=")[0] for chunk in chunks)
+    raise AuditFormatError(line_no, f"payload keys {keys} != {fields}")
+
+
 def parse_trace(text: str) -> list[AuditRecord]:
     """Parse a trace file; raises AuditFormatError with the offending line."""
     records: list[AuditRecord] = []
@@ -234,6 +255,7 @@ def parse_trace(text: str) -> list[AuditRecord]:
     # once, whatever their kind.
     stamps: dict[str, Fraction] = {}
     shared: dict[object, dict[str, object]] = {}
+    share = {}.setdefault  # one string per distinct kind or value text
     last_text: str | None = None
     last_ts = None
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -255,23 +277,14 @@ def parse_trace(text: str) -> list[AuditRecord]:
                 ts = stamps[ts_text] = parse_trace_number(ts_text)
             except ValueError:
                 raise AuditFormatError(line_no, f"bad timestamp {ts_text!r}") from None
-        fields = KIND_FIELDS.get(kind)
-        if fields is None:
+        layout = _LAYOUTS.get(kind)
+        if layout is None:
             raise AuditFormatError(line_no, f"unknown kind {kind!r}")
-        chunks = payload_text.split(",")
-        payload: dict[str, str] = {}
-        for chunk in chunks:
-            key, sep, value = chunk.partition("=")
-            if not sep:
-                raise AuditFormatError(line_no, f"bad payload chunk {chunk!r}")
-            payload[key] = value
-        if tuple(payload) != fields:
-            raise AuditFormatError(line_no, f"payload keys {tuple(payload)} != {fields}")
-        if len(chunks) != len(fields):
-            # A repeated key the dict folded into its first place.
-            keys = tuple(chunk.partition("=")[0] for chunk in chunks)
-            raise AuditFormatError(line_no, f"payload keys {keys} != {fields}")
-        layout = _LAYOUTS[kind]
+        match = layout.read(payload_text)
+        if match is None:
+            _payload_error(line_no, payload_text, KIND_FIELDS[kind])
+        values = match.groups()
+        payload = dict(zip(KIND_FIELDS[kind], map(share, values, values)))
         texts = layout.decoded_texts(payload)
         decoded = shared.get(texts)
         if decoded is None:
@@ -289,7 +302,7 @@ def parse_trace(text: str) -> list[AuditRecord]:
             if records and ts < last_ts:
                 raise AuditFormatError(line_no, "timestamps must be non-decreasing")
             last_text, last_ts = ts_text, ts
-        records.append(AuditRecord(seq, ts, kind, payload, decoded))
+        records.append(AuditRecord(seq, ts, share(kind, kind), payload, decoded))
     return records
 
 

@@ -29,6 +29,8 @@ rather than round. Within a cycle it:
    originals saved for restoration, notification. A grant lasts until
    td = max(now, now + Ed'): it never ends before it starts, although
    Ed' is below 0 when a `beta` above 1 shrinks a window past nothing.
+   Only plans flagged `GroupPlan.unstaffed` are visited: a new plan, or
+   one with a step that found no subject, which is retried every tick.
    Selection reads a run-scoped staffing index (`StaffingIndex`, on
    `SystemState.staffing`): the idle holders of each role in id order,
    per-role counts of active holders, and each property-only atom's truth
@@ -187,6 +189,11 @@ class GroupPlan:
     epoch: int
     gate_abs: int
     cursor: int = 0
+    # Whether a step from the cursor on may have a live emergency with no
+    # subject. Staffing clears it unless a step found none. Only a new plan
+    # brings such a step: an emergency that loses its subject and stays
+    # active, or is raised again, is replanned first.
+    unstaffed: bool = True
 
 
 def run_time_unit(
@@ -862,6 +869,7 @@ def _plan_group(world: SystemState, entity: str, now: int) -> None:
 
 def _assign_pending(world: SystemState, entity: str, now: int) -> None:
     plan = world.plans[entity]
+    plan.unstaffed = False
     for step in plan.steps[plan.cursor :]:
         ae = world.active.get(step.eid)
         if ae is None or ae.assignment is not None:
@@ -872,6 +880,7 @@ def _assign_pending(world: SystemState, entity: str, now: int) -> None:
         else:
             sid = select_subject(world.staffing, erole)
         if sid is None:
+            plan.unstaffed = True
             if not ae.unavailable_logged:
                 world.audit.append("subject_unavailable", now, eid=step.eid, erole=erole)
                 ae.unavailable_logged = True
@@ -908,7 +917,8 @@ def engine_tick(world: SystemState) -> int:
         # Neither pass adds a plan, and a start drops only the plan it visits.
         order = _group_order(world.plans)
         for entity in order:
-            _assign_pending(world, entity, now)
+            if world.plans[entity].unstaffed:
+                _assign_pending(world, entity, now)
         for entity in order:
             _try_start_group(world, entity, now)
 

@@ -278,9 +278,13 @@ class Parser:
         """The tokens, in one `findall` pass; each bad character is reported
         and left out."""
         texts = _TOKEN_RE.findall(self.text, _SKIP_RE.match(self.text).end())
-        kinds = map(_TEXT_KINDS.get, texts, map(_FIRST_KINDS.__getitem__, map(_first, texts)))
+        # Each distinct text is one string with one kind: the tokens that
+        # repeat it are copies of one (kind, text) pair, each its own tuple.
+        distinct = dict.fromkeys(texts)
+        kinds = map(_TEXT_KINDS.get, distinct, map(_FIRST_KINDS.__getitem__, map(_first, distinct)))
+        pairs = dict(zip(distinct, zip(kinds, distinct)))
         # The tuples themselves, without the named tuple's Python-level constructor.
-        self.tokens = list(map(tuple.__new__, repeat(Token), zip(kinds, texts)))
+        self.tokens = list(map(tuple.__new__, repeat(Token), map(pairs.__getitem__, texts)))
         self.tokens.append(Token("eof", ""))
         if "bad" in map(_first, self.tokens):
             for tok in self.tokens:

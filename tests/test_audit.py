@@ -723,6 +723,21 @@ def test_each_typed_text_is_decoded_once_across_kinds(monkeypatch):
     assert all(r.decoded is shared[r.payload["op"], r.payload["td"]] for r in grants)
 
 
+def test_records_share_their_key_and_value_strings():
+    """An engine-made trace parses to records whose payload keys are their
+    kind's `KIND_FIELDS` names, and whose equal kind and value texts are one
+    string each."""
+    records = parse_trace(GOLDEN.read_text(encoding="utf-8"))
+    texts = {}
+    for record in records:
+        fields = KIND_FIELDS[record.kind]
+        assert tuple(record.payload) == fields
+        assert all(key is name for key, name in zip(record.payload, fields))
+        for text in (record.kind, *record.payload.values()):
+            assert texts.setdefault(text, text) is text
+    assert len(texts) < sum(len(r.payload) for r in records) // 4
+
+
 def test_a_seq_text_other_than_the_expected_one_is_still_read_as_a_number():
     records = parse_trace("01|0|entity_failed|entity=P1\n2|0|entity_failed|entity=P2\n")
     assert [r.seq for r in records] == [1, 2]

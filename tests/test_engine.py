@@ -51,6 +51,7 @@ from feac.scenario import load_scenario, parse_scenario
 from feac.sim import run_simulation
 
 from scenario_gen import generate_scenario_text
+from test_fixtures import ROWS as FIXTURE_ROWS
 
 F = Fraction
 
@@ -1192,6 +1193,30 @@ at 0 force E{n} TS1 success
     ]
     assert trace.outcomes == {eid: "eliminated" for eid in ("E1", "E2", "E3", "E4")}
     assert checked_staffing == Counter({"A1": 2, "A2": 1, "B1": 1})
+
+
+def test_staffing_visits_only_plans_with_a_step_to_staff(monkeypatch):
+    """Over every committed fixture, each `_assign_pending` call finds a step
+    from its plan's cursor on whose emergency is live and unstaffed, and each
+    run still writes its committed trace."""
+    assign = engine._assign_pending
+    calls = []
+
+    def checked(world, entity, now):
+        plan = world.plans[entity]
+        calls.append(any(
+            step.eid in world.active and world.active[step.eid].assignment is None
+            for step in plan.steps[plan.cursor :]
+        ))
+        assign(world, entity, now)
+
+    monkeypatch.setattr(engine, "_assign_pending", checked)
+    for name, path, trace, edit in FIXTURE_ROWS:
+        text = path.read_text(encoding="utf-8")
+        sc, diags = parse_scenario(text.replace(*edit) if edit else text, path.name)
+        assert not diags, name
+        assert run_simulation(sc).trace_text == trace.read_text(encoding="utf-8"), name
+    assert len(calls) > 20 and all(calls), calls.count(False)
 
 
 @pytest.mark.parametrize(

@@ -248,6 +248,15 @@ class TestLexer:
         with pytest.raises(AttributeError):
             tok.value = "u"
 
+    def test_equal_token_texts_share_one_string(self):
+        tokens, _ = tokenize(hospital_text(), "h.feac")
+        texts = {}
+        for tok in tokens:
+            assert texts.setdefault(tok.value, tok.value) is tok.value
+        assert len(texts) < len(tokens) // 2
+        # Each token is still its own tuple, for `token_places` to find.
+        assert len({id(tok) for tok in tokens}) == len(tokens)
+
     def count_places(self, monkeypatch) -> list:
         calls = []
 
