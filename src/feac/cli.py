@@ -13,7 +13,7 @@ import sys
 
 from .audit import AuditFormatError, parse_trace
 from .checks import CheckViolation, check_trace, first_difference
-from .engine import select_path
+from .engine import MODE_DISASTER, select_path
 from .exact import ZERO, format_number, parse_integer, parse_number
 from .model import validate_store
 from .planner import ResponseGraph, build_transition_graph, compute_p_value, plan_to_text
@@ -148,7 +148,7 @@ def cmd_simulate(args, out, err) -> int:
     )
     outcome_bits = " ".join(f"{eid}={trace.outcomes[eid]}" for eid in sorted(trace.outcomes))
     print(f"outcomes: {outcome_bits or '-'}", file=summary_stream)
-    return 3 if trace.final_mode == "disaster" else 0
+    return 3 if trace.final_mode == MODE_DISASTER else 0
 
 
 def cmd_audit(args, out, err) -> int:

@@ -3,7 +3,9 @@
 Substitution is proactive and copy-based: ACL entries naming the entity as
 an object are copied (not moved) onto the substitute, and roles the entity
 holds as a subject are added to the substitute's assignable and active
-sets. Candidates come from the entity's function group.
+sets. Candidates come from the entity's function group. A row whose role is
+an emergency role is a live grant, and it is not copied: it stays on its
+own object, where its emergency's rescind removes it.
 
 Fault tolerance keeps one set of engaged entities: each entity that has
 failed, and each that has taken over for a failed one. An engaged entity is
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import AclEntry, Emergency, PolicyStore, SystemObject
+from .model import AclEntry, Emergency, PolicyStore, RoleKind, SystemObject
 
 
 @dataclass(frozen=True)
@@ -63,17 +65,15 @@ def apply_fault_tolerance(
 
     acl_copied: list[AclEntry] = []
     source = store.objects.get(entity)
-    if source is not None and source.acl:
+    if source is not None:
         target = store.objects.get(substitute)
-        if target is None:
-            target = SystemObject(substitute)
-            store.objects[substitute] = target
-        existing = set(target.acl)
+        existing = set(target.acl) if target is not None else set()
         for entry in source.acl:
-            if entry not in existing:
-                target.acl.append(entry)
+            if entry not in existing and store.roles.get(entry.role) is not RoleKind.EMERGENCY:
                 existing.add(entry)
                 acl_copied.append(entry)
+        if acl_copied:
+            store.objects.setdefault(substitute, SystemObject(substitute)).acl.extend(acl_copied)
 
     roles_copied: tuple[str, ...] = ()
     if substitute in store.subjects:

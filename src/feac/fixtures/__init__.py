@@ -3,10 +3,6 @@
 from importlib import resources
 
 
-def fixture_text(name: str) -> str:
-    return resources.files(__package__).joinpath(name).read_text(encoding="utf-8")
-
-
 def hospital_text() -> str:
     """The worked hospital scenario: one fire, two wards, seven emergencies."""
-    return fixture_text("hospital.feac")
+    return resources.files(__package__).joinpath("hospital.feac").read_text(encoding="utf-8")

@@ -179,10 +179,6 @@ class GraphEdge:
     # Shared nodes would make a recursive repr print every path below.
     child: GraphNode = field(repr=False)
 
-    @property
-    def metrics(self) -> AdjustedMetrics:
-        return self.price.metrics
-
 
 # Compared and hashed by identity: valuation keys its tables on nodes.
 @dataclass(slots=True, eq=False)
@@ -642,7 +638,7 @@ def _best_path(graph: ResponseGraph, require_valid: bool, time_first: bool) -> P
         eid = quickest[node][1] if zeroed else best[node][3]
         edge = node.edges[eid]
         zeroed = zeroed or not edge.price.pn
-        m = edge.metrics
+        m = edge.price.metrics
         node = edge.child
         steps.append(PlanStep(eid, m.ts, m.p, m.t, m.ed, end_elapsed=node.elapsed))
     return PlanPath(tuple(steps), Fraction(top[0], top[1]), Fraction(top[2], node.scale))

@@ -805,16 +805,7 @@ class Parser:
         op = self.parse_cmp_op()
         return Cmp(prop.value, op, self.parse_literal("a literal"))
 
-
-# ---------------------------------------------------------------------------
-# Resolution
-# ---------------------------------------------------------------------------
-
-
-class _Resolver:
-    def __init__(self, parser: Parser):
-        self.p = parser
-        self.error = parser.error
+    # -- resolution --------------------------------------------------------
 
     def known(self, tok: Token, table, what: str) -> bool:
         """Whether `tok` names a key of `table`; reports an unknown name."""
@@ -850,27 +841,26 @@ class _Resolver:
         return a, b
 
     def resolve(self) -> Scenario:
-        p = self.p
         store = PolicyStore()
         entities: set[str] = {ENV_ENTITY}
 
-        for tok in p.entities:
+        for tok in self.entities:
             if tok.value == ENV_ENTITY:
                 self.error(tok, "'env' is predeclared")
             else:
                 self.fresh(tok, entities, "entity")
             entities.add(tok.value)
 
-        for tok in p.role_decls:
+        for tok in self.role_decls:
             self.fresh(tok, store.roles, "role")
             store.roles[tok.value] = RoleKind.NORMAL
         normal = set(store.roles)
 
-        for name, expr in p.constraint_decls:
+        for name, expr in self.constraint_decls:
             if self.fresh(name, store.constraints, "constraint"):
                 store.constraints[name.value] = expr
 
-        for oid, rows in p.object_decls:
+        for oid, rows in self.object_decls:
             if not self.fresh(oid, store.objects, "object"):
                 continue
             acl: list[AclEntry] = []
@@ -884,7 +874,7 @@ class _Resolver:
                 acl.append(AclEntry(role.value, op, td))
             store.objects[oid.value] = SystemObject(oid.value, acl)
 
-        for sid, properties in p.subject_decls:
+        for sid, properties in self.subject_decls:
             if not self.fresh(sid, store.subjects, "subject"):
                 continue
             values = dict(properties)
@@ -902,7 +892,7 @@ class _Resolver:
             store.asrt[sid.value] = {r for r in active if r in roles}
 
         emergencies: dict[str, Emergency] = {}
-        for raw in p.emergency_decls:
+        for raw in self.emergency_decls:
             eid = raw.eid.value
             if not self.fresh(raw.eid, emergencies, "emergency"):
                 continue
@@ -920,25 +910,25 @@ class _Resolver:
             emergencies[eid] = Emergency(eid, raw.entity.value, raw.prio, raw.ed, raw.ft, ordered)
             store.roles[eid] = RoleKind.EMERGENCY
 
-        for tok in p.refs:
+        for tok in self.refs:
             self.known(tok, store.constraints, "constraint")
-        for tok in p.count_roles:
+        for tok in self.count_roles:
             self.known(tok, normal, "role")
 
-        for erole, roles, constraint in p.map_decls:
+        for erole, roles, constraint in self.map_decls:
             if self.known(erole, emergencies, "emergency") and self.fresh(
                 erole, store.rmt, "mapping for"
             ):
                 names = [tok.value for tok in roles if self.known(tok, normal, "role")]
                 store.rmt[erole.value] = RoleMapping(tuple(names), constraint)
 
-        for erole, expr in p.fallback_decls:
+        for erole, expr in self.fallback_decls:
             if self.known(erole, emergencies, "emergency") and self.fresh(
                 erole, store.rct, "fallback mapping for"
             ):
                 store.rct[erole.value] = expr
 
-        for entity, eid in p.depends_env:
+        for entity, eid in self.depends_env:
             if not self.known(entity, entities, "entity"):
                 continue
             if entity.value == ENV_ENTITY:
@@ -954,7 +944,7 @@ class _Resolver:
                 continue
             store.edt.add((entity.value, eid.value))
 
-        for before, after in p.depends_time:
+        for before, after in self.depends_time:
             spans = "time dependency spans entities"
             pair = self.emergency_pair(before, after, emergencies, store.tdt, "dependency", spans)
             if pair is None:
@@ -966,7 +956,7 @@ class _Resolver:
             store.tdt.add((a.eid, b.eid))
 
         pairs: dict[tuple[str, str], InfluencePair] = {}
-        for source, target, sigmas in p.influences:
+        for source, target, sigmas in self.influences:
             spans = "influence pair spans entities"
             pair = self.emergency_pair(source, target, emergencies, pairs, "influence", spans)
             if pair is None:
@@ -977,17 +967,17 @@ class _Resolver:
                 continue
             pairs[(a.eid, b.eid)] = sigmas
 
-        for entity, group in p.fgroups:
+        for entity, group in self.fgroups:
             if self.known(entity, entities, "entity") and self.fresh(
                 entity, store.efgt, "failure group for"
             ):
                 store.efgt[entity.value] = group.value
 
-        name = "unnamed" if p.scenario_name is None else p.scenario_name.value
-        if p.scenario_name is None and p.tokens:
-            self.error(p.tokens[0], "missing scenario declaration")
+        name = "unnamed" if self.scenario_name is None else self.scenario_name.value
+        if self.scenario_name is None and self.tokens:
+            self.error(self.tokens[0], "missing scenario declaration")
 
-        config = _resolve_config(p.config)
+        config = _resolve_config(self.config)
         events = self.resolve_events(store, emergencies, entities)
 
         return Scenario(
@@ -1002,7 +992,7 @@ class _Resolver:
 
     def resolve_events(self, store, emergencies, entities) -> list[ScenarioEvent]:
         events: list[ScenarioEvent] = []
-        for when, kind, args in self.p.raw_events:
+        for when, kind, args in self.raw_events:
             if kind == "raise":
                 ok = self.known(args[0], emergencies, "emergency")
             elif kind == "fail":
@@ -1048,7 +1038,7 @@ def parse_scenario(text: str, filename: str = "<string>") -> tuple[Scenario, lis
     """Parse and resolve; the scenario is meaningful only if no diagnostics."""
     parser = Parser(text, filename)
     parser.parse()
-    scenario = _Resolver(parser).resolve()
+    scenario = parser.resolve()
     diags = sorted(parser.diags, key=lambda d: (d.line, d.col))
     return scenario, diags
 

@@ -6,7 +6,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import MODE_DISASTER, SystemState, engine_tick
+from .engine import MODE_DISASTER, MODE_NORMAL, SystemState, engine_tick
 from .model import PolicyStore
 from .scenario import Scenario
 
@@ -47,7 +47,7 @@ def run_simulation(
     while world.mode != MODE_DISASTER and world.clock <= horizon_ticks:
         engine_tick(world)
         quiescent = (
-            world.mode == "normal"
+            world.mode == MODE_NORMAL
             and not world.active
             and world.event_cursor >= len(world.events)
         )

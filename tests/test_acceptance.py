@@ -74,9 +74,9 @@ def test_criterion_1(hospital):
         for eid in order:
             edge = node.edges[eid]
             assert edge.valid
-            product *= edge.metrics.p
+            product *= edge.price.metrics.p
             if eid in ("E4", "E5"):
-                tail_segment += edge.metrics.t
+                tail_segment += edge.price.metrics.t
             node = edge.child
         return product, tail_segment
 

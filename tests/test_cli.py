@@ -179,6 +179,20 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+FEAC_MAIN = "import sys; from feac.cli import main; sys.exit(main())"
+
+
+def run_child(*argv, timeout, script=FEAC_MAIN):
+    """`script` run with `argv` in a fresh interpreter that imports this
+    checkout's feac; the child's output is bytes."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(feac.__file__).parents[1])},
+        capture_output=True,
+        timeout=timeout,
+    )
+
+
 def readme_block(*markers: str) -> str:
     """The README's lines after the last of `markers`, each found after the
     one before it, up to the fence that closes their block."""
@@ -446,18 +460,6 @@ class TestAudit:
         run_cli("simulate", hospital_path, "--trace", str(trace_file))
         return trace_file
 
-    def test_clean_trace_passes(self, hospital_path, tmp_path):
-        trace_file = self.write_trace(tmp_path, hospital_path)
-        code, out, _ = run_cli("audit", str(trace_file))
-        assert code == 0
-        assert out == "ok: 95 records, all checks passed\n"
-
-    def test_scenario_enables_the_deeper_checks(self, hospital_path, tmp_path):
-        trace_file = self.write_trace(tmp_path, hospital_path)
-        code, out, _ = run_cli("audit", str(trace_file), "--scenario", hospital_path)
-        assert code == 0
-        assert out == "ok: 95 records, all checks passed\n"
-
     def test_scenario_needs_a_run_started_record(self, hospital_path, tmp_path):
         trace_file = tmp_path / "headless.trace"
         trace_file.write_text("1|0|entity_failed|entity=P1\n", encoding="utf-8")
@@ -600,16 +602,9 @@ class TestAudit:
         text = trace_file.read_text(encoding="utf-8")
         assert text.count(",td=10,") == 2
         trace_file.write_text(text.replace(",td=10,", ",td=9e99999999,"), encoding="utf-8")
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys; from feac.cli import main; sys.exit(main())"]
-            + ["audit", str(trace_file)],
-            env={**os.environ, "PYTHONPATH": str(Path(feac.__file__).parents[1])},
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
+        done = run_child("audit", str(trace_file), timeout=10)
         assert done.returncode == 2
-        assert done.stderr == "error: malformed trace: line 6: bad td '9e99999999'\n"
+        assert done.stderr == b"error: malformed trace: line 6: bad td '9e99999999'\n"
 
     def test_malformed_trace_is_a_usage_error(self, tmp_path):
         bad = tmp_path / "bad.trace"

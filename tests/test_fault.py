@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from feac.fault import apply_fault_tolerance, find_substitute
 from feac.model import (
     AclEntry,
@@ -131,6 +129,24 @@ class TestApplyFaultTolerance:
         assert report.outcome == "disaster"
         assert report.reason == "no_substitute"
 
+    def test_live_emergency_grant_stays_on_its_object(self):
+        store = pool_store()
+        store.roles = {"Doctor": RoleKind.NORMAL, "E1": RoleKind.EMERGENCY}
+        grant = AclEntry("E1", Op.USE, td=Fraction(6))
+        store.objects["P1"] = SystemObject("P1", [AclEntry("Doctor", Op.READ_WRITE), grant])
+        report = apply_fault_tolerance(store, set(), "P1", [emergency(ft=True)])
+        assert report.acl_copied == (AclEntry("Doctor", Op.READ_WRITE),)
+        assert store.objects["P2"].acl == [AclEntry("Doctor", Op.READ_WRITE)]
+        assert store.objects["P1"].acl[1] == grant
+
+    def test_only_emergency_rows_create_no_object(self):
+        store = pool_store()
+        store.roles = {"E1": RoleKind.EMERGENCY}
+        store.objects["P1"] = SystemObject("P1", [AclEntry("E1", Op.USE, td=Fraction(6))])
+        report = apply_fault_tolerance(store, set(), "P1", [emergency(ft=True)])
+        assert report.acl_copied == ()
+        assert "P2" not in store.objects
+
     def test_missing_source_object_copies_nothing(self):
         store = pool_store()
         del store.objects["P1"]
@@ -140,11 +156,6 @@ class TestApplyFaultTolerance:
         assert "P2" not in store.objects
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 10: a substitution copies a live emergency grant, and "
-    "the rescind takes back only the failed object's entry",
-)
 def test_no_copied_emergency_grant_outlives_its_emergency():
     sc, diags = parse_scenario(GRANT_COPY_SCENARIO)
     assert not diags

@@ -5,6 +5,7 @@ must pass that trace both standalone and with `--scenario`.
 A fixture is `tests/data/<name>.feac` with the output of
 `feac simulate <name>.feac > <name>.trace` committed beside it; the glob
 below makes each one a row, so a fixture without its trace fails here.
+`tests/data/site_surge.plan` is pinned here too, as `feac plan` writes it.
 """
 
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 from feac import fixtures
 
-from test_cli import run_cli
+from test_cli import run_child, run_cli
 from test_sim import GOLDEN
 
 DATA = GOLDEN.parent
@@ -61,3 +62,13 @@ def test_fixture_is_pinned(tmp_path, name, scenario, trace, edit):
     ok = f"ok: {len(out.splitlines())} records, all checks passed\n"
     for extra in ((), ("--scenario", str(scenario))):
         assert run_cli("audit", str(trace), *extra) == (0, ok, "")
+
+
+def test_site_surge_plan_is_pinned():
+    """Seven equal-priority emergencies, every pair influencing time, all
+    5,040 orders planned from a gate of 1/3: pins the per-build time unit and
+    the merged-state expansion byte for byte."""
+    args = ("plan", str(DATA / "site_surge.feac"), "--group", "S1", "--at", "1/3")
+    done = run_child(*args, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (DATA / "site_surge.plan").read_bytes()

@@ -565,9 +565,9 @@ def test_every_path_is_priced_like_the_oracle():
             for eid in order:
                 edge = node.edges[eid]
                 valid = valid and edge.valid
-                product *= edge.metrics.p
-                total += edge.metrics.t
-                seen["Ed' <= 0"] += edge.metrics.ed <= 0
+                product *= edge.price.metrics.p
+                total += edge.price.metrics.t
+                seen["Ed' <= 0"] += edge.price.metrics.ed <= 0
                 node = edge.child
             priced = oracle_walk(order, group, infl.pairs, alpha, beta, gate, available)
             assert valid == (priced is not None), (case, order)
@@ -616,7 +616,7 @@ def test_completing_exactly_at_the_bound_is_valid():
         infl = InfluenceSpec({("A", "B"): InfluencePair(sigma_ed=F(1, 7))})
         cfg = PlannerConfig(beta=F(7, 6))
         graph = build_transition_graph(group, set(), infl, cfg, gate_release=F(1, 3))
-        assert graph.root.edges["B"].metrics.ed == ed * F(5, 6)
+        assert graph.root.edges["B"].price.metrics.ed == ed * F(5, 6)
         for eid in ("A", "B"):
             edge = graph.root.edges[eid]
             assert edge.child.elapsed == F(4, 3)
@@ -705,7 +705,7 @@ def test_planner_values_are_fractions():
         for node in graph.nodes.values():
             values.append(node.elapsed)
             for edge in node.edges.values():
-                values += [edge.metrics.p, edge.metrics.t, edge.metrics.ed]
+                values += [edge.price.metrics.p, edge.price.metrics.t, edge.price.metrics.ed]
         if graph.optimal is not None:
             seen["optimal"] += 1
             values += [graph.optimal.product, graph.optimal.total_time]
