@@ -12,10 +12,13 @@ The lexer makes one `findall` pass. Each match is a token followed by the
 blanks, newlines and comments after it, so the matches meet end to end, and
 the last one takes the text's end; the blanks and comments in front of the
 first token are skipped before the pass. A token's kind follows from its
-text. An unexpected character is a one-character match that is reported
-and left out of the token stream. Tokens carry no position: `token_places`
-finds each token's line and column with the same pattern, at most once per
-parse, when the first diagnostic or a resynchronization needs them.
+text, so the token stream is the list of texts, each distinct text one
+shared string whose kind is found once, then `""` for eof; a token is its
+index in that list. An unexpected character is a one-character match that
+is reported and left out of the stream. Tokens carry no position:
+`token_places` finds each token's line and column with the same pattern, at
+most once per parse, when the first diagnostic or a resynchronization needs
+them; a token kept after a bad character keeps the place it was lexed at.
 
 Parse errors resynchronize at the next top-level keyword that is the first
 token on its line, so one broken declaration yields one diagnostic, not a
@@ -24,7 +27,7 @@ cascade.
 A value is checked at its token when the parser reads it, and the parser
 reports unknown, repeated (the first value stays) and missing fields. A
 name is checked by the resolver, so the raw declarations the parser hands
-it hold plain values, and tokens only for the names still to resolve.
+it hold plain values, and token indices only for the names still to resolve.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import itemgetter
 from typing import NamedTuple
 
 from .constraints import (
@@ -118,11 +119,6 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-class Token(NamedTuple):
-    kind: str  # name | number | string | punct | eof | bad (an unexpected character)
-    value: str  # a token holds no place: `token_places` finds it, by identity
-
-
 # Blanks, newlines and comments.
 _SKIP_RE = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)*")
 # One token and the skip after it; the last alternative takes any other
@@ -138,9 +134,10 @@ _TOKEN_RE = re.compile(
     + _SKIP_RE.pattern,
     re.VERBOSE,
 )
-# A kind by the whole text: the two-character symbols, and the texts that
-# only begin a longer token.
+# A kind by the whole text: the two-character symbols, the texts that only
+# begin a longer token, and eof's empty text.
 _TEXT_KINDS = dict.fromkeys(["->", "<=", ">=", "!="], "punct") | dict.fromkeys('"-.', "bad")
+_TEXT_KINDS[""] = "eof"
 
 
 class _FirstKinds(dict):
@@ -157,45 +154,42 @@ _FIRST_KINDS = _FirstKinds(
     | dict.fromkeys("{}[](),=<>@", "punct")
     | {'"': "string"}
 )
-_first = itemgetter(0)
 
 
-def token_places(text: str, tokens: list[Token]) -> dict[int, tuple[int, int]]:
-    """Each token's (line, col), keyed by its identity. `tokens` are a
-    parser's before its bad characters leave: one per match of the lexer's
-    pattern, then eof at the end."""
+def token_places(text: str) -> list[tuple[int, int]]:
+    """Each token's (line, col), by its index in the stream as lexed, before
+    its bad characters leave: one per match of the lexer's pattern, then eof
+    at the end."""
     starts = [match.start() for match in _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end())]
     starts.append(len(text))
-    places = {}
+    places = []
     line, line_start, last = 1, 0, 0
-    for tok, at in zip(tokens, starts):
+    for at in starts:
         line += text.count("\n", last, at)
         line_start = max(line_start, text.rfind("\n", last, at) + 1)
-        places[id(tok)] = line, at - line_start + 1
+        places.append((line, at - line_start + 1))
         last = at
     return places
 
 
-def _describe(tok: Token) -> str:
-    if tok.kind == "eof":
-        return "end of input"
-    return f"{tok.value!r}"
+def _describe(text: str) -> str:
+    return f"{text!r}" if text else "end of input"
 
 
 # ---------------------------------------------------------------------------
-# Raw declaration holders (tokens kept for the names still to resolve)
+# Raw declaration holders (token indices kept for the names still to resolve)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _RawEmergency:
-    eid: Token
-    entity: Token
+    eid: int
+    entity: int
     prio: int
     ed: Fraction
     ft: bool
     # (task-set id, the object of each action, the task set)
-    task_sets: list[tuple[Token, list[Token], TaskSet]]
+    task_sets: list[tuple[int, list[int], TaskSet]]
 
 
 class _Block(NamedTuple):
@@ -251,134 +245,131 @@ class Parser:
         # Number text -> value, for the texts converted so far.
         self.numbers: dict[str, Fraction] = {}
 
-        self.scenario_name: Token | None = None
+        self.scenario_name: int | None = None
         # Each config key given, with its first value, or None if that was bad.
         self.config: dict[str, Fraction | str | None] = {}
-        self.entities: list[Token] = []
-        self.role_decls: list[Token] = []
-        self.constraint_decls: list[tuple[Token, ConstraintExpr]] = []
-        # (subject, property -> value), a role list's value holding its tokens
-        self.subject_decls: list[tuple[Token, dict[str, object]]] = []
-        self.object_decls: list[tuple[Token, list[tuple[Token, Op, Fraction | None]]]] = []
+        self.entities: list[int] = []
+        self.role_decls: list[int] = []
+        self.constraint_decls: list[tuple[int, ConstraintExpr]] = []
+        # (subject, property -> value), a role list's value holding its token indices
+        self.subject_decls: list[tuple[int, dict[str, object]]] = []
+        self.object_decls: list[tuple[int, list[tuple[int, Op, Fraction | None]]]] = []
         self.emergency_decls: list[_RawEmergency] = []
-        self.map_decls: list[tuple[Token, list[Token], ConstraintExpr | None]] = []
-        self.fallback_decls: list[tuple[Token, ConstraintExpr]] = []
+        self.map_decls: list[tuple[int, list[int], ConstraintExpr | None]] = []
+        self.fallback_decls: list[tuple[int, ConstraintExpr]] = []
         # The `@` references and `count` roles of every kept expression.
-        self.refs: list[Token] = []
-        self.count_roles: list[Token] = []
-        self.depends_env: list[tuple[Token, Token]] = []
-        self.depends_time: list[tuple[Token, Token]] = []
-        self.influences: list[tuple[Token, Token, InfluencePair]] = []
-        self.fgroups: list[tuple[Token, Token]] = []
-        self.raw_events: list[tuple[Fraction, str, list[Token]]] = []
+        self.refs: list[int] = []
+        self.count_roles: list[int] = []
+        self.depends_env: list[tuple[int, int]] = []
+        self.depends_time: list[tuple[int, int]] = []
+        self.influences: list[tuple[int, int, InfluencePair]] = []
+        self.fgroups: list[tuple[int, int]] = []
+        self.raw_events: list[tuple[Fraction, str, list[int]]] = []
 
     # -- token plumbing ----------------------------------------------------
 
     def lex(self) -> None:
-        """The tokens, in one `findall` pass; each bad character is reported
-        and left out."""
+        """The token texts, in one `findall` pass, then `""` for eof; each
+        bad character is reported and left out."""
         texts = _TOKEN_RE.findall(self.text, _SKIP_RE.match(self.text).end())
-        # Each distinct text is one string with one kind: the tokens that
-        # repeat it are copies of one (kind, text) pair, each its own tuple.
+        texts.append("")
+        # Each distinct text is one string with one kind, and every token
+        # that repeats it is that string.
         distinct = dict.fromkeys(texts)
-        kinds = map(_TEXT_KINDS.get, distinct, map(_FIRST_KINDS.__getitem__, map(_first, distinct)))
-        pairs = dict(zip(distinct, zip(kinds, distinct)))
-        # The tuples themselves, without the named tuple's Python-level constructor.
-        self.tokens = list(map(tuple.__new__, repeat(Token), map(pairs.__getitem__, texts)))
-        self.tokens.append(Token("eof", ""))
-        if "bad" in map(_first, self.tokens):
-            for tok in self.tokens:
-                if tok.kind == "bad":
-                    self.error(tok, f"unexpected character {tok.value!r}")
-            self.tokens = [tok for tok in self.tokens if tok.kind != "bad"]
+        shared = dict(zip(distinct, distinct))
+        self.kinds = {text: _TEXT_KINDS.get(text) or _FIRST_KINDS[text[0]] for text in distinct}
+        self.tokens = list(map(shared.__getitem__, texts))
+        if "bad" in self.kinds.values():
+            kept = []
+            for at, text in enumerate(self.tokens):
+                if self.kinds[text] == "bad":
+                    self.error(at, f"unexpected character {text!r}")
+                else:
+                    kept.append(at)
+            # The reports placed every token; each kept one keeps its place.
+            self.tokens = [self.tokens[at] for at in kept]
+            self.places = [self.places[at] for at in kept]
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    # Every step past a token is past one that is a name, a number or has a
+    # keyword's or symbol's text, and the eof token is none of these.
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def advance(self) -> int:
+        self.pos += 1
+        return self.pos - 1
 
-    def place(self, tok: Token) -> tuple[int, int]:
-        """`tok`'s (line, col); the first call places every token."""
+    def place(self, at: int) -> tuple[int, int]:
+        """Token `at`'s (line, col); the first call places every token."""
         if self.places is None:
-            self.places = token_places(self.text, self.tokens)
-        return self.places[id(tok)]
+            self.places = token_places(self.text)
+        return self.places[at]
 
-    def error(self, tok: Token, message: str) -> None:
-        self.diags.append(Diagnostic(self.filename, *self.place(tok), message))
+    def error(self, at: int, message: str) -> None:
+        self.diags.append(Diagnostic(self.filename, *self.place(at), message))
 
-    def abort(self, tok: Token, message: str):
-        self.error(tok, message)
+    def abort(self, at: int, message: str):
+        self.error(at, message)
         raise _Abort()
 
-    # The primitives below step past a token without `advance`'s guard: a
-    # token they accept is a name, a number or has a keyword's or symbol's
-    # text, and the eof token is none of these.
-
-    def expect_name(self, what: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "name":
-            self.abort(tok, f"expected {what}, found {_describe(tok)}")
+    def expect_name(self, what: str) -> int:
+        at = self.pos
+        text = self.tokens[at]
+        if self.kinds[text] != "name":
+            self.abort(at, f"expected {what}, found {_describe(text)}")
         self.pos += 1
-        return tok
+        return at
 
     # Keywords and punctuation are told apart by text alone: a string
     # token's text keeps its quotes, and no keyword or symbol is a number.
-    def expect(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.value != text:
-            self.abort(tok, f"expected '{text}', found {_describe(tok)}")
+    def expect(self, text: str) -> None:
+        found = self.tokens[self.pos]
+        if found != text:
+            self.abort(self.pos, f"expected '{text}', found {_describe(found)}")
         self.pos += 1
-        return tok
 
     def match(self, text: str) -> bool:
-        if self.tokens[self.pos].value == text:
+        if self.tokens[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def expect_number(self, what: str) -> tuple[Token, Fraction]:
+    def expect_number(self, what: str) -> tuple[int, Fraction]:
         """The one place a number token is converted; on error it stays unread.
 
         A scenario repeats few number texts many times, so each text is
         converted once per parse; a text that fails is not remembered.
         """
-        tok = self.tokens[self.pos]
-        if tok.kind != "number":
-            self.abort(tok, f"expected {what}, found {_describe(tok)}")
-        value = self.numbers.get(tok.value)
+        at = self.pos
+        text = self.tokens[at]
+        if self.kinds[text] != "number":
+            self.abort(at, f"expected {what}, found {_describe(text)}")
+        value = self.numbers.get(text)
         if value is None:
             try:
-                value = self.numbers[tok.value] = parse_number(tok.value)
+                value = self.numbers[text] = parse_number(text)
             except ValueError:
                 # A part longer than the interpreter's int() conversion limit.
                 limit = sys.get_int_max_str_digits()
-                self.abort(tok, f"number too long: a part has more than {limit} digits")
+                self.abort(at, f"number too long: a part has more than {limit} digits")
         self.pos += 1
-        return tok, value
+        return at, value
 
     def expect_checked(self, what: str, ok, message: str) -> Fraction:
         """A number; `message` is reported at it unless `ok(value)`."""
-        tok, value = self.expect_number(what)
+        at, value = self.expect_number(what)
         if not ok(value):
-            self.error(tok, message)
+            self.error(at, message)
         return value
 
     def resync(self) -> None:
         """Skip to the end, or to a top-level keyword that is the first
-        token on its line."""
+        token on its line. Every keyword's text is a name's."""
         tokens = self.tokens
         while True:
-            tok = tokens[self.pos]
-            if tok.kind == "eof":
+            text = tokens[self.pos]
+            if not text:
                 return
-            if (
-                tok.kind == "name"
-                and tok.value in self.HANDLERS
-                and (self.pos == 0 or self.place(tokens[self.pos - 1])[0] != self.place(tok)[0])
+            if text in self.HANDLERS and (
+                self.pos == 0 or self.place(self.pos - 1)[0] != self.place(self.pos)[0]
             ):
                 return
             self.pos += 1
@@ -387,16 +378,17 @@ class Parser:
 
     def parse_literal(self, what: str) -> bool | str | Fraction:
         """A number, string or boolean; on error the token stays unread."""
-        tok = self.peek()
-        if tok.kind == "number":
+        text = self.tokens[self.pos]
+        kind = self.kinds[text]
+        if kind == "number":
             return self.expect_number(what)[1]
-        if tok.kind == "string":
-            value = tok.value[1:-1]
-        elif tok.kind == "name" and tok.value in ("true", "false"):
-            value = tok.value == "true"
+        if kind == "string":
+            value = text[1:-1]
+        elif text == "true" or text == "false":
+            value = text == "true"
         else:
-            self.abort(tok, f"expected {what}, found {_describe(tok)}")
-        self.advance()
+            self.abort(self.pos, f"expected {what}, found {_describe(text)}")
+        self.pos += 1
         return value
 
     def parse_point(self) -> tuple[Fraction, Fraction]:
@@ -408,10 +400,10 @@ class Parser:
         return (x, y)
 
     def expect_op(self) -> Op:
-        tok = self.expect_name("an operation")
-        op = OP_NAMES.get(tok.value)
+        at = self.expect_name("an operation")
+        op = OP_NAMES.get(self.tokens[at])
         if op is None:
-            self.abort(tok, f"unknown operation '{tok.value}'")
+            self.abort(at, f"unknown operation '{self.tokens[at]}'")
         return op
 
     def parse_list(self, item, brackets: str = "[]") -> list:
@@ -426,7 +418,7 @@ class Parser:
                 return items
             self.expect(",")
 
-    def parse_fields(self, block: _Block, owner: Token) -> dict[str, object]:
+    def parse_fields(self, block: _Block, owner: int) -> dict[str, object]:
         """The fields of the `block` that declares `owner`. An unknown field
         aborts; a repeated one is reported, its value read and dropped; a
         missing one aborts, reported at `owner`."""
@@ -435,7 +427,7 @@ class Parser:
         self.expect("{")
         while not self.match("}"):
             name = self.expect_name(block.what)
-            key = name.value
+            key = self.tokens[name]
             read = readers.get(key)
             if read is None:
                 self.abort(name, block.unknown.format(key))
@@ -452,7 +444,7 @@ class Parser:
                 self.match(",")
         for key in block.required:
             if key not in fields:
-                self.abort(owner, block.missing.format(owner.value, key))
+                self.abort(owner, block.missing.format(self.tokens[owner], key))
         return fields
 
     # -- top level ---------------------------------------------------------
@@ -460,17 +452,17 @@ class Parser:
     def parse(self) -> None:
         handlers = self.HANDLERS
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            text = self.tokens[self.pos]
+            if not text:
                 return
-            if tok.kind != "name" or tok.value not in handlers:
-                self.error(tok, f"expected a declaration keyword, found {_describe(tok)}")
-                self.advance()
+            if text not in handlers:
+                self.error(self.pos, f"expected a declaration keyword, found {_describe(text)}")
+                self.pos += 1
                 self.resync()
                 continue
             names = len(self.refs), len(self.count_roles)
             try:
-                handlers[tok.value](self)
+                handlers[text](self)
             except _Abort:
                 # A dropped declaration's names are not resolved.
                 del self.refs[names[0] :], self.count_roles[names[1] :]
@@ -488,14 +480,15 @@ class Parser:
         self.advance()
         key = self.expect_name("a config key")
         self.expect("=")
-        tok = self.peek()
-        if tok.kind == "number":
+        at = self.pos
+        kind = self.kinds[self.tokens[at]]
+        if kind == "number":
             _, value = self.expect_number("a config value")
-        elif tok.kind == "name":
-            value = self.advance().value
+        elif kind == "name":
+            value = self.tokens[self.advance()]
         else:
-            self.abort(tok, f"expected a config value, found {_describe(tok)}")
-        name = key.value
+            self.abort(at, f"expected a config value, found {_describe(self.tokens[at])}")
+        name = self.tokens[key]
         if name not in CONFIG_KEYS:
             self.error(key, f"unknown config key '{name}'")
             return
@@ -503,7 +496,7 @@ class Parser:
             self.error(key, f"config key '{name}' given twice")
         problem = _config_problem(name, value)
         if problem is not None:
-            self.error(tok, problem)
+            self.error(at, problem)
             value = None
         self.config.setdefault(name, value)
 
@@ -526,18 +519,20 @@ class Parser:
         sid = self.expect_name("a subject name")
         properties: dict[str, object] = {}
         for key, value in self.parse_list(self.parse_property, "{}"):
-            if key.value in properties:
-                self.error(key, f"property {key.value} given twice")
-            properties.setdefault(key.value, value)
+            name = self.tokens[key]
+            if name in properties:
+                self.error(key, f"property {name} given twice")
+            properties.setdefault(name, value)
         self.subject_decls.append((sid, properties))
 
-    def parse_property(self) -> tuple[Token, object]:
+    def parse_property(self) -> tuple[int, object]:
         key = self.expect_name("a property name")
         self.expect("=")
-        if key.value in ("roles", "active"):
-            what = f"a role list for '{key.value}'"
+        name = self.tokens[key]
+        if name in ("roles", "active"):
+            what = f"a role list for '{name}'"
             return key, self.parse_list(lambda: self.expect_name(what))
-        if self.peek().value == "(":
+        if self.tokens[self.pos] == "(":
             return key, self.parse_point()
         return key, self.parse_literal("a property value")
 
@@ -545,7 +540,7 @@ class Parser:
         self.advance()
         oid = self.expect_name("an object name")
         self.expect("{")
-        rows: list[tuple[Token, Op, Fraction | None]] = []
+        rows: list[tuple[int, Op, Fraction | None]] = []
         while not self.match("}"):
             self.expect("acl")
             role = self.expect_name("a role name")
@@ -557,10 +552,11 @@ class Parser:
         self.object_decls.append((oid, rows))
 
     def parse_flag(self) -> bool:
-        flag = self.expect_name("'true' or 'false'")
-        if flag.value not in ("true", "false"):
-            self.abort(flag, f"expected 'true' or 'false', found {_describe(flag)}")
-        return flag.value == "true"
+        flag = self.tokens[self.pos]
+        if flag != "true" and flag != "false":
+            self.abort(self.pos, f"expected 'true' or 'false', found {_describe(flag)}")
+        self.pos += 1
+        return flag == "true"
 
     TASK_SET = _Block(
         what="a task-set field",
@@ -580,15 +576,16 @@ class Parser:
         assign=True,
     )
 
-    def parse_task_set(self) -> tuple[Token, list[Token], TaskSet]:
+    def parse_task_set(self) -> tuple[int, list[int], TaskSet]:
         tsid = self.expect_name("a task-set id")
         fields = self.parse_fields(self.TASK_SET, tsid)
         actions = fields["actions"]
+        name = self.tokens[tsid]
         if not actions:
-            self.error(tsid, f"task set {tsid.value} has no actions")
-        resources = frozenset(tok.value for tok in fields.get("resources", ()))
-        pairs = tuple((oid.value, op) for oid, op in actions)
-        task_set = TaskSet(tsid.value, pairs, fields["time"], fields["prob"], resources)
+            self.error(tsid, f"task set {name} has no actions")
+        resources = frozenset(self.tokens[at] for at in fields.get("resources", ()))
+        pairs = tuple((self.tokens[oid], op) for oid, op in actions)
+        task_set = TaskSet(name, pairs, fields["time"], fields["prob"], resources)
         return tsid, [oid for oid, _ in actions], task_set
 
     EMERGENCY = _Block(
@@ -616,7 +613,7 @@ class Parser:
         fields = self.parse_fields(self.EMERGENCY, eid)
         task_sets = fields.pop("ts", [])
         if not task_sets:
-            self.error(eid, f"emergency {eid.value} declares no task sets")
+            self.error(eid, f"emergency {self.tokens[eid]} declares no task sets")
         # A bad priority reads as the nearest valid one.
         fields["prio"] = max(1, int(fields["prio"]))
         self.emergency_decls.append(_RawEmergency(eid, task_sets=task_sets, **fields))
@@ -638,25 +635,25 @@ class Parser:
     def parse_depends(self) -> None:
         self.advance()
         kind = self.expect_name("'env' or 'time'")
-        if kind.value == "env":
+        if self.tokens[kind] == "env":
             entity = self.expect_name("an entity name")
             self.expect("on")
             eid = self.expect_name("an emergency id")
             self.depends_env.append((entity, eid))
-        elif kind.value == "time":
+        elif self.tokens[kind] == "time":
             before = self.expect_name("an emergency id")
             self.expect("->")
             after = self.expect_name("an emergency id")
             self.depends_time.append((before, after))
         else:
-            self.abort(kind, f"expected 'env' or 'time', found {_describe(kind)}")
+            self.abort(kind, f"expected 'env' or 'time', found {_describe(self.tokens[kind])}")
 
-    def parse_sigma(self, name: Token) -> Fraction:
+    def parse_sigma(self, name: int) -> Fraction:
         """Sigma field `name`'s value; a bad one is reported at `name`, read as 0."""
         _, sigma = self.expect_number("a sigma value")
         if ZERO <= sigma < ONE:
             return sigma
-        self.error(name, f"{name.value} must be in [0, 1)")
+        self.error(name, f"{self.tokens[name]} must be in [0, 1)")
         return ZERO
 
     INFLUENCE = _Block(
@@ -686,20 +683,21 @@ class Parser:
         _, when = self.expect_number("an event time")
         if when < 0:
             self.error(at, "event time must not be negative")
-        kind = self.expect_name("an event kind")
-        whats = EVENT_ARGS.get(kind.value)
+        kind_at = self.expect_name("an event kind")
+        kind = self.tokens[kind_at]
+        whats = EVENT_ARGS.get(kind)
         if whats is None:
-            self.abort(kind, f"unknown event kind '{kind.value}'")
+            self.abort(kind_at, f"unknown event kind '{kind}'")
         args = [self.expect_name(what) for what in whats]
         # The last argument of a force or a request is a value; an event
         # with a bad one is dropped.
-        last = args[-1]
-        if kind.value == "force" and last.value not in OUTCOMES:
-            self.error(last, f"unknown outcome '{last.value}'")
-        elif kind.value == "request" and last.value not in OP_NAMES:
-            self.error(last, f"unknown operation '{last.value}'")
+        last = self.tokens[args[-1]]
+        if kind == "force" and last not in OUTCOMES:
+            self.error(args[-1], f"unknown outcome '{last}'")
+        elif kind == "request" and last not in OP_NAMES:
+            self.error(args[-1], f"unknown operation '{last}'")
         else:
-            self.raw_events.append((when, kind.value, args))
+            self.raw_events.append((when, kind, args))
 
     # The parser of each top-level keyword's declaration. These are plain
     # functions: bound methods kept on a parser would make it a reference
@@ -729,7 +727,7 @@ class Parser:
     # deep, so evaluating it alone never reaches the evaluator's cut-off.
 
     def parse_expr(self) -> ConstraintExpr:
-        start = self.peek()
+        start = self.pos
         expr = self.parse_or(0)
         if nesting_depth(expr) > MAX_DEPTH:
             self.abort(start, f"constraint nested deeper than {MAX_DEPTH} levels")
@@ -748,81 +746,79 @@ class Parser:
         return items[0] if len(items) == 1 else And(tuple(items))
 
     def parse_not(self, depth: int) -> ConstraintExpr:
-        tok = self.peek()
+        at = self.pos
         if self.match("not"):
-            return Not(self.parse_not(self.nested(tok, depth)))
+            return Not(self.parse_not(self.nested(at, depth)))
         return self.parse_atom(depth)
 
-    def nested(self, tok: Token, depth: int) -> int:
+    def nested(self, at: int, depth: int) -> int:
         if depth == MAX_DEPTH:
-            self.abort(tok, f"constraint nested deeper than {MAX_DEPTH} levels")
+            self.abort(at, f"constraint nested deeper than {MAX_DEPTH} levels")
         return depth + 1
 
     def parse_cmp_op(self) -> str:
-        tok = self.peek()
-        if tok.value in CMP_TOKENS:
-            self.advance()
-            return tok.value
-        self.abort(tok, f"expected a comparison operator, found {_describe(tok)}")
+        text = self.tokens[self.pos]
+        if text in CMP_TOKENS:
+            self.pos += 1
+            return text
+        self.abort(self.pos, f"expected a comparison operator, found {_describe(text)}")
 
     def parse_atom(self, depth: int) -> ConstraintExpr:
-        tok = self.peek()
+        at = self.pos
+        text = self.tokens[at]
         if self.match("("):
-            inner = self.parse_or(self.nested(tok, depth))
+            inner = self.parse_or(self.nested(at, depth))
             self.expect(")")
             return inner
         if self.match("@"):
             name = self.expect_name("a constraint name")
             self.refs.append(name)
-            return Ref(name.value)
-        if tok.kind != "name":
-            self.abort(tok, f"expected a condition, found {_describe(tok)}")
-        if tok.value == "true" or tok.value == "false":
-            self.advance()
-            return Lit(tok.value == "true")
-        if tok.value == "dist":
-            self.advance()
+            return Ref(self.tokens[name])
+        if self.kinds[text] != "name":
+            self.abort(at, f"expected a condition, found {_describe(text)}")
+        self.pos += 1
+        if text == "true" or text == "false":
+            return Lit(text == "true")
+        if text == "dist":
             self.expect("(")
-            prop = self.expect_name("a property name")
+            prop = self.tokens[self.expect_name("a property name")]
             self.expect(",")
             point = self.parse_point()
             self.expect(")")
             op = self.parse_cmp_op()
             _, radius = self.expect_number("a distance")
-            return DistCmp(prop.value, point, op, radius)
-        if tok.value == "count":
-            self.advance()
+            return DistCmp(prop, point, op, radius)
+        if text == "count":
             self.expect("(")
             role = self.expect_name("a role name")
             self.expect(")")
             op = self.parse_cmp_op()
-            limit_tok, limit = self.expect_number("a count limit")
+            limit_at, limit = self.expect_number("a count limit")
             if limit.denominator != 1:
-                self.abort(limit_tok, "count limit must be an integer")
+                self.abort(limit_at, "count limit must be an integer")
             self.count_roles.append(role)
-            return CountCmp(role.value, op, int(limit))
-        prop = self.advance()
+            return CountCmp(self.tokens[role], op, int(limit))
         op = self.parse_cmp_op()
-        return Cmp(prop.value, op, self.parse_literal("a literal"))
+        return Cmp(text, op, self.parse_literal("a literal"))
 
     # -- resolution --------------------------------------------------------
 
-    def known(self, tok: Token, table, what: str) -> bool:
-        """Whether `tok` names a key of `table`; reports an unknown name."""
-        if tok.value in table:
+    def known(self, at: int, table, what: str) -> bool:
+        """Whether token `at` names a key of `table`; reports an unknown name."""
+        if self.tokens[at] in table:
             return True
-        self.error(tok, f"unknown {what} {tok.value}")
+        self.error(at, f"unknown {what} {self.tokens[at]}")
         return False
 
-    def fresh(self, tok: Token, table, what: str) -> bool:
-        """Whether `tok` names no key of `table` yet; reports a second declaration."""
-        if tok.value not in table:
+    def fresh(self, at: int, table, what: str) -> bool:
+        """Whether token `at` names no key of `table` yet; reports a second declaration."""
+        if self.tokens[at] not in table:
             return True
-        self.error(tok, f"{what} {tok.value} declared twice")
+        self.error(at, f"{what} {self.tokens[at]} declared twice")
         return False
 
     def emergency_pair(
-        self, first: Token, second: Token, emergencies, declared, what: str, spans: str
+        self, first: int, second: int, emergencies, declared, what: str, spans: str
     ) -> tuple[Emergency, Emergency] | None:
         """The two emergencies of a pair declaration, if both are known, on
         one entity, and not yet a pair of `declared`; reports which is not."""
@@ -831,7 +827,7 @@ class Parser:
             and self.known(second, emergencies, "emergency")
         ):
             return None
-        a, b = emergencies[first.value], emergencies[second.value]
+        a, b = emergencies[self.tokens[first]], emergencies[self.tokens[second]]
         if a.entity != b.entity:
             self.error(first, spans)
             return None
@@ -841,24 +837,25 @@ class Parser:
         return a, b
 
     def resolve(self) -> Scenario:
+        tokens = self.tokens
         store = PolicyStore()
         entities: set[str] = {ENV_ENTITY}
 
-        for tok in self.entities:
-            if tok.value == ENV_ENTITY:
-                self.error(tok, "'env' is predeclared")
+        for at in self.entities:
+            if tokens[at] == ENV_ENTITY:
+                self.error(at, "'env' is predeclared")
             else:
-                self.fresh(tok, entities, "entity")
-            entities.add(tok.value)
+                self.fresh(at, entities, "entity")
+            entities.add(tokens[at])
 
-        for tok in self.role_decls:
-            self.fresh(tok, store.roles, "role")
-            store.roles[tok.value] = RoleKind.NORMAL
+        for at in self.role_decls:
+            self.fresh(at, store.roles, "role")
+            store.roles[tokens[at]] = RoleKind.NORMAL
         normal = set(store.roles)
 
         for name, expr in self.constraint_decls:
             if self.fresh(name, store.constraints, "constraint"):
-                store.constraints[name.value] = expr
+                store.constraints[tokens[name]] = expr
 
         for oid, rows in self.object_decls:
             if not self.fresh(oid, store.objects, "object"):
@@ -867,33 +864,34 @@ class Parser:
             seen_rows: set[tuple[str, Op]] = set()
             for role, op, td in rows:
                 self.known(role, normal, "role")
-                if (role.value, op) in seen_rows:
-                    self.error(role, f"duplicate acl entry {role.value} {op.value}")
+                if (tokens[role], op) in seen_rows:
+                    self.error(role, f"duplicate acl entry {tokens[role]} {op.value}")
                     continue
-                seen_rows.add((role.value, op))
-                acl.append(AclEntry(role.value, op, td))
-            store.objects[oid.value] = SystemObject(oid.value, acl)
+                seen_rows.add((tokens[role], op))
+                acl.append(AclEntry(tokens[role], op, td))
+            store.objects[tokens[oid]] = SystemObject(tokens[oid], acl)
 
         for sid, properties in self.subject_decls:
             if not self.fresh(sid, store.subjects, "subject"):
                 continue
             values = dict(properties)
             role_toks = values.pop("roles", [])
-            roles = [tok.value for tok in role_toks if self.known(tok, normal, "role")]
+            roles = [tokens[at] for at in role_toks if self.known(at, normal, "role")]
             active = roles
             if "active" in values:
                 active_toks = values.pop("active")
-                active = [tok.value for tok in active_toks if self.known(tok, normal, "role")]
-                for tok in active_toks:
-                    if tok.value in normal and tok.value not in roles:
-                        self.error(tok, f"active role {tok.value} not in roles")
-            store.subjects[sid.value] = Subject(sid.value, values)
-            store.srt[sid.value] = set(roles)
-            store.asrt[sid.value] = {r for r in active if r in roles}
+                active = [tokens[at] for at in active_toks if self.known(at, normal, "role")]
+                for at in active_toks:
+                    if tokens[at] in normal and tokens[at] not in roles:
+                        self.error(at, f"active role {tokens[at]} not in roles")
+            name = tokens[sid]
+            store.subjects[name] = Subject(name, values)
+            store.srt[name] = set(roles)
+            store.asrt[name] = {r for r in active if r in roles}
 
         emergencies: dict[str, Emergency] = {}
         for raw in self.emergency_decls:
-            eid = raw.eid.value
+            eid = tokens[raw.eid]
             if not self.fresh(raw.eid, emergencies, "emergency"):
                 continue
             if eid in store.roles:
@@ -905,44 +903,45 @@ class Parser:
                 if self.fresh(tsid, task_sets, "task set"):
                     for oid in objects:
                         self.known(oid, store.objects, "object")
-                    task_sets[tsid.value] = task_set
+                    task_sets[tokens[tsid]] = task_set
             ordered = tuple(task_sets[tsid] for tsid in sorted(task_sets))
-            emergencies[eid] = Emergency(eid, raw.entity.value, raw.prio, raw.ed, raw.ft, ordered)
+            emergencies[eid] = Emergency(eid, tokens[raw.entity], raw.prio, raw.ed, raw.ft, ordered)
             store.roles[eid] = RoleKind.EMERGENCY
 
-        for tok in self.refs:
-            self.known(tok, store.constraints, "constraint")
-        for tok in self.count_roles:
-            self.known(tok, normal, "role")
+        for at in self.refs:
+            self.known(at, store.constraints, "constraint")
+        for at in self.count_roles:
+            self.known(at, normal, "role")
 
         for erole, roles, constraint in self.map_decls:
             if self.known(erole, emergencies, "emergency") and self.fresh(
                 erole, store.rmt, "mapping for"
             ):
-                names = [tok.value for tok in roles if self.known(tok, normal, "role")]
-                store.rmt[erole.value] = RoleMapping(tuple(names), constraint)
+                names = [tokens[at] for at in roles if self.known(at, normal, "role")]
+                store.rmt[tokens[erole]] = RoleMapping(tuple(names), constraint)
 
         for erole, expr in self.fallback_decls:
             if self.known(erole, emergencies, "emergency") and self.fresh(
                 erole, store.rct, "fallback mapping for"
             ):
-                store.rct[erole.value] = expr
+                store.rct[tokens[erole]] = expr
 
         for entity, eid in self.depends_env:
             if not self.known(entity, entities, "entity"):
                 continue
-            if entity.value == ENV_ENTITY:
+            if tokens[entity] == ENV_ENTITY:
                 self.error(entity, "the environment group cannot be gated")
                 continue
             if not self.known(eid, emergencies, "emergency"):
                 continue
-            if emergencies[eid.value].entity != ENV_ENTITY:
-                self.error(eid, f"{eid.value} is not an environment emergency")
+            pair = tokens[entity], tokens[eid]
+            if emergencies[pair[1]].entity != ENV_ENTITY:
+                self.error(eid, f"{pair[1]} is not an environment emergency")
                 continue
-            if (entity.value, eid.value) in store.edt:
-                self.error(entity, f"dependency {entity.value} on {eid.value} declared twice")
+            if pair in store.edt:
+                self.error(entity, f"dependency {pair[0]} on {pair[1]} declared twice")
                 continue
-            store.edt.add((entity.value, eid.value))
+            store.edt.add(pair)
 
         for before, after in self.depends_time:
             spans = "time dependency spans entities"
@@ -971,11 +970,11 @@ class Parser:
             if self.known(entity, entities, "entity") and self.fresh(
                 entity, store.efgt, "failure group for"
             ):
-                store.efgt[entity.value] = group.value
+                store.efgt[tokens[entity]] = tokens[group]
 
-        name = "unnamed" if self.scenario_name is None else self.scenario_name.value
-        if self.scenario_name is None and self.tokens:
-            self.error(self.tokens[0], "missing scenario declaration")
+        name = "unnamed" if self.scenario_name is None else tokens[self.scenario_name]
+        if self.scenario_name is None:
+            self.error(0, "missing scenario declaration")
 
         config = _resolve_config(self.config)
         events = self.resolve_events(store, emergencies, entities)
@@ -999,15 +998,16 @@ class Parser:
                 ok = self.known(args[0], entities, "entity")
             elif kind == "force":
                 ok = self.known(args[0], emergencies, "emergency")
-                if ok and emergencies[args[0].value].task_set(args[1].value) is None:
-                    self.error(args[1], f"{args[0].value} has no task set {args[1].value}")
+                eid, tsid = self.tokens[args[0]], self.tokens[args[1]]
+                if ok and emergencies[eid].task_set(tsid) is None:
+                    self.error(args[1], f"{eid} has no task set {tsid}")
                     ok = False
             else:
                 subject_ok = self.known(args[0], store.subjects, "subject")
                 object_ok = self.known(args[1], store.objects, "object")
                 ok = subject_ok and object_ok
             if ok:
-                events.append(ScenarioEvent(when, kind, tuple(tok.value for tok in args)))
+                events.append(ScenarioEvent(when, kind, tuple(self.tokens[at] for at in args)))
         return events
 
 

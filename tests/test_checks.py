@@ -23,7 +23,7 @@ from feac.checks import (
 from feac.constraints import Lit
 from feac.model import serialize_store
 
-from test_cli import run_child
+from test_cli import MAIN_WITH_PEAK, run_child
 from test_sim import GOLDEN
 
 F = Fraction
@@ -524,20 +524,6 @@ def test_crafted_trace_breaks_only_the_substitution_rule():
     ]
 
 
-# Audits the trace named by its argument, then writes its own peak RSS in MB
-# as the last line of stderr. The peak is read from Linux's VmHWM: a child's
-# `ru_maxrss` would include the RSS its parent had when it forked.
-AUDIT_WITH_PEAK = (
-    "import sys\n"
-    "from feac.cli import main\n"
-    "code = main()\n"
-    "with open('/proc/self/status') as status:\n"
-    "    hwm = next(line for line in status if line.startswith('VmHWM:'))\n"
-    "print(int(hwm.split()[1]) / 1024, file=sys.stderr)\n"
-    "sys.exit(code)\n"
-)
-
-
 def test_crafted_trace_audits_inside_its_time_and_memory(tmp_path):
     """16,000 of each shape: every checker holds only open state, so the
     audit reports the 32,000 substitution violations inside 10 s, and its
@@ -547,7 +533,7 @@ def test_crafted_trace_audits_inside_its_time_and_memory(tmp_path):
     text = crafted_trace(16000)
     assert text.count("\n") == 112_002
     trace.write_text(text, encoding="utf-8")
-    done = run_child("audit", str(trace), timeout=10, script=AUDIT_WITH_PEAK)
+    done = run_child("audit", str(trace), timeout=10, script=MAIN_WITH_PEAK)
     assert done.returncode == 1
     assert done.stdout.count(b"\n") == 32_000
     assert float(done.stderr.splitlines()[-1]) <= 125

@@ -180,6 +180,18 @@ def run_cli(*argv):
 
 
 FEAC_MAIN = "import sys; from feac.cli import main; sys.exit(main())"
+# Runs feac, then writes its own peak RSS in MB as the last line of stderr.
+# The peak is read from Linux's VmHWM: a child's `ru_maxrss` would include
+# the RSS its parent had when it forked.
+MAIN_WITH_PEAK = (
+    "import sys\n"
+    "from feac.cli import main\n"
+    "code = main()\n"
+    "with open('/proc/self/status') as status:\n"
+    "    hwm = next(line for line in status if line.startswith('VmHWM:'))\n"
+    "print(int(hwm.split()[1]) / 1024, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
 
 
 def run_child(*argv, timeout, script=FEAC_MAIN):

@@ -14,7 +14,6 @@ from feac.planner import PlannerConfig
 from feac.scenario import (
     Diagnostic,
     Parser,
-    Token,
     load_scenario,
     parse_scenario,
     print_scenario,
@@ -23,6 +22,7 @@ from feac.sim import run_simulation
 
 from mutations import MUTANTS, apply
 from scenario_gen import clean_scenario_texts, generate_scenario_text
+from test_cli import MAIN_WITH_PEAK, run_child
 
 F = Fraction
 
@@ -144,13 +144,6 @@ REFERENCE_TOKEN_RE = re.compile(
 )
 
 
-def tokenize(text: str, filename: str) -> tuple[list[Token], list[Diagnostic]]:
-    """The lexer's tokens and diagnostics for `text`: a parser's, before it
-    parses anything."""
-    parser = Parser(text, filename)
-    return parser.tokens, parser.diags
-
-
 def reference_tokenize(text: str, filename: str):
     """A position loop: one `match` per step, blanks and comments included,
     with the column counted forward over every matched character. Each
@@ -202,15 +195,16 @@ def lexer_mutants(count: int, seed: int = 8):
 
 class TestLexer:
     def assert_matches_reference(self, text):
-        """Every kind and value, every token's place as the parser's first
-        diagnostic finds it, and every diagnostic."""
-        tokens, diags = tokenize(text, "t.feac")
-        want_tokens, want_diags = reference_tokenize(text, "t.feac")
+        """Every token's kind and text, its place as the parser's first
+        diagnostic finds it, and every diagnostic. A parser that has parsed
+        nothing holds the lexer's tokens and diagnostics."""
         parser = Parser(text, "t.feac")
-        assert parser.tokens == tokens, text
-        places = [(tok.kind, tok.value, *parser.place(tok)) for tok in parser.tokens]
+        want_tokens, want_diags = reference_tokenize(text, "t.feac")
+        places = [
+            (parser.kinds[tok], tok, *parser.place(at)) for at, tok in enumerate(parser.tokens)
+        ]
         assert places == want_tokens, text
-        assert diags == want_diags, text
+        assert parser.diags == want_diags, text
 
     def test_matches_reference_on_clean_texts(self):
         for text in [hospital_text(), ""] + [generate_scenario_text(s) for s in range(12)]:
@@ -241,28 +235,19 @@ class TestLexer:
         for text in edge_cases + list(lexer_mutants(300)):
             self.assert_matches_reference(text)
 
-    def test_tokens_are_immutable_and_hashable(self):
-        tok = tokenize("scenario t", "t.feac")[0][1]
-        assert tok == Token("name", "t")
-        assert hash(tok) == hash(Token("name", "t"))
-        with pytest.raises(AttributeError):
-            tok.value = "u"
-
     def test_equal_token_texts_share_one_string(self):
-        tokens, _ = tokenize(hospital_text(), "h.feac")
-        texts = {}
-        for tok in tokens:
-            assert texts.setdefault(tok.value, tok.value) is tok.value
-        assert len(texts) < len(tokens) // 2
-        # Each token is still its own tuple, for `token_places` to find.
-        assert len({id(tok) for tok in tokens}) == len(tokens)
+        for text in [hospital_text(), apply(MUTANTS[0], hospital_text())]:
+            tokens = Parser(text, "h.feac").tokens
+            assert all(type(tok) is str for tok in tokens)
+            distinct = set(tokens)
+            assert len({id(tok) for tok in tokens}) == len(distinct) < len(tokens) // 2
 
     def count_places(self, monkeypatch) -> list:
         calls = []
 
-        def counted(text, tokens):
+        def counted(text):
             calls.append(text)
-            return place(text, tokens)
+            return place(text)
 
         place = scenario.token_places
         monkeypatch.setattr(scenario, "token_places", counted)
@@ -324,3 +309,58 @@ def test_validate_store_finds_nothing_in_clean_scenarios():
         sc, diags = parse_scenario(text)
         assert not diags, name
         assert validate_store(sc.store, list(sc.emergencies.values())) == [], name
+
+
+def ward_text(beds: int) -> str:
+    """A clean ward of `beds` beds, about 890 bytes each: three subjects, an
+    object, two emergencies with their dependency, influence, role maps
+    and fallback map, a failure group and a raise per bed."""
+    lines = [
+        "scenario ward",
+        "config horizon = 90",
+        "role Doctor",
+        "role Nurse",
+        "role Tech",
+        "constraint near = dist(location, (0, 0)) <= 70",
+        "constraint spare = count(Nurse) >= 2",
+    ]
+    for i in range(1, beds + 1):
+        x, y = i % 97 - 48, i % 89 - 44
+        lines += [
+            f"entity B{i}",
+            f"subject D{i} {{ roles = [Doctor, Nurse], location = ({x}, {y}), years = {i % 30} }}",
+            f"subject N{i} {{ roles = [Nurse], active = [Nurse], location = ({y}, {x}), "
+            "senior = true }",
+            f'subject T{i} {{ roles = [Tech], location = ({x}, {x}), name = "tech {i}" }}',
+            f"object M{i} {{ acl Doctor read_write acl Nurse read td 7.5 acl Tech use }}",
+            f"emergency E{i} {{ entity B{i} prio 2 ed 12 ft true",
+            f"  ts TS1 {{ actions = [M{i} read_write, M{i} read], time = 2, prob = 0.9, "
+            f"resources = [K{i % 7}] }}",
+            f"  ts TS2 {{ actions = [M{i} use], time = 3.5, prob = 0.75 }}",
+            "}",
+            f"emergency F{i} {{ entity B{i} prio 1 ed 20 ft false "
+            f"ts TS1 {{ actions = [M{i} use], time = 1, prob = 1 }} }}",
+            f"map E{i} -> [Doctor, Nurse] where @near and @spare",
+            f"map F{i} -> [Tech] where years >= 5 or senior = true",
+            f"fallbackmap E{i} where not (years < 3)",
+            f"depends time F{i} -> E{i}",
+            f"influence F{i} -> E{i} {{ sigma_p = 0.1, sigma_t = 0.2 }}",
+            f"fgroup B{i} = ward",
+            f"at {i % 50} raise E{i}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_large_scenario_validates_inside_its_memory(tmp_path):
+    """1,250 beds, 1.1 MB: the tokens are shared strings and the raw
+    declarations hold their indices, so `feac validate` peaks at 50 MB at
+    most (38-42 MB on Python 3.10-3.13; a `Token` tuple per token read
+    56-59 MB)."""
+    path = tmp_path / "ward.feac"
+    text = ward_text(1250)
+    assert 1_100_000 < len(text) < 1_120_000
+    path.write_text(text, encoding="utf-8")
+    done = run_child("validate", str(path), timeout=30, script=MAIN_WITH_PEAK)
+    assert done.returncode == 0, done.stdout[:200]
+    assert done.stdout == b"ok: scenario ward, 2500 emergencies, 3750 subjects, 1250 events\n"
+    assert float(done.stderr.splitlines()[-1]) <= 50
