@@ -13,9 +13,9 @@ the codec table `FIELDS` gives each field one declared type. Each kind's
 writer is built from the two at import; `parse_trace`, the one decoder of
 trace text, reads them too. A time is a Fraction or, as the engine passes
 it, an int count of the log's `TimeUnit` ticks; both print as the same
-decimal. Records carry enough payload to rebuild every policy-store
-mutation, so replaying a trace against the scenario's store, where its run
-started, reproduces its final store exactly: the non-repudiation check.
+decimal. Records carry every policy-store mutation's payload: replaying a
+trace one record at a time (`apply`) from the scenario's store, where its
+run started, reproduces its final store exactly, the non-repudiation check.
 """
 
 from __future__ import annotations
@@ -311,38 +311,43 @@ def parse_trace(text: str) -> list[AuditRecord]:
 # ---------------------------------------------------------------------------
 
 
+def apply(store: PolicyStore, record: AuditRecord) -> None:
+    """Apply `record`'s store mutation to `store` in place; a record of a kind
+    that mutates nothing leaves it unchanged."""
+    p, d, kind = record.payload, record.decoded, record.kind
+    if kind == "role_assigned":
+        sid, erole = p["sid"], p["erole"]
+        store.ort[sid] = d["saved"]
+        store.srt.setdefault(sid, set()).add(erole)
+        store.asrt[sid] = {erole}
+    elif kind == "role_restored":
+        sid, erole = p["sid"], p["erole"]
+        store.asrt[sid] = set(d["restored"])
+        store.srt.get(sid, set()).discard(erole)
+        store.ort.pop(sid, None)
+    elif kind in ("permission_granted", "permission_rescinded"):
+        # A record naming an object the store lacks changes nothing; the
+        # grant checkers and replay fidelity report what it unbalances.
+        obj = store.objects.get(p["oid"])
+        if obj is None:
+            return
+        entry = AclEntry(p["erole"], d["op"], d["td"])
+        if kind == "permission_granted":
+            obj.acl.append(entry)
+        elif entry in obj.acl:
+            obj.acl.remove(entry)
+    elif kind == "ft_substitution":
+        target = p["to"]
+        if d["acl"]:
+            store.objects.setdefault(target, SystemObject(target)).acl.extend(d["acl"])
+        if d["roles"]:
+            store.srt.setdefault(target, set()).update(d["roles"])
+            store.asrt.setdefault(target, set()).update(d["roles"])
+
+
 def replay_store(initial: PolicyStore, records: list[AuditRecord]) -> PolicyStore:
     """Apply every store mutation in `records` to a copy of `initial`."""
     store = initial.clone()
-    for r in records:
-        p, d = r.payload, r.decoded
-        if r.kind == "role_assigned":
-            sid, erole = p["sid"], p["erole"]
-            store.ort[sid] = d["saved"]
-            store.srt.setdefault(sid, set()).add(erole)
-            store.asrt[sid] = {erole}
-        elif r.kind == "role_restored":
-            sid, erole = p["sid"], p["erole"]
-            store.asrt[sid] = set(d["restored"])
-            store.srt.get(sid, set()).discard(erole)
-            store.ort.pop(sid, None)
-        elif r.kind in ("permission_granted", "permission_rescinded"):
-            # A record naming an object the store lacks changes nothing; the
-            # grant checkers and replay fidelity report what it unbalances.
-            obj = store.objects.get(p["oid"])
-            if obj is None:
-                continue
-            entry = AclEntry(p["erole"], d["op"], d["td"])
-            if r.kind == "permission_granted":
-                obj.acl.append(entry)
-            elif entry in obj.acl:
-                obj.acl.remove(entry)
-        elif r.kind == "ft_substitution":
-            target = p["to"]
-            if d["acl"]:
-                store.objects.setdefault(target, SystemObject(target)).acl.extend(d["acl"])
-            if d["roles"]:
-                store.srt.setdefault(target, set()).update(d["roles"])
-                store.asrt.setdefault(target, set()).update(d["roles"])
+    for record in records:
+        apply(store, record)
     return store
-

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 from feac.fault import apply_fault_tolerance, find_substitute
 from feac.model import (
@@ -11,39 +12,8 @@ from feac.model import (
     SystemObject,
     TaskSet,
 )
-from feac.scenario import parse_scenario
+from feac.scenario import load_scenario
 from feac.sim import run_simulation
-
-# E1 is granted `Pump1 use` until 6, and Pump1 fails at 1 while E1 runs:
-# Pump2 takes over a copy of Pump1's rows, E1's live grant among them.
-GRANT_COPY_SCENARIO = """\
-scenario grant_copy
-config tp = 0.5
-config seed = 3
-config horizon = 20
-entity P1
-entity Pump1
-entity Pump2
-role Nurse
-role Doctor
-subject S1 { roles = [Nurse] }
-subject S2 { roles = [Doctor] }
-object Pump1 { acl Nurse use td 7.5 acl Doctor read_write }
-object Pump2 { acl Doctor read }
-emergency E1 {
-  entity P1
-  prio 2
-  ed 6
-  ft true
-  ts TS1 { actions = [Pump1 use], time = 1.5, prob = 0.9 }
-}
-map E1 -> [Nurse]
-fgroup Pump1 = pumps
-fgroup Pump2 = pumps
-at 0 raise E1
-at 0 force E1 TS1 success
-at 1 fail Pump1
-"""
 
 
 def pool_store() -> PolicyStore:
@@ -156,8 +126,11 @@ class TestApplyFaultTolerance:
         assert "P2" not in store.objects
 
 
+GRANT_COPY = Path(__file__).parent / "data" / "grant_copy.feac"
+
+
 def test_no_copied_emergency_grant_outlives_its_emergency():
-    sc, diags = parse_scenario(GRANT_COPY_SCENARIO)
+    sc, diags = load_scenario(str(GRANT_COPY))
     assert not diags
     store = run_simulation(sc).final_store
     held = set().union(*store.srt.values(), *store.asrt.values())

@@ -28,6 +28,7 @@ SUMMARIES = {
     "fallback_choice": "final=normal clock=3.5 records=23",
     "fallback_choice-probability_first": "final=normal clock=3.5 records=24",
     "fine_clock": "final=normal clock=8 records=100",
+    "grant_copy": "final=normal clock=2 records=15",
     "hospital": "final=normal clock=9.5 records=95",
     "long_pv": "final=normal clock=2.5 records=20",
     "negative_window": "final=normal clock=3 records=30",
